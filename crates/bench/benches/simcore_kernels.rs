@@ -1,11 +1,10 @@
-//! Micro-benchmarks of the substrate hot paths: event queue (slab and
-//! legacy, for the PR 1 A/B), platform step, room step, RNG stream
-//! derivation, histogram observation.
+//! Micro-benchmarks of the substrate hot paths: event queue, platform
+//! step, room step, RNG stream derivation, histogram observation.
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use df3_core::{Platform, PlatformConfig};
 use simcore::metrics::Histogram;
 use simcore::time::{Calendar, SimDuration, SimTime};
-use simcore::{EventQueue, LegacyEventQueue, RngStreams, SlabEventQueue};
+use simcore::{EventQueue, RngStreams, SlabEventQueue};
 use thermal::room::{Room, RoomParams};
 use thermal::weather::{Weather, WeatherConfig, WeatherTable};
 use thermal::ThermalBatch;
@@ -116,16 +115,8 @@ fn bench(c: &mut Criterion) {
     });
     c.bench_function("event_queue_mix_slab", queue_mix!(SlabEventQueue<FatEvent>));
     c.bench_function(
-        "event_queue_mix_legacy",
-        queue_mix!(LegacyEventQueue<FatEvent>),
-    );
-    c.bench_function(
         "event_queue_burst_slab",
         queue_burst!(SlabEventQueue<FatEvent>),
-    );
-    c.bench_function(
-        "event_queue_burst_legacy",
-        queue_burst!(LegacyEventQueue<FatEvent>),
     );
     c.bench_function("platform_step_1h", |b| {
         // A small platform run: every dispatch, finish, and control tick

@@ -4,10 +4,6 @@
 //! df3-experiments            # run the whole suite
 //! df3-experiments e1 e4 e13  # run selected experiments
 //! df3-experiments --fast     # reduced scales (CI-sized)
-//! df3-experiments bench      # performance trajectory → BENCH_PR2.json
-//! df3-experiments bench_pr3  # robustness trajectory → BENCH_PR3.json
-//! df3-experiments bench_pr4  # telemetry trajectory → BENCH_PR4.json
-//! df3-experiments bench_pr5  # checkpoint/restore trajectory → BENCH_PR5.json
 //! df3-experiments report --preset district_winter --hours 24 --out runs/
 //!                            # one instrumented run → JSONL + Chrome trace + Prometheus
 //! df3-experiments snapshot --preset district_winter --at 72h -o warm.df3snap
@@ -20,48 +16,6 @@ use std::time::Instant;
 
 fn main() {
     let args: Vec<String> = env::args().skip(1).collect();
-    let fast = args.iter().any(|a| a == "--fast");
-    let selected: Vec<String> = args
-        .iter()
-        .filter(|a| !a.starts_with("--"))
-        .map(|a| a.to_lowercase())
-        .collect();
-    if selected.iter().any(|s| s == "bench") {
-        let t0 = Instant::now();
-        let (report, table) = bench::bench_pr2::run(fast);
-        println!("{}", table.render());
-        let path = "BENCH_PR2.json";
-        std::fs::write(path, report.to_json()).expect("write BENCH_PR2.json");
-        println!("wrote {path} in {:.1} s", t0.elapsed().as_secs_f64());
-        return;
-    }
-    if selected.iter().any(|s| s == "bench_pr3") {
-        let t0 = Instant::now();
-        let (report, table) = bench::bench_pr3::run(fast);
-        println!("{}", table.render());
-        let path = "BENCH_PR3.json";
-        std::fs::write(path, report.to_json()).expect("write BENCH_PR3.json");
-        println!("wrote {path} in {:.1} s", t0.elapsed().as_secs_f64());
-        return;
-    }
-    if selected.iter().any(|s| s == "bench_pr4") {
-        let t0 = Instant::now();
-        let (report, table) = bench::bench_pr4::run(fast);
-        println!("{}", table.render());
-        let path = "BENCH_PR4.json";
-        std::fs::write(path, report.to_json()).expect("write BENCH_PR4.json");
-        println!("wrote {path} in {:.1} s", t0.elapsed().as_secs_f64());
-        return;
-    }
-    if selected.iter().any(|s| s == "bench_pr5") {
-        let t0 = Instant::now();
-        let (report, table) = bench::bench_pr5::run(fast);
-        println!("{}", table.render());
-        let path = "BENCH_PR5.json";
-        std::fs::write(path, report.to_json()).expect("write BENCH_PR5.json");
-        println!("wrote {path} in {:.1} s", t0.elapsed().as_secs_f64());
-        return;
-    }
     if let Some(sub @ ("snapshot" | "resume" | "branch")) = args.first().map(String::as_str) {
         let t0 = Instant::now();
         let result = match sub {
@@ -98,7 +52,15 @@ fn main() {
         }
         return;
     }
-    let want = |id: &str| selected.is_empty() || selected.iter().any(|s| s == id);
+    let suite = match bench::cli::parse_suite_args(&args) {
+        Ok(suite) => suite,
+        Err(e) => {
+            eprintln!("df3-experiments: {e}");
+            std::process::exit(2);
+        }
+    };
+    let fast = suite.fast;
+    let want = |id: &str| suite.wants(id);
     let seed = 0xDF3_2018;
 
     println!("df3-experiments — reproducing Ngoko et al., IPDPS Workshops 2018");

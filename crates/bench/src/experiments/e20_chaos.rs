@@ -66,8 +66,7 @@ impl Chaos {
 
 /// Edge traffic plus a BOINC background keeps workers busy, so churn
 /// actually orphans running slices and rejections actually happen —
-/// an idle fleet would trivialise every recovery metric. (Also the
-/// load `bench_pr3` measures churn attainment/MTTR under.)
+/// an idle fleet would trivialise every recovery metric.
 pub fn jobs_for(hours: i64, seed: u64) -> JobStream {
     let horizon = SimDuration::from_hours(hours);
     let edge = location_service_jobs(

@@ -9,11 +9,7 @@
 //! `scale` ∈ (0, 1] shrinks horizons/fleets proportionally so the same
 //! code serves Criterion micro-runs, CI tests, and full regenerations.
 
-pub mod bench_pr1;
-pub mod bench_pr2;
-pub mod bench_pr3;
-pub mod bench_pr4;
-pub mod bench_pr5;
+pub mod cli;
 pub mod experiments;
 pub mod run_report;
 pub mod snapshot_cli;

@@ -85,8 +85,8 @@ fn pause(cfg: PlatformConfig, jobs: &JobStream, at: SimDuration) -> Result<Pause
 /// Branch `index`'s fault plan: the base plan plus one cluster outage
 /// whose cluster, start, and duration are drawn from the preset seed's
 /// per-branch replication stream. Pure function of (config, warm-up
-/// point, index) — the cold-start verification in `bench_pr5` derives
-/// the identical plan without seeing the snapshot.
+/// point, index), so a cold start can derive the identical plan without
+/// seeing the snapshot.
 pub fn branch_plan(cfg: &PlatformConfig, warm: SimDuration, index: u64) -> FaultPlan {
     let mut rng = RngStreams::new(cfg.seed)
         .replication(index)

@@ -108,12 +108,6 @@ pub struct PlatformConfig {
     /// Repair turnaround once a server fails (a technician visits the
     /// building — distributed maintenance is slower than a DC swap).
     pub worker_repair_time: SimDuration,
-    /// Route every room step through the scalar `Room::step` reference
-    /// implementation instead of the batched SoA kernel. Bit-identical
-    /// results either way (the A/B tests assert it); the scalar path
-    /// exists so the fast path cannot silently diverge. Defaults to the
-    /// `scalar-thermal` cargo feature so CI can flip the whole suite.
-    pub scalar_thermal: bool,
     /// Declarative fault-injection plan (§IV). The empty plan (the
     /// default) leaves the platform bit-identical to a build without
     /// the fault layer; `worker_mtbf`/`worker_repair_time` and
@@ -150,7 +144,6 @@ impl PlatformConfig {
             roc_fallback_direct: false,
             worker_mtbf: None,
             worker_repair_time: SimDuration::from_days(3),
-            scalar_thermal: cfg!(feature = "scalar-thermal"),
             faults: FaultPlan::none(),
             telemetry: TelemetryConfig::default(),
             watchdogs: WatchdogConfig::default(),

@@ -285,7 +285,6 @@ impl Platform {
         ));
         let n_worker_slots = config.n_clusters * config.workers_per_cluster;
         let mut rooms = ThermalBatch::with_capacity(n_worker_slots);
-        rooms.set_scalar_reference(config.scalar_thermal);
         let mut clusters: Vec<ClusterSim> = (0..config.n_clusters)
             .map(|i| {
                 ClusterSim::new(
@@ -1981,34 +1980,6 @@ mod tests {
         );
         assert!(out.stats.edge_attainment() > 0.8);
         let _ = JobStream::new(vec![]);
-    }
-
-    #[test]
-    fn batched_and_scalar_thermal_are_bit_identical() {
-        // The whole point of keeping `Room::step` alive behind
-        // `scalar_thermal`: the SoA fast path must not change a single
-        // bit of any platform-level statistic.
-        let jobs = edge_stream(6);
-        let mut cfg = tiny_config();
-        cfg.scalar_thermal = false;
-        let fast = Platform::new(cfg.clone()).run(&jobs);
-        cfg.scalar_thermal = true;
-        let slow = Platform::new(cfg).run(&jobs);
-
-        assert_eq!(fast.events, slow.events);
-        assert_eq!(fast.stats.df_total_kwh, slow.stats.df_total_kwh);
-        assert_eq!(fast.stats.df_compute_kwh, slow.stats.df_compute_kwh);
-        assert_eq!(
-            fast.stats.edge_response_ms.p99(),
-            slow.stats.edge_response_ms.p99()
-        );
-        let (a, b) = (
-            fast.stats.room_temp_c.summary(),
-            slow.stats.room_temp_c.summary(),
-        );
-        assert_eq!(a.min(), b.min());
-        assert_eq!(a.max(), b.max());
-        assert_eq!(a.mean(), b.mean());
     }
 
     /// An inert plan — all windows beyond the horizon, recovery off —

@@ -34,11 +34,9 @@
 //! schedule-order counter. Slot assignment, free-list order, and
 //! generation values never influence pop order, so the event sequence is
 //! a pure function of the schedule/cancel call sequence — bit-identical
-//! across runs, platforms, and queue implementations. The
-//! [`legacy::LegacyEventQueue`] (the previous implementation) is kept,
-//! always compiled, so benches and tests can verify both performance and
-//! order-equivalence; building with the `legacy-queue` feature swaps it
-//! back in as the engine's queue for whole-system A/B runs.
+//! across runs, platforms, and queue implementations. The previous
+//! implementation survives only in the tests, as the oracle the
+//! order-equivalence test compares the slab queue against.
 //!
 //! [`pop`]: SlabEventQueue::pop
 //! [`peek_time`]: SlabEventQueue::peek_time
@@ -426,16 +424,14 @@ impl<E: Snapshot> Snapshot for SlabEventQueue<E> {
     }
 }
 
-pub mod legacy {
+#[cfg(test)]
+mod legacy {
     //! The pre-slab future-event list: `BinaryHeap` of full entries plus
-    //! `cancelled`/`pending` `HashSet<u64>` side tables. Kept (always
-    //! compiled) as the baseline for the `simcore_kernels` benches and
-    //! the order-equivalence tests; the `legacy-queue` feature swaps it
-    //! back in as [`EventQueue`](super::EventQueue) for whole-system A/B
-    //! benchmark runs.
+    //! `cancelled`/`pending` `HashSet<u64>` side tables. Test-only: the
+    //! shared queue suite and the order-equivalence test use it as the
+    //! oracle for [`SlabEventQueue`](super::SlabEventQueue).
 
     use super::EventId;
-    use crate::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
     use crate::time::SimTime;
     use std::cmp::Ordering;
     use std::collections::BinaryHeap;
@@ -490,13 +486,6 @@ pub mod legacy {
                 next_seq: 0,
                 peak: 0,
             }
-        }
-
-        /// Same API as [`SlabEventQueue::with_capacity`].
-        pub fn with_capacity(n: usize) -> Self {
-            let mut q = Self::new();
-            q.heap.reserve(n);
-            q
         }
 
         pub fn len(&self) -> usize {
@@ -563,73 +552,10 @@ pub mod legacy {
             n
         }
     }
-
-    /// The legacy internals are hash sets and a `BinaryHeap`, neither of
-    /// which iterates deterministically — so the encoding canonicalises:
-    /// entries sorted by sequence number, side tables sorted. Restored
-    /// heap layout may differ from the uninterrupted run's, but pop
-    /// order is the strict `(time, seq)` total order either way.
-    impl<E: Snapshot> Snapshot for LegacyEventQueue<E> {
-        fn encode(&self, w: &mut SnapshotWriter) {
-            let mut entries: Vec<&Entry<E>> = self.heap.iter().collect();
-            entries.sort_by_key(|e| e.seq);
-            w.put_u64(entries.len() as u64);
-            for e in entries {
-                e.time.encode(w);
-                w.put_u64(e.seq);
-                e.payload.encode(w);
-            }
-            let mut cancelled: Vec<u64> = self.cancelled.iter().copied().collect();
-            cancelled.sort_unstable();
-            cancelled.encode(w);
-            let mut pending: Vec<u64> = self.pending.iter().copied().collect();
-            pending.sort_unstable();
-            pending.encode(w);
-            w.put_u64(self.next_seq);
-            w.put_usize(self.peak);
-        }
-
-        fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
-            let n = r.take_len()?;
-            let mut heap = BinaryHeap::with_capacity(n.min(1 << 20));
-            for _ in 0..n {
-                let time = SimTime::decode(r)?;
-                let seq = r.take_u64()?;
-                let payload = E::decode(r)?;
-                heap.push(Entry { time, seq, payload });
-            }
-            let cancelled: std::collections::HashSet<u64> =
-                Vec::<u64>::decode(r)?.into_iter().collect();
-            let pending: std::collections::HashSet<u64> =
-                Vec::<u64>::decode(r)?.into_iter().collect();
-            let next_seq = r.take_u64()?;
-            let peak = r.take_usize()?;
-            if heap.len() != pending.len() + cancelled.len() {
-                return Err(SnapshotError::Corrupt(format!(
-                    "legacy queue: {} heap entries vs {} pending + {} cancelled",
-                    heap.len(),
-                    pending.len(),
-                    cancelled.len()
-                )));
-            }
-            Ok(LegacyEventQueue {
-                heap,
-                cancelled,
-                pending,
-                next_seq,
-                peak,
-            })
-        }
-    }
 }
 
-/// The engine's future-event list. The slab queue by default; the
-/// `legacy-queue` feature swaps the previous implementation back in for
-/// whole-system A/B benchmarking (`BENCH_PR1.json` records both).
-#[cfg(not(feature = "legacy-queue"))]
+/// The engine's future-event list.
 pub type EventQueue<E> = SlabEventQueue<E>;
-#[cfg(feature = "legacy-queue")]
-pub type EventQueue<E> = legacy::LegacyEventQueue<E>;
 
 #[cfg(test)]
 mod tests {
@@ -789,7 +715,7 @@ mod tests {
     }
 
     /// Snapshot/restore mid-trace must preserve pop order, live handles,
-    /// and future id assignment — for both queue implementations.
+    /// and future id assignment.
     macro_rules! queue_snapshot_suite {
         ($name:ident, $Q:ident) => {
             #[test]
@@ -833,7 +759,6 @@ mod tests {
     }
 
     queue_snapshot_suite!(slab_snapshot_roundtrip, SlabEventQueue);
-    queue_snapshot_suite!(legacy_snapshot_roundtrip, LegacyEventQueue);
 
     /// Drive both implementations through an identical randomized
     /// schedule/cancel/pop trace and require identical observable

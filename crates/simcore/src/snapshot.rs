@@ -41,7 +41,7 @@ pub const MAGIC: [u8; 8] = *b"DF3SNAP\0";
 
 /// Container format version. Bump on any layout change; decoders reject
 /// versions they do not understand instead of misparsing.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 
 /// Upper bound on declared collection lengths, as a corruption guard:
 /// a flipped length byte must produce [`SnapshotError::Corrupt`], not an
@@ -759,12 +759,14 @@ mod tests {
             Err(SnapshotError::BadMagic)
         );
         assert_eq!(SnapshotFile::from_bytes(b""), Err(SnapshotError::BadMagic));
-        let mut bytes = sample_file().to_bytes();
-        bytes[8] = 99; // version field
-        assert_eq!(
-            SnapshotFile::from_bytes(&bytes),
-            Err(SnapshotError::BadVersion(99))
-        );
+        for version in [1, 99] {
+            let mut bytes = sample_file().to_bytes();
+            bytes[8] = version; // version field
+            assert_eq!(
+                SnapshotFile::from_bytes(&bytes),
+                Err(SnapshotError::BadVersion(version as u32))
+            );
+        }
     }
 
     #[test]

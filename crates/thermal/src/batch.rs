@@ -12,20 +12,11 @@
 //! The arithmetic is *identical* to [`super::room::Room::step`] —
 //! `T ← T∞ + (T − T∞)·exp(−Δ/τ)` with `τ = R·C` and
 //! `T∞ = T_out + R·(P_h + P_g)` — and `exp` is deterministic, so cached
-//! and uncached steps agree **bit-for-bit**. The scalar reference mode
-//! ([`ThermalBatch::set_scalar_reference`]) literally materialises a
-//! `Room` and calls `Room::step` per room per step, which is what the
-//! platform A/B (`scalar-thermal` feature) and the property tests
-//! compare against.
-//!
-//! Rooms within one tick are independent given the outdoor temperature,
-//! so fleets at or above [`ThermalBatch::PAR_THRESHOLD`] rooms fan the
-//! sweep across cores with the vendored order-preserving `par_iter`
-//! (each chunk owns a disjoint slice of every column; results are
-//! written in place, so parallel and serial sweeps are bit-identical).
+//! and uncached steps agree **bit-for-bit**. The unit and property
+//! tests below hold every entry point to that against per-room
+//! `Room::step` calls.
 
-use crate::room::{Room, RoomParams};
-use rayon::prelude::*;
+use crate::room::RoomParams;
 use serde::{Deserialize, Serialize};
 use simcore::time::SimDuration;
 
@@ -48,13 +39,10 @@ pub struct ThermalBatch {
     dt_s: Vec<f64>,
     /// Staged per-room heater power, W.
     heater_w: Vec<f64>,
-    /// Reference mode: route every step through `Room::step` (exp each
-    /// time). Used by the `scalar-thermal` platform A/B.
-    scalar_reference: bool,
 }
 
-/// One chunk of the batch columns, for the parallel sweep. Every slice
-/// covers the same disjoint index range, so chunks are independent.
+/// The batch columns as slices, borrowed for one staged sweep. Every
+/// slice covers the same index range.
 struct Lane<'a> {
     temp_c: &'a mut [f64],
     decay: &'a mut [f64],
@@ -86,12 +74,6 @@ impl Lane<'_> {
 }
 
 impl ThermalBatch {
-    /// Fleet size at which the staged sweep fans across cores. Below
-    /// this the serial mul-add loop beats thread-scope overhead.
-    pub const PAR_THRESHOLD: usize = 16_384;
-    /// Rooms per parallel chunk.
-    const PAR_CHUNK: usize = 4_096;
-
     pub fn new() -> Self {
         Self::default()
     }
@@ -106,18 +88,7 @@ impl ThermalBatch {
             decay_dt_s: Vec::with_capacity(n),
             dt_s: Vec::with_capacity(n),
             heater_w: Vec::with_capacity(n),
-            scalar_reference: false,
         }
-    }
-
-    /// Route every step through the scalar [`Room::step`] reference
-    /// implementation (recomputes `exp` per room per step).
-    pub fn set_scalar_reference(&mut self, scalar: bool) {
-        self.scalar_reference = scalar;
-    }
-
-    pub fn is_scalar_reference(&self) -> bool {
-        self.scalar_reference
     }
 
     /// Add a room; returns its dense index.
@@ -196,37 +167,17 @@ impl ThermalBatch {
     /// one sweep over the dense columns. Rooms with no staged Δ are
     /// untouched. Clears the staging buffers.
     pub fn step_staged(&mut self, outdoor_c: f64) {
-        if self.scalar_reference {
-            for i in 0..self.temp_c.len() {
-                let dt = self.dt_s[i];
-                if dt <= 0.0 {
-                    continue;
-                }
-                self.dt_s[i] = 0.0;
-                self.temp_c[i] =
-                    self.step_room_scalar(i, SimDuration::from_secs_f64(dt), outdoor_c);
-            }
-            return;
-        }
-        if self.temp_c.len() >= Self::PAR_THRESHOLD {
-            let _: Vec<()> = self
-                .lanes()
-                .into_par_iter()
-                .map(|mut lane| lane.sweep(outdoor_c))
-                .collect();
-        } else {
-            let mut lane = Lane {
-                temp_c: &mut self.temp_c,
-                decay: &mut self.decay,
-                decay_dt_s: &mut self.decay_dt_s,
-                dt_s: &mut self.dt_s,
-                resistance: &self.resistance,
-                gains_w: &self.gains_w,
-                tau_s: &self.tau_s,
-                heater_w: &self.heater_w,
-            };
-            lane.sweep(outdoor_c);
-        }
+        let mut lane = Lane {
+            temp_c: &mut self.temp_c,
+            decay: &mut self.decay,
+            decay_dt_s: &mut self.decay_dt_s,
+            dt_s: &mut self.dt_s,
+            resistance: &self.resistance,
+            gains_w: &self.gains_w,
+            tau_s: &self.tau_s,
+            heater_w: &self.heater_w,
+        };
+        lane.sweep(outdoor_c);
     }
 
     /// Step a single room immediately (the off-cycle wake path). The
@@ -237,10 +188,6 @@ impl ThermalBatch {
         assert!(!dt.is_negative());
         let dt_s = dt.as_secs_f64();
         if dt_s <= 0.0 {
-            return self.temp_c[i];
-        }
-        if self.scalar_reference {
-            self.temp_c[i] = self.step_room_scalar_with(i, dt, outdoor_c, heater_w);
             return self.temp_c[i];
         }
         if dt_s != self.decay_dt_s[i] {
@@ -260,13 +207,6 @@ impl ThermalBatch {
     pub fn step_uniform(&mut self, dt: SimDuration, outdoor_c: f64, powers: &[f64]) {
         assert_eq!(powers.len(), self.len(), "power vector size mismatch");
         assert!(!dt.is_negative());
-        if self.scalar_reference {
-            for (i, &p) in powers.iter().enumerate() {
-                self.stage(i, dt, p);
-            }
-            self.step_staged(outdoor_c);
-            return;
-        }
         let dt_s = dt.as_secs_f64();
         if dt_s <= 0.0 {
             return;
@@ -281,72 +221,11 @@ impl ThermalBatch {
             self.temp_c[i] = t_inf + (self.temp_c[i] - t_inf) * self.decay[i];
         }
     }
-
-    /// The scalar reference: build a `Room` and call `Room::step` with
-    /// the staged inputs.
-    fn step_room_scalar(&self, i: usize, dt: SimDuration, outdoor_c: f64) -> f64 {
-        self.step_room_scalar_with(i, dt, outdoor_c, self.heater_w[i])
-    }
-
-    fn step_room_scalar_with(
-        &self,
-        i: usize,
-        dt: SimDuration,
-        outdoor_c: f64,
-        heater_w: f64,
-    ) -> f64 {
-        let mut room = Room::new(self.params(i), self.temp_c[i]);
-        room.step(dt, outdoor_c, heater_w)
-    }
-
-    /// Split every column into aligned disjoint chunks for the parallel
-    /// sweep.
-    fn lanes(&mut self) -> Vec<Lane<'_>> {
-        let mut lanes = Vec::with_capacity(self.temp_c.len().div_ceil(Self::PAR_CHUNK));
-        let mut temp = self.temp_c.as_mut_slice();
-        let mut decay = self.decay.as_mut_slice();
-        let mut decay_dt = self.decay_dt_s.as_mut_slice();
-        let mut dt = self.dt_s.as_mut_slice();
-        let mut res = self.resistance.as_slice();
-        let mut gains = self.gains_w.as_slice();
-        let mut tau = self.tau_s.as_slice();
-        let mut heat = self.heater_w.as_slice();
-        while !temp.is_empty() {
-            let n = temp.len().min(Self::PAR_CHUNK);
-            let (t, t_rest) = temp.split_at_mut(n);
-            let (d, d_rest) = decay.split_at_mut(n);
-            let (dd, dd_rest) = decay_dt.split_at_mut(n);
-            let (s, s_rest) = dt.split_at_mut(n);
-            let (r, r_rest) = res.split_at(n);
-            let (g, g_rest) = gains.split_at(n);
-            let (ta, ta_rest) = tau.split_at(n);
-            let (h, h_rest) = heat.split_at(n);
-            lanes.push(Lane {
-                temp_c: t,
-                decay: d,
-                decay_dt_s: dd,
-                dt_s: s,
-                resistance: r,
-                gains_w: g,
-                tau_s: ta,
-                heater_w: h,
-            });
-            temp = t_rest;
-            decay = d_rest;
-            decay_dt = dd_rest;
-            dt = s_rest;
-            res = r_rest;
-            gains = g_rest;
-            tau = ta_rest;
-            heat = h_rest;
-        }
-        lanes
-    }
 }
 
 /// All eight columns checkpoint **verbatim** — including the decay
 /// cache and its NaN "dirty" sentinels (`f64` travels as raw bits, so
-/// NaN survives) — plus the reference-mode flag. Restoring mid-run must
+/// NaN survives). Restoring mid-run must
 /// not silently invalidate the cache: a recomputed `exp` is bit-equal
 /// to the cached value, but keeping the bytes identical makes snapshot
 /// equality checks exact rather than argued.
@@ -360,7 +239,6 @@ impl simcore::snapshot::Snapshot for ThermalBatch {
         self.decay_dt_s.encode(w);
         self.dt_s.encode(w);
         self.heater_w.encode(w);
-        w.put_bool(self.scalar_reference);
     }
 
     fn decode(
@@ -374,7 +252,6 @@ impl simcore::snapshot::Snapshot for ThermalBatch {
         let decay_dt_s = Vec::<f64>::decode(r)?;
         let dt_s = Vec::<f64>::decode(r)?;
         let heater_w = Vec::<f64>::decode(r)?;
-        let scalar_reference = r.take_bool()?;
         let n = temp_c.len();
         if [
             resistance.len(),
@@ -401,7 +278,6 @@ impl simcore::snapshot::Snapshot for ThermalBatch {
             decay_dt_s,
             dt_s,
             heater_w,
-            scalar_reference,
         })
     }
 }
@@ -409,6 +285,7 @@ impl simcore::snapshot::Snapshot for ThermalBatch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::room::Room;
     use proptest::prelude::*;
 
     fn params(r: f64, c: f64, gains: f64) -> RoomParams {
@@ -504,59 +381,27 @@ mod tests {
     }
 
     #[test]
-    fn parallel_sweep_is_bit_identical_to_serial() {
-        // Above PAR_THRESHOLD the sweep fans across cores; rooms are
-        // independent, so the result must be bit-identical to stepping
-        // each room alone.
-        let n = ThermalBatch::PAR_THRESHOLD + 1_000;
-        let mut par = ThermalBatch::with_capacity(n);
-        let mut one = ThermalBatch::with_capacity(n);
-        for i in 0..n {
-            let p = params(0.01 + (i % 50) as f64 * 1e-3, 1e6, (i % 3) as f64 * 40.0);
-            let t0 = 12.0 + (i % 90) as f64 * 0.1;
-            par.push(p, t0);
-            one.push(p, t0);
-        }
-        let dt = SimDuration::from_secs(600);
-        for k in 0..3 {
-            let outdoor = 2.0 + k as f64;
-            for i in 0..n {
-                let power = ((i + k) % 500) as f64;
-                par.stage(i, dt, power);
-                one.step_one(i, dt, outdoor, power);
-            }
-            par.step_staged(outdoor);
-        }
-        for i in 0..n {
-            assert_eq!(
-                par.temperature_c(i).to_bits(),
-                one.temperature_c(i).to_bits(),
-                "room {i} diverged under the parallel sweep"
-            );
-        }
-    }
-
-    #[test]
-    fn scalar_reference_mode_matches_batched() {
-        let mut fast = ThermalBatch::new();
-        let mut refr = ThermalBatch::new();
-        refr.set_scalar_reference(true);
+    fn step_uniform_matches_room_step() {
+        let mut batch = ThermalBatch::new();
+        let mut rooms = Vec::new();
         for i in 0..32 {
             let p = params(0.02 + i as f64 * 0.002, 2e6, 50.0);
-            fast.push(p, 16.0);
-            refr.push(p, 16.0);
+            batch.push(p, 16.0);
+            rooms.push(Room::new(p, 16.0));
         }
         let powers: Vec<f64> = (0..32).map(|i| (i * 37 % 500) as f64).collect();
         for k in 0..200 {
-            // Alternate Δ to force cache invalidation on the fast path.
+            // Alternate Δ to force cache invalidation on the batch.
             let dt = SimDuration::from_secs(if k % 3 == 0 { 300 } else { 600 });
-            fast.step_uniform(dt, 4.0, &powers);
-            refr.step_uniform(dt, 4.0, &powers);
+            batch.step_uniform(dt, 4.0, &powers);
+            for (room, &p) in rooms.iter_mut().zip(&powers) {
+                room.step(dt, 4.0, p);
+            }
         }
-        for i in 0..32 {
+        for (i, room) in rooms.iter().enumerate() {
             assert_eq!(
-                fast.temperature_c(i).to_bits(),
-                refr.temperature_c(i).to_bits()
+                batch.temperature_c(i).to_bits(),
+                room.temperature_c().to_bits()
             );
         }
     }
@@ -627,7 +472,7 @@ mod tests {
 
         /// The decay cache must invalidate when Δ changes mid-run: steps
         /// alternate between two intervals and must still match the
-        /// scalar reference exactly.
+        /// `Room::step` exactly.
         #[test]
         fn prop_decay_cache_survives_dt_changes(
             r in 0.005f64..0.08,
