@@ -6,17 +6,21 @@
 //! — to pausing at the snapshot point, serialising, restoring into a
 //! freshly built platform, and continuing. Separately, no truncation or
 //! single-bit corruption of a snapshot may ever panic the decoder: it
-//! must surface a typed [`SnapshotError`].
+//! must surface a typed [`SnapshotError`]. Finally, the per-section
+//! fingerprints of two fixed snapshots are pinned, so a refactor of any
+//! codec or platform layer must keep every byte it writes.
 
 use df3_core::report::{ExportOptions, RunReport};
 use df3_core::{
-    FaultPlan, Platform, PlatformConfig, PlatformOutcome, RecoveryPolicy, RunTo, Window,
+    FaultPlan, Platform, PlatformConfig, PlatformOutcome, RecoveryPolicy, RunTo, SensorFaultKind,
+    Window,
 };
 use proptest::prelude::*;
-use simcore::snapshot::{Snapshot, SnapshotWriter};
+use simcore::snapshot::{fingerprint, Snapshot, SnapshotFile, SnapshotWriter};
 use simcore::time::{SimDuration, SimTime};
 use simcore::RngStreams;
 use std::sync::OnceLock;
+use workloads::dcc::{boinc_jobs, finance_jobs, BoincConfig, FinanceConfig};
 use workloads::edge::{location_service_jobs, LocationServiceConfig};
 use workloads::job::JobStream;
 use workloads::Flow;
@@ -150,4 +154,88 @@ proptest! {
             "bit {} flipped at byte {} must error", bit, pos
         );
     }
+}
+
+/// FNV-1a fingerprint of every section payload except `meta`, in
+/// container order. `meta` holds the config fingerprint, which changes
+/// whenever a config field does, so it is left out on purpose.
+fn section_fingerprints(bytes: &[u8]) -> Vec<(String, u64)> {
+    let file = SnapshotFile::from_bytes(bytes).expect("own snapshot parses");
+    file.names()
+        .filter(|&name| name != "meta")
+        .map(|name| {
+            let mut r = file.section(name).unwrap();
+            let payload = r.take_bytes(r.remaining()).unwrap();
+            (name.to_string(), fingerprint(payload))
+        })
+        .collect()
+}
+
+/// Golden corpus: the exact bytes of two `small_winter` snapshots (6 h
+/// horizon, paused at 3 h, edge plus finance and BOINC load), one
+/// fault-free with telemetry off and one with telemetry on under a plan
+/// that exercises every fault path the snapshot carries. The pinned
+/// values must never be edited to make a refactor pass.
+#[test]
+fn golden_section_fingerprints_are_pinned() {
+    let sections = |plan: FaultPlan, telemetry: bool| {
+        let mut cfg = PlatformConfig::small_winter();
+        cfg.horizon = SimDuration::from_hours(6);
+        cfg.telemetry.enabled = telemetry;
+        cfg.faults = plan;
+        let streams = RngStreams::new(cfg.seed);
+        let js = jobs(&cfg)
+            .merge(boinc_jobs(
+                BoincConfig::standard(),
+                cfg.horizon,
+                &streams,
+                1 << 32,
+            ))
+            .merge(finance_jobs(
+                FinanceConfig::bank(),
+                cfg.horizon,
+                &streams,
+                2 << 32,
+            ));
+        section_fingerprints(&snapshot_at(&cfg, &js, SimDuration::from_hours(3)))
+    };
+    let pinned = |expected: [(&str, u64); 6]| {
+        expected
+            .iter()
+            .map(|&(n, f)| (n.to_string(), f))
+            .collect::<Vec<_>>()
+    };
+
+    let quiet = sections(FaultPlan::none(), false);
+    let faulted = sections(
+        FaultPlan::none()
+            .with_churn(SimDuration::from_hours(4), SimDuration::from_secs(1_800))
+            .with_cluster_outage(1, Window::from_hours(1, 2))
+            .with_master_outage(Window::from_hours(2, 4))
+            .with_sensor_fault(2, None, Window::from_hours(1, 4), SensorFaultKind::Dropout)
+            .with_recovery(RecoveryPolicy::standard()),
+        true,
+    );
+    assert_eq!(
+        quiet,
+        pinned([
+            ("engine", 0xb8d9_69d7_6c2b_dc54),
+            ("rng", 0x77b2_3878_df4e_2fb5),
+            ("registry", 0x22c6_4032_281a_39c5),
+            ("telemetry", 0x3971_0fdd_7ec0_790c),
+            ("thermal", 0x28d7_13e3_6a60_5539),
+            ("platform", 0x20a9_d3c3_1a93_fc45),
+        ])
+    );
+    assert_eq!(
+        faulted,
+        pinned([
+            ("engine", 0xbba4_3045_18c8_9b5b),
+            ("rng", 0x77b2_3878_df4e_2fb5),
+            ("registry", 0x22c6_4032_281a_39c5),
+            ("telemetry", 0xf505_3b2b_8db7_4074),
+            ("thermal", 0x41b1_13b4_f987_d8e4),
+            ("platform", 0x3740_d29a_d563_0ed6),
+        ])
+    );
 }
