@@ -13,7 +13,7 @@
 //! ROC direct fallback, and direct-only. Heating must be unaffected in
 //! all three.
 
-use df3_core::{Platform, PlatformConfig};
+use df3_core::{FaultPlan, Platform, PlatformConfig, Window};
 use simcore::report::{f2, pct, Table};
 use simcore::time::SimDuration;
 use simcore::RngStreams;
@@ -40,7 +40,7 @@ fn run_one(flow: Flow, outage: bool, fallback: bool, hours: i64, seed: u64) -> (
     cfg.horizon = SimDuration::from_hours(hours);
     cfg.seed = seed;
     if outage {
-        cfg.master_outage = Some((SimDuration::from_hours(2), SimDuration::from_hours(4)));
+        cfg.faults = FaultPlan::none().with_master_outage(Window::from_hours(2, 4));
     }
     cfg.roc_fallback_direct = fallback;
     let jobs = location_service_jobs(

@@ -44,18 +44,7 @@ impl RetryBook {
     }
 }
 
-impl simcore::snapshot::Snapshot for RetryBook {
-    fn encode(&self, w: &mut simcore::snapshot::SnapshotWriter) {
-        self.attempts.encode(w);
-    }
-    fn decode(
-        r: &mut simcore::snapshot::SnapshotReader<'_>,
-    ) -> Result<Self, simcore::snapshot::SnapshotError> {
-        Ok(RetryBook {
-            attempts: BTreeMap::decode(r)?,
-        })
-    }
-}
+simcore::impl_snapshot!(RetryBook { attempts });
 
 #[cfg(test)]
 mod tests {

@@ -8,7 +8,7 @@
 //! cargo run --release --example blackout_drill
 //! ```
 
-use df3::df3_core::{Platform, PlatformConfig};
+use df3::df3_core::{FaultPlan, Platform, PlatformConfig, Window};
 use df3::simcore::report::{f2, pct, Table};
 use df3::simcore::time::SimDuration;
 use df3::simcore::RngStreams;
@@ -19,7 +19,7 @@ fn run(flow: Flow, fallback: bool) -> (f64, u64, f64) {
     let mut cfg = PlatformConfig::small_winter();
     cfg.horizon = SimDuration::from_hours(8);
     // Outage from hour 3 to hour 5.
-    cfg.master_outage = Some((SimDuration::from_hours(3), SimDuration::from_hours(5)));
+    cfg.faults = FaultPlan::none().with_master_outage(Window::from_hours(3, 5));
     cfg.roc_fallback_direct = fallback;
     let jobs = location_service_jobs(
         LocationServiceConfig::map_serving(flow),

@@ -1,7 +1,7 @@
 //! Cross-crate integration: the full DF3 platform driven by mixed
 //! workloads from every generator, checked for accounting invariants.
 
-use df3::df3_core::{ArchClass, Platform, PlatformConfig};
+use df3::df3_core::{ArchClass, FaultPlan, Platform, PlatformConfig};
 use df3::simcore::time::SimDuration;
 use df3::simcore::RngStreams;
 use df3::workloads::alarm::{alarm_jobs, AlarmPipeline};
@@ -174,8 +174,8 @@ fn worker_failures_degrade_gracefully() {
     // Aggressive failure injection: MTBF of 12 h per worker with 1 h
     // repairs — on a 64-worker fleet that is ~20 failures in 4 h.
     let mut cfg = config(4);
-    cfg.worker_mtbf = Some(SimDuration::from_hours(12));
-    cfg.worker_repair_time = SimDuration::from_hours(1);
+    cfg.faults =
+        FaultPlan::none().with_churn(SimDuration::from_hours(12), SimDuration::from_hours(1));
     let out = Platform::new(cfg).run(&jobs);
     let s = &out.stats;
     assert!(
