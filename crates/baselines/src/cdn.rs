@@ -9,11 +9,10 @@
 
 use dfnet::link::Link;
 use dfnet::protocol::Protocol;
-use serde::{Deserialize, Serialize};
 use simcore::time::SimDuration;
 
 /// A CDN edge PoP.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CdnPop {
     /// Cache hit probability for *cacheable* requests.
     pub hit_ratio: f64,
@@ -34,7 +33,7 @@ impl CdnPop {
 }
 
 /// Classification of one request for the CDN model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RequestKind {
     /// Static content (tiles, media): cacheable.
     Cacheable,

@@ -9,13 +9,12 @@
 //! and measure what that does to latency-sensitive work.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use simcore::dist::exponential;
 use simcore::time::{SimDuration, SimTime};
 use simcore::RngStreams;
 
 /// Availability behaviour of one volunteer host.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct HostProfile {
     /// Mean idle (exploitable) period.
     pub mean_on: SimDuration,
@@ -46,7 +45,7 @@ impl HostProfile {
 }
 
 /// A pre-generated ON/OFF schedule for one host.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HostSchedule {
     /// Sorted (start, end) ON intervals.
     intervals: Vec<(SimTime, SimTime)>,

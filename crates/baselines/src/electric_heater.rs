@@ -6,7 +6,6 @@
 //! hysteresis thermostat. Experiment E1 runs this side by side with the
 //! Q.rad loop and compares monthly mean temperatures and comfort stats.
 
-use serde::{Deserialize, Serialize};
 use simcore::time::{SimDuration, SimTime};
 use thermal::comfort::ComfortStats;
 use thermal::room::Room;
@@ -14,7 +13,7 @@ use thermal::thermostat::{HysteresisThermostat, SetpointSchedule};
 use thermal::weather::Weather;
 
 /// A resistive convector heater.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ElectricHeater {
     /// Rated power, W (1 000–2 000 W typical; the paper notes the Q.rad's
     /// 500 W "corresponds to consumption quite reasonable if not reduced

@@ -7,11 +7,10 @@
 
 use dfnet::link::Link;
 use dfnet::protocol::Protocol;
-use serde::{Deserialize, Serialize};
 use simcore::time::SimDuration;
 
 /// A micro-datacenter site.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct MicroDatacenter {
     /// Cores per site.
     pub cores: usize,

@@ -20,13 +20,12 @@ use crate::regulator::HeatRegulator;
 use dfhw::dvfs::DvfsLadder;
 use dfhw::servers::ServerSpec;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use simcore::time::{SimDuration, SimTime};
 use simcore::RngStreams;
 use thermal::hotwater::{DhwProfile, WaterTank};
 
 /// Operating policy of a boiler site.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BoilerMode {
     /// Compute only while the tank demands heat.
     OnDemand,

@@ -7,13 +7,12 @@
 //! overhead charged per joule (the PUE gap of experiment E2).
 
 use dfhw::dvfs::DvfsLadder;
-use serde::{Deserialize, Serialize};
 use simcore::time::{SimDuration, SimTime};
 use std::collections::VecDeque;
 use workloads::{Job, JobId};
 
 /// Datacenter configuration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct DatacenterConfig {
     pub cores: usize,
     /// One-way WAN latency from the clusters.

@@ -13,10 +13,9 @@
 //! pricing of the `economics` crate (experiments E6/E10).
 
 use predict::ThermoFit;
-use serde::{Deserialize, Serialize};
 
 /// Fleet parameters the manager converts heat into compute with.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct FleetProfile {
     /// Number of DF servers.
     pub n_servers: usize,
@@ -51,7 +50,7 @@ impl FleetProfile {
 }
 
 /// A monthly capacity offer.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CapacityOffer {
     /// Calendar month (0 = January).
     pub month: usize,

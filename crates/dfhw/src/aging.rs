@@ -15,12 +15,11 @@
 //! wear budget — replacement logistics then become a maintenance cost.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use simcore::dist::weibull;
 use simcore::time::SimDuration;
 
 /// Arrhenius parameters of a wear mechanism.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct AgingParams {
     /// Activation energy over Boltzmann constant, kelvin. Typical
     /// electromigration values give Ea ≈ 0.7 eV → Ea/k ≈ 8120 K.
@@ -56,7 +55,7 @@ impl AgingParams {
 }
 
 /// Wear state of one processor.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct WearState {
     params: AgingParams,
     /// Accumulated wear in reference-years.

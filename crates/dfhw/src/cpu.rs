@@ -1,28 +1,19 @@
 //! A CPU core with a P-state and a utilisation.
 
 use crate::dvfs::DvfsLadder;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// One core of a DF server. Cores share their ladder via `Arc` — a Q.rad
 /// has 16 of them, an Asperitas boiler 1600, and cloning the ladder per
 /// core would be pure waste.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CpuCore {
-    #[serde(skip, default = "default_ladder")]
     ladder: Arc<DvfsLadder>,
     level: usize,
     util: f64,
     /// Whether the core's motherboard is powered at all. The Qarnot
     /// hybrid design (§III-A) turns boards off when no heat is wanted.
     powered: bool,
-}
-
-// Referenced by `#[serde(default)]`; unused while the vendored serde
-// derives are no-ops.
-#[allow(dead_code)]
-fn default_ladder() -> Arc<DvfsLadder> {
-    Arc::new(DvfsLadder::desktop_i7())
 }
 
 impl CpuCore {

@@ -9,10 +9,8 @@
 //! grows at the top of the ladder — the "laws of diminishing returns"
 //! of Le Sueur & Heiser [17], reproduced by experiment E13.
 
-use serde::{Deserialize, Serialize};
-
 /// One P-state: an operating point of the CPU.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PState {
     /// Core frequency, GHz.
     pub freq_ghz: f64,
@@ -21,7 +19,7 @@ pub struct PState {
 }
 
 /// A discrete ladder of P-states with a power model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DvfsLadder {
     /// P-states sorted by ascending frequency.
     states: Vec<PState>,

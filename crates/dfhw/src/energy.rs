@@ -7,12 +7,11 @@
 //! per server), while a classical datacenter spends 30–60 % extra on
 //! cooling and power distribution.
 
-use serde::{Deserialize, Serialize};
 use simcore::metrics::TimeWeighted;
 use simcore::time::SimTime;
 
 /// An integrating energy meter over a power signal.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EnergyMeter {
     power: TimeWeighted,
 }
@@ -55,7 +54,7 @@ impl EnergyMeter {
 /// `PUE = (IT + overhead) / IT`. For a DF fleet the overhead is the
 /// per-site network/control gear; for a datacenter it is the cooling
 /// plant and power distribution losses.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PueAccountant {
     it: EnergyMeter,
     overhead: EnergyMeter,

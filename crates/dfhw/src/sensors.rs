@@ -8,11 +8,10 @@
 //! Gaussian measurement noise and quantisation.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use simcore::dist::normal;
 
 /// Kinds of sensor on the board.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SensorKind {
     /// Air temperature, °C.
     Temperature,
@@ -67,7 +66,7 @@ impl SensorKind {
 }
 
 /// A single sensor instance.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Sensor {
     pub kind: SensorKind,
 }
@@ -88,7 +87,7 @@ impl Sensor {
 }
 
 /// The standard Q.rad board: one of each sensor kind.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SensorBoard {
     sensors: Vec<Sensor>,
 }

@@ -1,11 +1,10 @@
 //! Static descriptions of server classes.
 
 use crate::dvfs::DvfsLadder;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Which server family a spec belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ServerClass {
     /// Qarnot Q.rad digital heater.
     QRad,
@@ -35,7 +34,7 @@ impl ServerClass {
 }
 
 /// Where a server's heat goes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HeatSink {
     /// Free-cooled into the room it heats (Q.rad, crypto-heater).
     Room,
@@ -50,7 +49,7 @@ pub enum HeatSink {
 }
 
 /// Static specification of a server.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ServerSpec {
     pub class: ServerClass,
     /// Number of CPU packages.
@@ -58,7 +57,6 @@ pub struct ServerSpec {
     /// Cores per CPU package.
     pub cores_per_cpu: usize,
     /// DVFS ladder shared by all cores.
-    #[serde(skip, default = "default_ladder")]
     pub ladder: Arc<DvfsLadder>,
     /// Number of GPUs (crypto-heater).
     pub n_gpus: usize,
@@ -74,13 +72,6 @@ pub struct ServerSpec {
     pub network_gbps: f64,
     /// Where the heat goes.
     pub heat_sink: HeatSink,
-}
-
-// Referenced by `#[serde(default)]`; unused while the vendored serde
-// derives are no-ops.
-#[allow(dead_code)]
-fn default_ladder() -> Arc<DvfsLadder> {
-    Arc::new(DvfsLadder::desktop_i7())
 }
 
 impl ServerSpec {

@@ -2,19 +2,18 @@
 
 use super::spec::{HeatSink, ServerSpec};
 use crate::cpu::CpuCore;
-use serde::{Deserialize, Serialize};
 
 /// Season mode for dual-pipe servers (Nerdalize e-radiator): in winter
 /// the processor heat goes indoors; in summer it is expelled outside —
 /// the behaviour §III-A flags as an urban-heat-island contributor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SeasonMode {
     Winter,
     Summer,
 }
 
 /// The live state of one server.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ServerState {
     pub spec: ServerSpec,
     cores: Vec<CpuCore>,

@@ -14,7 +14,6 @@
 //! latency and β the bandwidth.
 
 use crate::link::Link;
-use serde::{Deserialize, Serialize};
 use simcore::time::SimDuration;
 
 /// Allreduce of `payload_bytes` across `p` ranks connected by `link`
@@ -29,7 +28,7 @@ pub fn allreduce_time(link: &Link, p: usize, payload_bytes: usize) -> SimDuratio
 }
 
 /// A bulk-synchronous iterative application.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct BspApp {
     /// Total compute per iteration, Gop (divided across ranks).
     pub work_per_iter_gops: f64,

@@ -1,13 +1,12 @@
 //! Point-to-point link timing.
 
 use crate::protocol::Protocol;
-use serde::{Deserialize, Serialize};
 use simcore::time::SimDuration;
 
 /// The four link roles of the platform's network model, addressable by
 /// fault injectors (degradation and partition target a class, not a
 /// concrete [`Link`] instance).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LinkClass {
     /// Device ↔ worker access link (Wi-Fi).
     Device,
@@ -33,7 +32,7 @@ impl LinkClass {
 
 /// A multiplicative service degradation applied to a [`Link`] while a
 /// fault window is active: latency is stretched, bandwidth is derated.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Degradation {
     /// Factor ≥ 1 applied to the link's total fixed latency.
     pub latency_factor: f64,
@@ -78,7 +77,7 @@ impl Degradation {
 
 /// A unidirectional link using a [`Protocol`], with an optional extra
 /// distance-dependent latency (metro/WAN spans) and a load factor.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Link {
     pub protocol: Protocol,
     /// Additional one-way latency on top of the protocol base, s.

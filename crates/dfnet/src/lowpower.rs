@@ -7,11 +7,10 @@
 //! the DF server (experiment E11).
 
 use crate::link::Link;
-use serde::{Deserialize, Serialize};
 use simcore::time::{SimDuration, SimTime};
 
 /// Sliding-window duty-cycle budget for one radio.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DutyCycleBudget {
     /// Fraction of air time allowed (e.g. 0.01).
     pub limit: f64,

@@ -5,10 +5,8 @@
 //! a LoRa uplink is ~5 orders of magnitude slower than the fiber that
 //! connects a Q.rad to the Qarnot middleware.
 
-use serde::{Deserialize, Serialize};
-
 /// A communication technology with first-order performance parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Protocol {
     /// Metro optic fiber (DF server ↔ middleware, per the paper).
     Fiber,

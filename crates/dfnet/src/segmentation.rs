@@ -11,12 +11,11 @@
 //! policy matrix states which segments may talk, and VPN-overlaid
 //! segments pay an encapsulation latency/throughput cost.
 
-use serde::{Deserialize, Serialize};
 use simcore::time::SimDuration;
 use std::collections::HashMap;
 
 /// A network segment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Segment {
     /// The edge-side local network (IoT devices, edge gateway, edge workers).
     Edge,
@@ -40,7 +39,7 @@ pub enum Reachability {
 }
 
 /// A segmentation policy.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SegmentPolicy {
     /// Allowed (from, to) segment pairs at native speed.
     allowed: Vec<(Segment, Segment)>,

@@ -7,7 +7,6 @@
 
 use crate::link::Link;
 use crate::protocol::Protocol;
-use serde::{Deserialize, Serialize};
 use simcore::time::SimDuration;
 use std::collections::BinaryHeap;
 use std::fmt;
@@ -38,11 +37,11 @@ impl fmt::Display for RouteError {
 impl std::error::Error for RouteError {}
 
 /// Node handle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub usize);
 
 /// What a node is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NodeKind {
     /// A connected IoT device (sensor, actuator, phone).
     Device,
@@ -60,14 +59,14 @@ pub enum NodeKind {
     Datacenter,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct Edge {
     to: NodeId,
     link: Link,
 }
 
 /// A network topology.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Topology {
     kinds: Vec<NodeKind>,
     adj: Vec<Vec<Edge>>,
@@ -202,7 +201,7 @@ impl Topology {
 /// A ready-made building cluster topology, per Figure 3/5:
 /// devices —(low-power)— edge gateway —(LAN)— workers —(LAN)— master,
 /// master —(fiber)— Internet PoP —(WAN)— datacenter.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BuildingTopology {
     pub topo: Topology,
     pub devices: Vec<NodeId>,

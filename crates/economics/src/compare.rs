@@ -4,10 +4,8 @@
 //! existing infrastructures (buildings, networks etc.)" and avoids
 //! cooling energy. This module compares amortised €/core-hour.
 
-use serde::{Deserialize, Serialize};
-
 /// Cost structure of a compute fleet.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct FleetCosts {
     /// Capital expenditure per core, €.
     pub capex_eur_per_core: f64,

@@ -9,11 +9,10 @@
 //! at the operator's tariff, offset by compute revenue.
 
 use crate::tariff::Tariff;
-use serde::{Deserialize, Serialize};
 use simcore::time::SimTime;
 
 /// Ledger of one host over an accounting window.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct HostLedger {
     /// Heat delivered to the host, kWh.
     pub heat_kwh: f64,

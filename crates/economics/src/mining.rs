@@ -14,11 +14,10 @@
 //! mining.
 
 use crate::tariff::Tariff;
-use serde::{Deserialize, Serialize};
 use simcore::time::SimTime;
 
 /// A mining device's performance characteristics.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct MiningRig {
     /// Hash rate, MH/s (Ethash-class units).
     pub hashrate_mh: f64,
@@ -43,7 +42,7 @@ impl MiningRig {
 }
 
 /// Market conditions for the coin being mined.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CoinMarket {
     /// Revenue per MH/s per day, €.
     pub eur_per_mh_day: f64,
@@ -67,7 +66,7 @@ impl CoinMarket {
 }
 
 /// One day of crypto-heater accounting.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct MiningDay {
     /// Gross mining revenue, €.
     pub revenue_eur: f64,

@@ -7,10 +7,8 @@
 //! scarcity: the scarcer the heat-driven supply relative to compute
 //! demand, the higher the price, floored at marginal cost.
 
-use serde::{Deserialize, Serialize};
-
 /// Price quote for one accounting period.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct PriceQuote {
     /// Offered (heat-driven) capacity, core-hours.
     pub supply_core_h: f64,
@@ -29,7 +27,7 @@ impl PriceQuote {
 }
 
 /// Constant-elasticity capacity pricer.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CapacityPricer {
     /// Price when supply exactly meets demand, €/core-hour.
     pub reference_price: f64,

@@ -6,10 +6,8 @@
 //! deadline SLO for edge and a seasonal capacity commitment for DCC;
 //! [`SlaReport`] measures attainment and computes penalties.
 
-use serde::{Deserialize, Serialize};
-
 /// Service-level targets.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct SlaTarget {
     /// Fraction of edge requests that must meet their deadline.
     pub edge_deadline_attainment: f64,
@@ -57,7 +55,7 @@ impl SlaTarget {
 }
 
 /// Measured outcomes for one month.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct MonthOutcome {
     /// Calendar month, 0 = January.
     pub month: usize,
@@ -69,7 +67,7 @@ pub struct MonthOutcome {
 }
 
 /// Attainment report across months.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SlaReport {
     pub target: SlaTarget,
     pub months: Vec<MonthOutcome>,

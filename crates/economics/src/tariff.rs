@@ -1,11 +1,10 @@
 //! Electricity tariffs.
 
-use serde::{Deserialize, Serialize};
 use simcore::time::SimTime;
 
 /// A residential/industrial electricity tariff with peak/off-peak hours
 /// and a winter surcharge (French EJP/Tempo-style shape).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Tariff {
     /// Base price, €/kWh.
     pub base_eur_kwh: f64,

@@ -1,10 +1,9 @@
 //! Forecast evaluation: error metrics and walk-forward testing.
 
 use crate::forecast::{Forecaster, Obs};
-use serde::{Deserialize, Serialize};
 
 /// Error metrics of a forecast series.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ForecastErrors {
     pub mae: f64,
     pub rmse: f64,

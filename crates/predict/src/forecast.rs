@@ -12,10 +12,9 @@
 //!   forecast.
 
 use crate::regression::{ridge, LinearModel};
-use serde::{Deserialize, Serialize};
 
 /// One training/forecast observation.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Obs {
     /// Hours since the trace start (integral hour index).
     pub hour_index: usize,

@@ -4,10 +4,8 @@
 //! `(XᵀX + λI) β = Xᵀy` with Gaussian elimination (partial pivoting) is
 //! exact enough and dependency-free.
 
-use serde::{Deserialize, Serialize};
-
 /// A fitted linear model `y ≈ β·x` (include a 1-feature for intercepts).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LinearModel {
     pub beta: Vec<f64>,
 }

@@ -8,10 +8,9 @@
 //! generator's ground truth in `thermal::demand`.
 
 use crate::regression::ols;
-use serde::{Deserialize, Serialize};
 
 /// A fitted thermosensitivity model `demand ≈ intercept + slope · deficit`.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ThermoFit {
     /// Estimated heating threshold, °C.
     pub base_c: f64,

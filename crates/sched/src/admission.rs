@@ -5,13 +5,12 @@
 //! for class A is admission control on the DCC side: stop admitting
 //! batch work when utilisation would push edge latency past its budget.
 
-use serde::{Deserialize, Serialize};
 use workloads::Job;
 
 use crate::offload::ClusterLoad;
 
 /// Utilisation-threshold admission controller.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct AdmissionControl {
     /// DCC jobs are admitted only below this utilisation.
     pub dcc_util_threshold: f64,

@@ -7,11 +7,10 @@
 //! (Lloyd's algorithm with deterministic k-means++-style seeding).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use simcore::dist::discrete;
 
 /// A server's physical position in the district, metres.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Position {
     pub x: f64,
     pub y: f64,
@@ -24,7 +23,7 @@ impl Position {
 }
 
 /// A clustering: `assignment[i]` is the cluster of server `i`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Clustering {
     pub assignment: Vec<usize>,
     pub n_clusters: usize,

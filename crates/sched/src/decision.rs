@@ -9,12 +9,11 @@
 //! delivered services depends on the resources" — is exactly what the
 //! estimate encodes.
 
-use serde::{Deserialize, Serialize};
 use simcore::time::SimDuration;
 use workloads::Job;
 
 /// A candidate placement for a job.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Placement {
     /// Run on the local cluster.
     Local,
@@ -25,7 +24,7 @@ pub enum Placement {
 }
 
 /// Performance estimate of one candidate.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Candidate {
     pub placement: Placement,
     /// One-way input transfer + return-path time.
@@ -47,7 +46,7 @@ impl Candidate {
 }
 
 /// The scoring policy.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct PlacementScorer {
     /// Seconds of latency a kilojoule of energy is worth. 0 = latency-
     /// only decisions; larger = greener placements win more often.

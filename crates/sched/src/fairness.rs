@@ -14,10 +14,9 @@
 //!   scheduling ([`crate::list`]).
 
 use crate::list::{lpt_makespan, Task};
-use serde::{Deserialize, Serialize};
 
 /// Service received by one organisation.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct OrgAccount {
     pub org: u32,
     /// Work it submitted, Gop.
@@ -63,7 +62,7 @@ pub struct OrgInstance {
 }
 
 /// Outcome of a cooperative schedule for one organisation.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CooperationOutcome {
     pub org: usize,
     /// Makespan if it schedules alone on its own cluster.

@@ -6,12 +6,11 @@
 //! machines, which the fairness module uses as its makespan engine.
 //! LPT is a 4/3-approximation of the optimal makespan.
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// A sequential task with a processing time (seconds at unit speed).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Task {
     pub work: f64,
 }
@@ -24,7 +23,7 @@ impl Task {
 }
 
 /// Result of a list schedule.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Schedule {
     /// Completion time of each input task (same order as the input).
     pub completion: Vec<f64>,

@@ -9,11 +9,10 @@
 //! delay the processing". [`PeakPolicy`] encodes a strategy; the
 //! platform consults it whenever placement fails.
 
-use serde::{Deserialize, Serialize};
 use workloads::Job;
 
 /// Load snapshot of one cluster, as seen by the decision point.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ClusterLoad {
     pub cluster: usize,
     pub total_cores: usize,
@@ -38,7 +37,7 @@ impl ClusterLoad {
 }
 
 /// What to do with a job that cannot be placed locally right now.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PeakAction {
     /// Preempt DCC tasks locally to make room.
     Preempt,
@@ -66,7 +65,7 @@ impl PeakAction {
 }
 
 /// A peak-management strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PeakPolicy {
     /// Always delay (the "not to scale" option).
     AlwaysDelay,

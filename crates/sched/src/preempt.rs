@@ -5,7 +5,6 @@
 //! requests." Edge jobs never get preempted (they hold the real-time
 //! guarantee); DCC jobs are chosen as victims by a pluggable criterion.
 
-use serde::{Deserialize, Serialize};
 use simcore::time::SimTime;
 use workloads::JobId;
 
@@ -34,7 +33,7 @@ impl RunningTask {
 }
 
 /// Victim-selection criterion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VictimOrder {
     /// Preempt the most recently started first (least sunk time).
     YoungestFirst,

@@ -1,11 +1,10 @@
 //! Fixed-bin histogram with percentile interpolation.
 
 use super::Summary;
-use serde::{Deserialize, Serialize};
 
 /// A histogram over `[lo, hi)` with equal-width bins plus under/overflow
 /// buckets; also keeps a [`Summary`] so exact mean/min/max survive binning.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Histogram {
     lo: f64,
     hi: f64,

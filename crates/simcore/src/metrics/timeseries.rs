@@ -5,17 +5,16 @@
 
 use super::Summary;
 use crate::time::{Calendar, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// A recorded sequence of (time, value) samples.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TimeSeries {
     times: Vec<SimTime>,
     values: Vec<f64>,
 }
 
 /// Aggregate of one calendar month of samples.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MonthlyAggregate {
     /// Month index relative to the calendar epoch (0-based).
     pub rel_month: u32,

@@ -1,12 +1,11 @@
 //! Time-weighted averaging of piecewise-constant signals.
 
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Time-average of a piecewise-constant signal (queue length, power draw,
 /// number of busy cores, …). Call [`TimeWeighted::set`] whenever the
 /// signal changes; the instrument integrates value×time between changes.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct TimeWeighted {
     value: f64,
     last_change: SimTime,

@@ -29,11 +29,9 @@ pub mod recorder;
 pub use profiler::{Phase, PhaseAcc, PhaseGuard, PhaseProfiler, PhaseTimer, HOT_PHASE_STRIDE};
 pub use recorder::{FieldSet, FlightRecorder, TagId, TelemetryEvent, Track, Value, MAX_FIELDS};
 
-use serde::{Deserialize, Serialize};
-
 /// Run-time telemetry switches (embedded in downstream platform
 /// configs; the default is fully disabled, the bit-identical mode).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TelemetryConfig {
     /// Master switch: flight recorder + phase profiler.
     pub enabled: bool,

@@ -13,7 +13,6 @@
 //! 365-day non-leap year starting at that epoch; experiments that need a
 //! January epoch use [`Calendar`] with an explicit start month.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
@@ -21,16 +20,12 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 const MICROS_PER_SEC: i64 = 1_000_000;
 
 /// A point in virtual time (microseconds since the simulation epoch).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(i64);
 
 /// A span of virtual time (microseconds; may be negative as an
 /// intermediate value, but scheduling negative delays is an error).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(i64);
 
 impl SimTime {
@@ -327,7 +322,7 @@ impl ResolvedMonth {
 /// simulated year on **November 1st** ([`Calendar::NOVEMBER_EPOCH`]);
 /// full-year experiments (seasonality, economics) use
 /// [`Calendar::JANUARY_EPOCH`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Calendar {
     /// Calendar month at t = 0 (0 = January).
     pub epoch_month: u32,

@@ -6,10 +6,9 @@
 //! simply never construct one.
 
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// One trace record: a time, a tag, and free-form fields.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Record {
     pub t: SimTime,
     pub tag: String,
@@ -17,7 +16,7 @@ pub struct Record {
 }
 
 /// An append-only trace of tagged simulation events.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Trace {
     records: Vec<Record>,
     enabled: bool,

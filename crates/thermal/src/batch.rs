@@ -17,11 +17,10 @@
 //! `Room::step` calls.
 
 use crate::room::RoomParams;
-use serde::{Deserialize, Serialize};
 use simcore::time::SimDuration;
 
 /// Dense batched thermal state for a fleet of 1R1C rooms.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ThermalBatch {
     /// Current temperature, °C.
     temp_c: Vec<f64>,

@@ -9,11 +9,10 @@
 //! rooms claim heat first.
 
 use crate::room::{Room, RoomParams};
-use serde::{Deserialize, Serialize};
 use simcore::time::SimDuration;
 
 /// A collaborative target over a group of rooms (§II-C).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CollaborativeTarget {
     /// Desired mean temperature across the group, °C.
     pub mean_c: f64,
@@ -31,14 +30,13 @@ impl CollaborativeTarget {
 }
 
 /// A building: rooms with one DF heater slot each.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Building {
     rooms: Vec<Room>,
     /// Maximum heater power available in each room, W.
     heater_max_w: Vec<f64>,
     /// Reusable power buffer for [`Building::control_step`] — control
     /// ticks must not allocate.
-    #[serde(skip)]
     scratch_powers: Vec<f64>,
 }
 

@@ -7,12 +7,11 @@
 //! fraction of occupied time the room stays inside a comfort band, plus
 //! the degree-hour deficit when it does not.
 
-use serde::{Deserialize, Serialize};
 use simcore::metrics::Summary;
 use simcore::time::{SimDuration, SimTime};
 
 /// Streaming comfort statistics over a room-temperature signal.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ComfortStats {
     /// Comfort band lower edge, °C.
     pub band_lo_c: f64,

@@ -16,13 +16,12 @@
 
 use crate::weather::Weather;
 
-use serde::{Deserialize, Serialize};
 use simcore::dist::normal;
 use simcore::time::{SimDuration, SimTime};
 use simcore::RngStreams;
 
 /// Parameters of the aggregate-demand model.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct DemandModel {
     /// Number of homes in the stock.
     pub n_homes: usize,
@@ -70,7 +69,7 @@ pub fn occupancy_factor(t: SimTime) -> f64 {
 }
 
 /// One sample of a synthetic demand trace.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct DemandSample {
     pub t: SimTime,
     /// Outdoor temperature at the sample, °C.

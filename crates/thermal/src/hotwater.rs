@@ -9,7 +9,6 @@
 //! summer waste heat if it keeps computing past the tank's needs.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use simcore::dist::normal;
 use simcore::time::{SimDuration, SimTime};
 
@@ -17,7 +16,7 @@ use simcore::time::{SimDuration, SimTime};
 pub const WATER_CP: f64 = 4_186.0;
 
 /// A building's DHW draw profile.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct DhwProfile {
     /// Dwellings served by the tank.
     pub n_dwellings: usize,
@@ -87,7 +86,7 @@ impl DhwProfile {
 }
 
 /// A stratification-free hot-water storage tank.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct WaterTank {
     /// Volume, litres.
     pub volume_l: f64,

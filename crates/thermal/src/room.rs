@@ -17,11 +17,10 @@
 //! which we integrate **exactly** — the simulation is therefore accurate
 //! at any step size, and a step is O(1).
 
-use serde::{Deserialize, Serialize};
 use simcore::time::SimDuration;
 
 /// Thermal parameters of a room.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct RoomParams {
     /// Thermal resistance to outdoors, K/W. Smaller = leakier.
     pub resistance_k_per_w: f64,
@@ -75,7 +74,7 @@ impl RoomParams {
 }
 
 /// A room's thermal state.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Room {
     pub params: RoomParams,
     temperature_c: f64,

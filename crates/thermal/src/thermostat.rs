@@ -14,11 +14,10 @@
 //! Both honour a [`SetpointSchedule`] with day/night setback, matching
 //! how residents actually drive heat demand.
 
-use serde::{Deserialize, Serialize};
 use simcore::time::SimTime;
 
 /// A daily setpoint schedule with night setback.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct SetpointSchedule {
     /// Daytime target, °C.
     pub day_c: f64,
@@ -65,7 +64,7 @@ impl SetpointSchedule {
 }
 
 /// Bang-bang thermostat with a symmetric dead band.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct HysteresisThermostat {
     pub schedule: SetpointSchedule,
     /// Half-width of the dead band, K.
@@ -102,7 +101,7 @@ impl HysteresisThermostat {
 
 /// Proportional thermostat: demand rises linearly from 0 at the setpoint
 /// to 1 at `full_demand_gap_k` below it.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ModulatingThermostat {
     pub schedule: SetpointSchedule,
     /// Temperature deficit at which demand saturates at 1.0, K.

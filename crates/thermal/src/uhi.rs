@@ -27,11 +27,10 @@
 //! is the mean anomaly over urban cells — the quantity the statistics
 //! of Zhou et al. [9] describe.
 
-use serde::{Deserialize, Serialize};
 use simcore::time::SimDuration;
 
 /// Physical parameters of the canopy model.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct UhiParams {
     /// Cell edge length, m.
     pub cell_size_m: f64,
@@ -71,7 +70,7 @@ impl UhiParams {
 }
 
 /// A rectangular district grid of temperature anomalies.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DistrictGrid {
     params: UhiParams,
     width: usize,

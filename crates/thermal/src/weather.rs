@@ -15,13 +15,12 @@
 //! `Weather` lookup is pure and O(1), and the same seed always yields
 //! the same winter — the property the paired experiments rely on.
 
-use serde::{Deserialize, Serialize};
 use simcore::dist::ou_step;
 use simcore::time::{Calendar, SimDuration, SimTime};
 use simcore::RngStreams;
 
 /// Configuration of the synthetic climate.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct WeatherConfig {
     /// Calendar anchoring t = 0 to a month (phases the seasonal cycle).
     pub calendar: Calendar,
@@ -90,7 +89,7 @@ impl WeatherConfig {
 }
 
 /// A pre-generated weather trace, queryable at any time within its span.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Weather {
     config: WeatherConfig,
     /// OU noise samples at `resolution` spacing (baseline added at query).
@@ -207,7 +206,7 @@ impl Weather {
 /// deviates only by the curvature of the diurnal cosine across one
 /// sample interval (< 0.05 °C at hourly resolution), which is far
 /// below the weather-noise floor.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WeatherTable {
     /// Total outdoor temperature at `resolution` spacing over the span.
     samples: Vec<f64>,

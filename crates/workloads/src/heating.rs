@@ -6,13 +6,12 @@
 //! individual." A heating request is *not* a job — it is a target the
 //! regulator must hold — so it has its own type.
 
-use serde::{Deserialize, Serialize};
 use simcore::dist::{normal, uniform};
 use simcore::time::{SimDuration, SimTime};
 use simcore::RngStreams;
 
 /// Scope of a heating request (§II-C).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum HeatingScope {
     /// Targets one specific DF server's room.
     Individual { server: usize },
@@ -21,7 +20,7 @@ pub enum HeatingScope {
 }
 
 /// A heating request: "set the temperature at 20 degrees".
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct HeatingRequest {
     /// When the resident issues it.
     pub at: SimTime,
