@@ -8,7 +8,7 @@
 
 use crate::config::ArchClass;
 use crate::regulator::HeatRegulator;
-use crate::worker::WorkerSim;
+use crate::worker::{SensorState, WorkerSim};
 use dfhw::dvfs::DvfsLadder;
 use sched::queue::{Discipline, ReadyQueue};
 use sched::ClusterLoad;
@@ -28,12 +28,36 @@ pub enum Dispatch {
     Full,
 }
 
+/// Core counts summed over a cluster's workers: the capacity half of
+/// [`ClusterSim::load`], kept current instead of recounted.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct CoreSums {
+    /// Cores of the workers that are not failed.
+    healthy: usize,
+    busy: usize,
+    preemptible: usize,
+}
+
+impl CoreSums {
+    /// One worker's contribution, from its O(1) counters.
+    fn of(w: &WorkerSim) -> Self {
+        CoreSums {
+            healthy: if w.is_failed() { 0 } else { w.n_cores() },
+            busy: w.busy_cores(),
+            preemptible: w.preemptible_cores(),
+        }
+    }
+}
+
 /// One cluster.
 #[derive(Debug, Clone)]
 pub struct ClusterSim {
     pub id: usize,
     pub arch: ArchClass,
+    /// Every change to a worker's running set or failed flag goes
+    /// through [`ClusterSim::update_worker`], which keeps `sums` current.
     workers: Vec<WorkerSim>,
+    sums: CoreSums,
     /// First room slot of this cluster in the fleet [`ThermalBatch`]
     /// (worker `w`'s room is slot `room_base + w`).
     room_base: usize,
@@ -80,14 +104,17 @@ impl ClusterSim {
                 ws
             })
             .collect();
-        ClusterSim {
+        let mut c = ClusterSim {
             id,
             arch,
             workers,
+            sums: CoreSums::default(),
             room_base,
             edge_queue: ReadyQueue::new(Discipline::Edf),
             dcc_queue: ReadyQueue::new(Discipline::Fifo),
-        }
+        };
+        c.sums = c.recount();
+        c
     }
 
     /// Room slot of worker `w` in the fleet batch.
@@ -104,8 +131,45 @@ impl ClusterSim {
         &self.workers[w]
     }
 
-    pub fn worker_mut(&mut self, w: usize) -> &mut WorkerSim {
-        &mut self.workers[w]
+    /// Set worker `w`'s room-sensor fault state.
+    pub(crate) fn set_sensor(&mut self, w: usize, state: SensorState) {
+        self.workers[w].set_sensor(state);
+    }
+
+    /// Set every worker's degraded-sensor bias, °C.
+    pub(crate) fn set_sensor_bias(&mut self, bias_c: f64) {
+        for w in &mut self.workers {
+            w.sensor_bias_c = bias_c;
+        }
+    }
+
+    /// Apply `f` to worker `w` and move the cluster's core sums by the
+    /// worker's change. Every mutation that can start or remove a slice,
+    /// or fail or repair a board, goes through here; debug builds check
+    /// the sums against a full recount after each one.
+    fn update_worker<R>(&mut self, w: usize, f: impl FnOnce(&mut WorkerSim) -> R) -> R {
+        let before = CoreSums::of(&self.workers[w]);
+        let out = f(&mut self.workers[w]);
+        let after = CoreSums::of(&self.workers[w]);
+        let s = &mut self.sums;
+        s.healthy = s.healthy - before.healthy + after.healthy;
+        s.busy = s.busy - before.busy + after.busy;
+        s.preemptible = s.preemptible - before.preemptible + after.preemptible;
+        debug_assert_eq!(self.sums, self.recount(), "cluster {} core sums", self.id);
+        out
+    }
+
+    /// Recount the core sums from every worker's failed flag and
+    /// running slices: the source of truth `sums` must always equal.
+    fn recount(&self) -> CoreSums {
+        self.workers.iter().fold(CoreSums::default(), |acc, w| {
+            let (busy, preemptible) = w.recount();
+            CoreSums {
+                healthy: acc.healthy + if w.is_failed() { 0 } else { w.n_cores() },
+                busy: acc.busy + busy,
+                preemptible: acc.preemptible + preemptible,
+            }
+        })
     }
 
     fn switch_cost(&self) -> SimDuration {
@@ -199,8 +263,8 @@ impl ClusterSim {
             let mut placed = job;
             placed.cores =
                 Self::moldable_width(&job, self.workers[i].free_cores()).expect("width checked");
-            let finish = self.workers[i]
-                .dispatch(now, placed, cost)
+            let finish = self
+                .update_worker(i, |w| w.dispatch(now, placed, cost))
                 .expect("free_cores checked");
             return Dispatch::Started { worker: i, finish };
         }
@@ -217,8 +281,8 @@ impl ClusterSim {
             if let Some(width) = Self::moldable_width(&job, self.workers[i].free_cores()) {
                 let mut placed = job;
                 placed.cores = width;
-                let finish = self.workers[i]
-                    .dispatch(now, placed, cost)
+                let finish = self
+                    .update_worker(i, |w| w.dispatch(now, placed, cost))
                     .expect("woken with room");
                 return Dispatch::Started { worker: i, finish };
             }
@@ -226,28 +290,27 @@ impl ClusterSim {
         Dispatch::Full
     }
 
-    /// Load snapshot for the peak policies. Failed workers contribute
-    /// no capacity: a dark building reports zero total cores, so DCC
-    /// load-balancing and sibling selection route around it instead of
-    /// mistaking it for an empty cluster (in fault-free runs every
-    /// worker is healthy and the snapshot is unchanged).
+    /// Load snapshot for the peak policies, O(1): it reads the core sums
+    /// the mutators keep current and the queue lengths, and walks no
+    /// worker. Failed workers contribute no capacity: a dark building
+    /// reports zero total cores, so DCC load-balancing and sibling
+    /// selection route around it instead of mistaking it for an empty
+    /// cluster (in fault-free runs every worker is healthy and the
+    /// snapshot is unchanged).
     pub fn load(&self) -> ClusterLoad {
-        let total: usize = self
-            .workers
-            .iter()
-            .filter(|w| !w.is_failed())
-            .map(|w| w.n_cores())
-            .sum();
-        let busy: usize = self.workers.iter().map(|w| w.busy_cores()).sum();
-        let preemptible: usize = self.workers.iter().map(|w| w.preemptible_cores()).sum();
         ClusterLoad {
             cluster: self.id,
-            total_cores: total,
-            busy_cores: busy,
-            preemptible_cores: preemptible,
+            total_cores: self.sums.healthy,
+            busy_cores: self.sums.busy,
+            preemptible_cores: self.sums.preemptible,
             queued_edge: self.edge_queue.len(),
             queued_dcc: self.dcc_queue.len(),
         }
+    }
+
+    /// Cores requested by every queued job, edge and DCC, O(1).
+    fn queued_cores(&self) -> usize {
+        self.edge_queue.queued_cores() + self.dcc_queue.queued_cores()
     }
 
     /// Heat-driven core capacity right now: what the thermostats would
@@ -294,11 +357,29 @@ impl ClusterSim {
             need,
             sched::preempt::VictimOrder::LeastProgressFirst,
         )?;
-        let jobs: Vec<Job> = victims
-            .iter()
-            .map(|&id| self.workers[target].preempt(id, now))
-            .collect();
+        let jobs = self.update_worker(target, |w| {
+            victims.iter().map(|&id| w.preempt(id, now)).collect()
+        });
         Some((target, jobs))
+    }
+
+    /// Start `job` on worker `w` now (after [`ClusterSim::preempt_for`]
+    /// cleared room there). Returns the finish time, or `None` if the
+    /// worker cannot take it.
+    pub(crate) fn dispatch_on(&mut self, w: usize, now: SimTime, job: Job) -> Option<SimTime> {
+        let cost = self.switch_cost();
+        self.update_worker(w, |worker| worker.dispatch(now, job, cost))
+    }
+
+    /// Break worker `w` at `now`; returns its preempted jobs with their
+    /// remaining work (see [`WorkerSim::fail`]).
+    pub(crate) fn fail_worker(&mut self, w: usize, now: SimTime) -> Vec<Job> {
+        self.update_worker(w, |worker| worker.fail(now))
+    }
+
+    /// Return worker `w` to service.
+    pub(crate) fn repair_worker(&mut self, w: usize) {
+        self.update_worker(w, WorkerSim::repair);
     }
 
     /// Dispatch queued work after capacity changed. Edge first (EDF),
@@ -405,12 +486,7 @@ impl ClusterSim {
     /// energy accounting, thermostat reads, regulator decisions.
     /// Returns (mean room temp, usable cores, mean demand).
     pub fn finish_control_tick(&mut self, now: SimTime, rooms: &ThermalBatch) -> (f64, usize, f64) {
-        let queued_cores: usize = self
-            .edge_queue
-            .iter()
-            .chain(self.dcc_queue.iter())
-            .map(|j| j.cores)
-            .sum();
+        let queued_cores = self.queued_cores();
         let n = self.workers.len();
         let mut temp_sum = 0.0;
         let mut demand_sum = 0.0;
@@ -444,7 +520,7 @@ impl ClusterSim {
 
     /// Remove a finished job from `worker`.
     pub fn finish(&mut self, worker: usize, id: JobId) {
-        self.workers[worker].remove(id);
+        self.update_worker(worker, |w| w.remove(id));
     }
 
     /// Total DF energy drawn so far, kWh (all workers).
@@ -487,9 +563,31 @@ impl ClusterSim {
         for worker in &mut self.workers {
             worker.restore_state(r)?;
         }
+        // The core sums are derived state: rebuilt, never checkpointed.
+        self.sums = self.recount();
         self.edge_queue = ReadyQueue::decode(r)?;
         self.dcc_queue = ReadyQueue::decode(r)?;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+impl ClusterSim {
+    /// The O(W) load and queued-core sum, recounted from every worker's
+    /// running slices and every queued job: the oracle for
+    /// [`ClusterSim::load`] and [`ClusterSim::queued_cores`].
+    fn load_recomputed(&self) -> (ClusterLoad, usize) {
+        let sums = self.recount();
+        let load = ClusterLoad {
+            cluster: self.id,
+            total_cores: sums.healthy,
+            busy_cores: sums.busy,
+            preemptible_cores: sums.preemptible,
+            queued_edge: self.edge_queue.iter().count(),
+            queued_dcc: self.dcc_queue.iter().count(),
+        };
+        let queued = self.edge_queue.iter().chain(self.dcc_queue.iter());
+        (load, queued.map(|j| j.cores).sum())
     }
 }
 
@@ -683,7 +781,7 @@ mod tests {
         let (mut c, mut rooms) = cluster_a();
         assert_eq!(c.load().total_cores, 64);
         for w in 0..c.n_workers() {
-            c.worker_mut(w).fail(SimTime::ZERO);
+            c.fail_worker(w, SimTime::ZERO);
         }
         assert_eq!(c.load().total_cores, 0, "a dark cluster has no capacity");
         assert_eq!(c.load().utilisation(), 1.0, "…and never looks idle");
@@ -696,7 +794,7 @@ mod tests {
     #[test]
     fn backfill_stages_boiler_heat_for_failed_rooms_only() {
         let (mut c, mut rooms) = cluster_a();
-        c.worker_mut(0).fail(SimTime::ZERO);
+        c.fail_worker(0, SimTime::ZERO);
         // Cold rooms → full thermostat demand on the failed slot.
         for w in 0..c.n_workers() {
             rooms.set_temperature_c(c.room_slot(w), 10.0);
@@ -721,6 +819,81 @@ mod tests {
         c.try_dispatch(SimTime::ZERO, 0.0, edge(2, 2), &mut rooms);
         c.edge_queue.push(edge(3, 1));
         assert_eq!(c.in_flight_by_flow(), (2, 1));
+    }
+
+    #[test]
+    fn cached_load_matches_recount_through_random_mutations() {
+        use rand::Rng;
+        let mut rng: rand_chacha::ChaCha8Rng = simcore::RngStreams::new(3).stream("oracle");
+        for arch_b in [false, true] {
+            let (mut c, mut rooms) = if arch_b { cluster_b() } else { cluster_a() };
+            let mut now = SimTime::ZERO;
+            for id in 0..3_000u64 {
+                now += SimDuration::from_secs(rng.gen_range(0i64..20));
+                let w = rng.gen_range(0..c.n_workers());
+                match rng.gen_range(0u32..10) {
+                    0..=2 => {
+                        let job = if rng.gen_bool(0.5) {
+                            Job {
+                                arrival: now,
+                                ..edge(id, rng.gen_range(1usize..5))
+                            }
+                        } else {
+                            dcc(id, rng.gen_range(1usize..17), 500.0)
+                        };
+                        if c.try_dispatch(now, 0.0, job, &mut rooms) == Dispatch::Full {
+                            if job.is_edge() {
+                                c.edge_queue.push(job);
+                            } else {
+                                c.dcc_queue.push(job);
+                            }
+                        }
+                    }
+                    3 => {
+                        if let Some(id) = c.worker(w).running().first().map(|s| s.job.id) {
+                            c.finish(w, id);
+                        }
+                    }
+                    4 => {
+                        // As the platform does: preempt only for a job
+                        // that found the cluster full.
+                        let job = edge(id, rng.gen_range(1usize..9));
+                        if c.try_dispatch(now, 0.0, job, &mut rooms) == Dispatch::Full {
+                            if let Some((target, victims)) = c.preempt_for(now, &job) {
+                                victims.into_iter().for_each(|v| c.dcc_queue.push(v));
+                                assert!(c.dispatch_on(target, now, job).is_some());
+                            }
+                        }
+                    }
+                    5 => {
+                        for j in c.fail_worker(w, now) {
+                            c.dcc_queue.push(j);
+                        }
+                    }
+                    6 => c.repair_worker(w),
+                    7 => {
+                        c.drain(now, 0.0, &mut rooms);
+                    }
+                    8 => {
+                        c.take_expired(now);
+                    }
+                    _ => {
+                        let mut wr = simcore::snapshot::SnapshotWriter::new();
+                        c.snapshot_state(&mut wr);
+                        let bytes = wr.into_bytes();
+                        let mut fresh = if arch_b { cluster_b().0 } else { cluster_a().0 };
+                        fresh
+                            .restore_state(&mut simcore::snapshot::SnapshotReader::new(&bytes))
+                            .expect("own snapshot restores");
+                        assert_eq!(fresh.load(), c.load(), "restore changed the load");
+                        c = fresh;
+                    }
+                }
+                let (load, queued) = c.load_recomputed();
+                assert_eq!(c.load(), load, "step {id}");
+                assert_eq!(c.queued_cores(), queued, "step {id}");
+            }
+        }
     }
 
     #[test]

@@ -300,9 +300,7 @@ impl Platform {
             if rt.has_sensor_faults() {
                 let bias = rt.plan().recovery.sensor_bias_c;
                 for c in &mut clusters {
-                    for w in 0..c.n_workers() {
-                        c.worker_mut(w).sensor_bias_c = bias;
-                    }
+                    c.set_sensor_bias(bias);
                 }
             }
         }
@@ -819,18 +817,17 @@ impl Platform {
         let t_offload = sched.profiler.start();
         let outdoor = self.outdoor(now);
         let local = self.clusters[home].load();
-        // A severed inter-cluster fiber hides every sibling: horizontal
+        let policy = self.config.peak_policy;
+        // The policy reads sibling loads through a lazy view: each O(1)
+        // load is computed only if the policy walks the siblings. A
+        // severed inter-cluster fiber hides every sibling: horizontal
         // offloading is impossible during the partition.
-        let siblings: Vec<sched::ClusterLoad> = if self.partitioned(LinkClass::Fiber, now) {
-            Vec::new()
+        let action = if self.partitioned(LinkClass::Fiber, now) {
+            policy.decide(&job, &local, std::iter::empty::<sched::ClusterLoad>())
         } else {
-            self.clusters
-                .iter()
-                .filter(|c| c.id != home)
-                .map(|c| c.load())
-                .collect()
+            let siblings = self.clusters.iter().filter(|c| c.id != home);
+            policy.decide(&job, &local, siblings.map(ClusterSim::load))
         };
-        let action = self.config.peak_policy.decide(&job, &local, &siblings);
         if self.telemetry.is_enabled() {
             // Rejects get their instant from `reject_edge`/the DCC
             // counter below; the other four decisions are recorded
@@ -877,13 +874,8 @@ impl Platform {
                         self.stats.preemptions.inc();
                         self.clusters[home].dcc_queue.push(v);
                     }
-                    let cost = match self.config.arch {
-                        ArchClass::SharedWorkers { switch_cost } => switch_cost,
-                        _ => SimDuration::ZERO,
-                    };
                     let finish = self.clusters[home]
-                        .worker_mut(worker)
-                        .dispatch(now, job, cost)
+                        .dispatch_on(worker, now, job)
                         .expect("preemption freed the cores");
                     self.start_local(
                         home,
@@ -975,7 +967,7 @@ impl Platform {
         }
         // `fail` checkpoints remaining work; a crash keeps nothing, so
         // the checkpointed jobs are discarded in favour of full restarts.
-        let _ = self.clusters[cluster].worker_mut(worker).fail(now);
+        let _ = self.clusters[cluster].fail_worker(worker, now);
         for (job, _, _) in slices {
             if let Some(ev) = self.running_events.remove(slot, job.id) {
                 sched.cancel(ev);
@@ -1030,7 +1022,7 @@ impl Platform {
             self.stats.repair_s.observe(dt);
         }
         self.record_fault_event(now, FaultEventKind::WorkerRepair, cluster, Some(worker));
-        self.clusters[cluster].worker_mut(worker).repair();
+        self.clusters[cluster].repair_worker(worker);
     }
 
     /// Schedule the down/up transitions of every planned cluster outage
@@ -1083,9 +1075,7 @@ impl Platform {
                 None => 0..wpc,
             };
             for w in range {
-                self.clusters[f.cluster]
-                    .worker_mut(w)
-                    .set_sensor(SensorState::Healthy);
+                self.clusters[f.cluster].set_sensor(w, SensorState::Healthy);
             }
         }
         let mut any_active = false;
@@ -1103,7 +1093,7 @@ impl Platform {
                 None => 0..wpc,
             };
             for w in range {
-                self.clusters[f.cluster].worker_mut(w).set_sensor(state);
+                self.clusters[f.cluster].set_sensor(w, state);
             }
         }
         if any_active {

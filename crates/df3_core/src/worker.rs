@@ -62,6 +62,10 @@ pub struct WorkerSim {
     decision: RegulatorDecision,
     /// Jobs currently running.
     running: Vec<RunningSlice>,
+    /// Cores held by `running` (derived; rebuilt on restore).
+    busy: usize,
+    /// Cores held by the non-edge slices of `running` (derived).
+    preemptible: usize,
     /// Last control-tick time (thermal integration anchor).
     last_tick: SimTime,
     /// Energy drawn so far, J (compute + overhead + resistive).
@@ -109,6 +113,8 @@ impl WorkerSim {
             thermostat,
             decision,
             running: Vec::new(),
+            busy: 0,
+            preemptible: 0,
             last_tick: SimTime::ZERO,
             energy_j: 0.0,
             compute_energy_j: 0.0,
@@ -165,9 +171,10 @@ impl WorkerSim {
         &self.decision
     }
 
-    /// Cores currently occupied by running jobs.
+    /// Cores currently occupied by running jobs. O(1): the count is
+    /// kept current by every method that starts or removes a slice.
     pub fn busy_cores(&self) -> usize {
-        self.running.iter().map(|s| s.cores).sum()
+        self.busy
     }
 
     /// Cores available for a new dispatch right now.
@@ -175,13 +182,20 @@ impl WorkerSim {
         self.decision.usable_cores.saturating_sub(self.busy_cores())
     }
 
-    /// Cores held by preemptible (non-edge) jobs.
+    /// Cores held by preemptible (non-edge) jobs, O(1).
     pub fn preemptible_cores(&self) -> usize {
-        self.running
-            .iter()
-            .filter(|s| !s.job.is_edge())
-            .map(|s| s.cores)
-            .sum()
+        self.preemptible
+    }
+
+    /// Recount `(busy, preemptible)` from the running slices: the
+    /// source of truth the cached counts must always equal.
+    pub(crate) fn recount(&self) -> (usize, usize) {
+        self.running.iter().fold((0, 0), |(busy, pre), s| {
+            (
+                busy + s.cores,
+                pre + if s.job.is_edge() { 0 } else { s.cores },
+            )
+        })
     }
 
     pub fn running(&self) -> &[RunningSlice] {
@@ -248,6 +262,10 @@ impl WorkerSim {
         }
         self.last_flow_was_edge = Some(is_edge);
         let finish = start + job.service_time(gops);
+        self.busy += job.cores;
+        if !is_edge {
+            self.preemptible += job.cores;
+        }
         self.running.push(RunningSlice {
             job,
             cores: job.cores,
@@ -267,7 +285,12 @@ impl WorkerSim {
             .iter()
             .position(|s| s.job.id == id)
             .unwrap_or_else(|| panic!("job {id:?} not running on worker {}", self.id));
-        self.running.swap_remove(idx)
+        let slice = self.running.swap_remove(idx);
+        self.busy -= slice.cores;
+        if !slice.job.is_edge() {
+            self.preemptible -= slice.cores;
+        }
+        slice
     }
 
     /// Preempt a job at `now`: remove it and return the job with its
@@ -435,6 +458,7 @@ impl WorkerSim {
         self.sensor = SensorState::decode(r)?;
         self.last_good_c = Option::decode(r)?;
         self.last_flow_was_edge = Option::decode(r)?;
+        (self.busy, self.preemptible) = self.recount();
         if self.busy_cores() > self.regulator.n_cores {
             return Err(SnapshotError::Corrupt(format!(
                 "worker {}: {} busy cores exceed the {}-core board",

@@ -9,10 +9,11 @@
 //! delay the processing". [`PeakPolicy`] encodes a strategy; the
 //! platform consults it whenever placement fails.
 
+use std::borrow::Borrow;
 use workloads::Job;
 
 /// Load snapshot of one cluster, as seen by the decision point.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClusterLoad {
     pub cluster: usize,
     pub total_cores: usize,
@@ -97,8 +98,16 @@ impl PeakPolicy {
 
 impl PeakPolicy {
     /// Decide the action for `job` on `local`, given sibling cluster
-    /// loads (`siblings` excludes the local cluster).
-    pub fn decide(&self, job: &Job, local: &ClusterLoad, siblings: &[ClusterLoad]) -> PeakAction {
+    /// loads (`siblings` excludes the local cluster). `siblings` is any
+    /// iterable of loads or references to loads: a slice, or a lazy
+    /// view over the fleet that computes each load on demand. It is
+    /// walked at most once, and not at all by the policies that never
+    /// offload horizontally.
+    pub fn decide<I>(&self, job: &Job, local: &ClusterLoad, siblings: I) -> PeakAction
+    where
+        I: IntoIterator,
+        I::Item: Borrow<ClusterLoad>,
+    {
         match self {
             PeakPolicy::AlwaysDelay => PeakAction::Delay,
             PeakPolicy::PreemptFirst => {
@@ -134,18 +143,21 @@ impl PeakPolicy {
 }
 
 /// The least-utilised sibling that has room for the job and is below the
-/// utilisation cap.
-fn best_sibling(job: &Job, siblings: &[ClusterLoad], max_util: f64) -> Option<usize> {
+/// utilisation cap; equal utilisations go to the lowest cluster index.
+fn best_sibling<I>(job: &Job, siblings: I, max_util: f64) -> Option<usize>
+where
+    I: IntoIterator,
+    I::Item: Borrow<ClusterLoad>,
+{
     siblings
-        .iter()
-        .filter(|s| s.free_cores() >= job.cores && s.utilisation() <= max_util)
-        .min_by(|a, b| {
-            a.utilisation()
-                .partial_cmp(&b.utilisation())
-                .expect("NaN utilisation")
-                .then(a.cluster.cmp(&b.cluster))
+        .into_iter()
+        .filter_map(|s| {
+            let s = s.borrow();
+            let util = s.utilisation();
+            (s.free_cores() >= job.cores && util <= max_util).then_some((util, s.cluster))
         })
-        .map(|s| s.cluster)
+        .min_by(|a, b| a.partial_cmp(b).expect("NaN utilisation"))
+        .map(|(_, cluster)| cluster)
 }
 
 #[cfg(test)]
@@ -191,10 +203,11 @@ mod tests {
     fn preempt_first_only_preempts_for_edge() {
         let p = PeakPolicy::PreemptFirst;
         let local = load(0, 16, 16, 8);
-        assert_eq!(p.decide(&edge_job(2), &local, &[]), PeakAction::Preempt);
-        assert_eq!(p.decide(&dcc_job(2), &local, &[]), PeakAction::Delay);
+        let none: &[ClusterLoad] = &[];
+        assert_eq!(p.decide(&edge_job(2), &local, none), PeakAction::Preempt);
+        assert_eq!(p.decide(&dcc_job(2), &local, none), PeakAction::Delay);
         // Not enough preemptible cores → delay.
-        assert_eq!(p.decide(&edge_job(12), &local, &[]), PeakAction::Delay);
+        assert_eq!(p.decide(&edge_job(12), &local, none), PeakAction::Delay);
     }
 
     #[test]
@@ -205,7 +218,7 @@ mod tests {
         let local = load(0, 16, 16, 0);
         let siblings = [load(1, 16, 12, 0), load(2, 16, 4, 0), load(3, 16, 8, 0)];
         assert_eq!(
-            p.decide(&edge_job(2), &local, &siblings),
+            p.decide(&edge_job(2), &local, &siblings[..]),
             PeakAction::OffloadHorizontal { target: 2 }
         );
     }
@@ -219,7 +232,7 @@ mod tests {
         let siblings = [load(1, 16, 12, 0), load(2, 16, 10, 0)];
         // All siblings above 50 % → vertical fallback.
         assert_eq!(
-            p.decide(&dcc_job(2), &local, &siblings),
+            p.decide(&dcc_job(2), &local, &siblings[..]),
             PeakAction::OffloadVertical
         );
     }
@@ -232,7 +245,7 @@ mod tests {
         let local = load(0, 16, 16, 0);
         let siblings = [load(1, 16, 15, 0)]; // only 1 free core
         assert_eq!(
-            p.decide(&edge_job(4), &local, &siblings),
+            p.decide(&edge_job(4), &local, &siblings[..]),
             PeakAction::OffloadVertical
         );
     }
@@ -243,23 +256,81 @@ mod tests {
         let local = load(0, 16, 16, 4);
         let siblings = [load(1, 16, 2, 0)];
         assert_eq!(
-            p.decide(&edge_job(2), &local, &siblings),
+            p.decide(&edge_job(2), &local, &siblings[..]),
             PeakAction::Preempt
         );
         assert_eq!(
-            p.decide(&dcc_job(2), &local, &siblings),
+            p.decide(&dcc_job(2), &local, &siblings[..]),
             PeakAction::OffloadVertical
         );
         // Edge too wide to preempt → horizontal.
         assert_eq!(
-            p.decide(&edge_job(8), &local, &siblings),
+            p.decide(&edge_job(8), &local, &siblings[..]),
             PeakAction::OffloadHorizontal { target: 1 }
         );
         // No sibling has room → reject rather than ship edge to the DC.
         let full_siblings = [load(1, 16, 16, 0)];
         assert_eq!(
-            p.decide(&edge_job(8), &local, &full_siblings),
+            p.decide(&edge_job(8), &local, &full_siblings[..]),
             PeakAction::Reject
+        );
+    }
+
+    #[test]
+    fn slice_and_iterator_views_decide_alike() {
+        // Ties at 25 % (clusters 2 and 4, listed out of order) and a
+        // dark sibling with no cores, which must never be chosen.
+        let siblings = [
+            load(3, 16, 12, 0),
+            load(4, 16, 4, 0),
+            load(5, 0, 0, 0),
+            load(2, 16, 4, 0),
+            load(1, 32, 8, 8),
+        ];
+        let local = load(0, 16, 16, 2);
+        let policies = [
+            PeakPolicy::AlwaysDelay,
+            PeakPolicy::PreemptFirst,
+            PeakPolicy::VerticalFirst,
+            PeakPolicy::HorizontalFirst {
+                max_sibling_util: 0.8,
+            },
+            PeakPolicy::HorizontalFirst {
+                max_sibling_util: 0.1,
+            },
+            PeakPolicy::Hybrid,
+        ];
+        for p in policies {
+            for job in [edge_job(1), edge_job(4), edge_job(13), dcc_job(2)] {
+                let by_slice = p.decide(&job, &local, &siblings[..]);
+                let by_iter = p.decide(&job, &local, siblings.iter().copied());
+                let by_ref_iter = p.decide(&job, &local, siblings.iter());
+                assert_eq!(by_slice, by_iter, "{p:?} {job:?}");
+                assert_eq!(by_slice, by_ref_iter, "{p:?} {job:?}");
+                // An empty view (a partitioned fiber) never offloads
+                // horizontally.
+                let alone = p.decide(&job, &local, std::iter::empty::<ClusterLoad>());
+                assert!(!matches!(alone, PeakAction::OffloadHorizontal { .. }));
+            }
+        }
+        let p = PeakPolicy::HorizontalFirst {
+            max_sibling_util: 0.8,
+        };
+        assert_eq!(
+            p.decide(&edge_job(4), &local, siblings.iter().copied()),
+            PeakAction::OffloadHorizontal { target: 1 },
+            "cluster 1 also sits at 25 %; the lowest index wins the tie"
+        );
+        assert_eq!(
+            p.decide(&edge_job(13), &local, siblings.iter().copied()),
+            PeakAction::OffloadHorizontal { target: 1 },
+            "only cluster 1 has 13 free cores"
+        );
+        let dark_only = [load(5, 0, 0, 0)];
+        assert_eq!(
+            p.decide(&edge_job(1), &local, dark_only.iter().copied()),
+            PeakAction::OffloadVertical,
+            "a dark sibling has no room"
         );
     }
 

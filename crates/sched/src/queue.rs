@@ -1,5 +1,6 @@
 //! Ready-queue disciplines.
 
+use simcore::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use simcore::time::SimTime;
 use std::collections::VecDeque;
 use workloads::Job;
@@ -17,17 +18,37 @@ pub enum Discipline {
 }
 
 /// A ready queue of jobs under a discipline.
+///
+/// The queue keeps a running sum of its jobs' cores, so
+/// [`ReadyQueue::queued_cores`] is O(1); every method that adds or
+/// removes a job updates it. Under [`Discipline::Edf`] the deque stays
+/// sorted by absolute deadline (no method reorders it), which lets
+/// `push` binary-search its slot and `drop_expired` pop an expired
+/// prefix.
 #[derive(Debug, Clone)]
 pub struct ReadyQueue {
     discipline: Discipline,
     jobs: VecDeque<Job>,
+    /// Sum of `cores` over `jobs` (derived; not checkpointed).
+    cores: usize,
+}
+
+/// EDF sort key: the absolute deadline, with deadline-free jobs last.
+fn edf_key(job: &Job) -> SimTime {
+    job.absolute_deadline().unwrap_or(SimTime::MAX)
 }
 
 impl ReadyQueue {
     pub fn new(discipline: Discipline) -> Self {
+        Self::from_jobs(discipline, VecDeque::new())
+    }
+
+    fn from_jobs(discipline: Discipline, jobs: VecDeque<Job>) -> Self {
+        let cores = jobs.iter().map(|j| j.cores).sum();
         ReadyQueue {
             discipline,
-            jobs: VecDeque::new(),
+            jobs,
+            cores,
         }
     }
 
@@ -43,16 +64,31 @@ impl ReadyQueue {
         self.jobs.is_empty()
     }
 
-    /// Enqueue a job at its discipline-defined position.
+    /// Cores requested by all queued jobs, O(1).
+    pub fn queued_cores(&self) -> usize {
+        self.cores
+    }
+
+    /// Whether an EDF queue is sorted by deadline (always true for the
+    /// other disciplines). Checked in debug builds after each change.
+    fn edf_sorted(&self) -> bool {
+        self.discipline != Discipline::Edf
+            || self
+                .jobs
+                .iter()
+                .zip(self.jobs.iter().skip(1))
+                .all(|(a, b)| edf_key(a) <= edf_key(b))
+    }
+
+    /// Enqueue a job at its discipline-defined position. EDF inserts
+    /// after every job with an equal or earlier deadline, so ties stay
+    /// FIFO.
     pub fn push(&mut self, job: Job) {
         let pos = match self.discipline {
             Discipline::Fifo => self.jobs.len(),
             Discipline::Edf => {
-                let key = job.absolute_deadline().unwrap_or(SimTime::MAX);
-                self.jobs
-                    .iter()
-                    .position(|j| j.absolute_deadline().unwrap_or(SimTime::MAX) > key)
-                    .unwrap_or(self.jobs.len())
+                let key = edf_key(&job);
+                self.jobs.partition_point(|j| edf_key(j) <= key)
             }
             Discipline::Sjf => self
                 .jobs
@@ -61,6 +97,8 @@ impl ReadyQueue {
                 .unwrap_or(self.jobs.len()),
         };
         self.jobs.insert(pos, job);
+        self.cores += job.cores;
+        debug_assert!(self.edf_sorted(), "EDF queue out of deadline order");
     }
 
     /// Peek the head without removing it.
@@ -72,11 +110,15 @@ impl ReadyQueue {
     /// dispatch attempt fails and the job must keep its position).
     pub fn push_front(&mut self, job: Job) {
         self.jobs.push_front(job);
+        self.cores += job.cores;
+        debug_assert!(self.edf_sorted(), "EDF queue out of deadline order");
     }
 
     /// Pop the head job.
     pub fn pop(&mut self) -> Option<Job> {
-        self.jobs.pop_front()
+        let job = self.jobs.pop_front()?;
+        self.cores -= job.cores;
+        Some(job)
     }
 
     /// Pop the first job that fits `free_cores` (head-of-line blocking
@@ -84,22 +126,33 @@ impl ReadyQueue {
     /// form).
     pub fn pop_fitting(&mut self, free_cores: usize) -> Option<Job> {
         let idx = self.jobs.iter().position(|j| j.cores <= free_cores)?;
-        self.jobs.remove(idx)
+        let job = self.jobs.remove(idx)?;
+        self.cores -= job.cores;
+        Some(job)
     }
 
     /// Drop and return jobs whose deadline has already passed at `now`
-    /// (they can no longer be served usefully).
+    /// (they can no longer be served usefully), in queue order. Under
+    /// EDF the expired jobs are a prefix of the queue and are popped
+    /// off the front; the other disciplines scan the whole queue.
     pub fn drop_expired(&mut self, now: SimTime) -> Vec<Job> {
+        let due = |j: &Job| j.absolute_deadline().is_some_and(|d| d <= now);
         let mut expired = Vec::new();
-        self.jobs.retain(|j| {
-            if let Some(d) = j.absolute_deadline() {
-                if d <= now {
-                    expired.push(*j);
-                    return false;
-                }
+        if self.discipline == Discipline::Edf {
+            while let Some(&j) = self.jobs.front().filter(|j| due(j)) {
+                expired.push(j);
+                self.jobs.pop_front();
             }
-            true
-        });
+        } else {
+            self.jobs.retain(|j| {
+                let drop = due(j);
+                if drop {
+                    expired.push(*j);
+                }
+                !drop
+            });
+        }
+        self.cores -= expired.iter().map(|j| j.cores).sum::<usize>();
         expired
     }
 
@@ -112,10 +165,19 @@ simcore::impl_snapshot! {
     enum Discipline { 0 => Fifo, 1 => Edf, 2 => Sjf }
 }
 
-simcore::impl_snapshot! {
-    /// The deque order *is* the discipline-defined service order, so it
-    /// checkpoints verbatim.
-    ReadyQueue { discipline, jobs }
+/// The deque order *is* the discipline-defined service order, so it
+/// checkpoints verbatim. The core sum is derived: it is not written,
+/// and decode recomputes it.
+impl Snapshot for ReadyQueue {
+    fn encode(&self, w: &mut SnapshotWriter) {
+        self.discipline.encode(w);
+        self.jobs.encode(w);
+    }
+
+    fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        let discipline = Discipline::decode(r)?;
+        Ok(Self::from_jobs(discipline, VecDeque::decode(r)?))
+    }
 }
 
 #[cfg(test)]
@@ -202,6 +264,95 @@ mod tests {
         q.push_front(head);
         assert_eq!(q.pop().unwrap().id.0, 0, "head keeps its position");
         assert_eq!(q.pop().unwrap().id.0, 1);
+    }
+
+    /// The linear EDF insert and full-scan expiry the binary-search
+    /// insert and prefix expiry replace, kept as an oracle.
+    fn reference_push(jobs: &mut Vec<Job>, job: Job) {
+        let key = edf_key(&job);
+        let pos = jobs
+            .iter()
+            .position(|j| edf_key(j) > key)
+            .unwrap_or(jobs.len());
+        jobs.insert(pos, job);
+    }
+
+    fn reference_drop_expired(jobs: &mut Vec<Job>, now: SimTime) -> Vec<Job> {
+        let mut expired = Vec::new();
+        jobs.retain(|j| match j.absolute_deadline() {
+            Some(d) if d <= now => {
+                expired.push(*j);
+                false
+            }
+            _ => true,
+        });
+        expired
+    }
+
+    #[test]
+    fn edf_matches_linear_reference_and_tracks_cores() {
+        use rand::Rng;
+        let mut rng: rand_chacha::ChaCha8Rng = simcore::RngStreams::new(7).stream("edf");
+        let mut q = ReadyQueue::new(Discipline::Edf);
+        let mut reference = Vec::new();
+        let mut now = SimTime::ZERO;
+        for id in 0..4_000u64 {
+            match rng.gen_range(0u32..10) {
+                0..=5 => {
+                    // Few distinct deadlines, so ties are common.
+                    let deadline = (rng.gen_range(0u32..4) > 0).then(|| rng.gen_range(1i64..40));
+                    let mut j = job(id, 1.0, deadline);
+                    j.arrival = now;
+                    j.cores = rng.gen_range(1usize..9);
+                    q.push(j);
+                    reference_push(&mut reference, j);
+                }
+                6 | 7 => {
+                    let popped = q.pop().map(|j| j.id);
+                    let expected = (!reference.is_empty()).then(|| reference.remove(0).id);
+                    assert_eq!(popped, expected);
+                }
+                _ => {
+                    now += SimDuration::from_secs(rng.gen_range(0i64..15));
+                    let ids = |js: Vec<Job>| js.into_iter().map(|j| j.id).collect::<Vec<_>>();
+                    assert_eq!(
+                        ids(q.drop_expired(now)),
+                        ids(reference_drop_expired(&mut reference, now))
+                    );
+                }
+            }
+            assert!(
+                q.iter().map(|j| j.id).eq(reference.iter().map(|j| j.id)),
+                "order diverged at step {id}"
+            );
+            let cores: usize = reference.iter().map(|j| j.cores).sum();
+            assert_eq!(q.queued_cores(), cores);
+        }
+    }
+
+    #[test]
+    fn queued_cores_survive_every_mutator_and_a_snapshot() {
+        let mut q = ReadyQueue::new(Discipline::Sjf);
+        for (i, cores) in [3, 1, 4, 1, 5].into_iter().enumerate() {
+            let mut j = job(i as u64, 10.0 - i as f64, Some(10 * i as i64));
+            j.cores = cores;
+            q.push(j);
+        }
+        assert_eq!(q.queued_cores(), 14);
+        let head = q.pop().unwrap();
+        assert_eq!(q.queued_cores(), 14 - head.cores);
+        q.push_front(head);
+        assert_eq!(q.pop_fitting(1).map(|j| j.cores), Some(1));
+        assert_eq!(q.queued_cores(), 13);
+        let expired = q.drop_expired(SimTime::from_secs(25));
+        let left: usize = expired.iter().map(|j| j.cores).sum();
+        assert_eq!(q.queued_cores(), 13 - left);
+        let mut w = SnapshotWriter::new();
+        q.encode(&mut w);
+        let bytes = w.into_bytes();
+        let back = ReadyQueue::decode(&mut SnapshotReader::new(&bytes)).unwrap();
+        assert_eq!(back.queued_cores(), q.queued_cores());
+        assert!(back.iter().map(|j| j.id).eq(q.iter().map(|j| j.id)));
     }
 
     #[test]
