@@ -56,10 +56,13 @@ impl CloudBaseline {
 
     /// Run a job stream entirely in the cloud.
     pub fn run(&self, jobs: &JobStream, horizon: SimTime) -> CloudOutcome {
+        /// The stream's jobs arrive through the engine's input merge
+        /// (see [`Model::next_input`]); `next` indexes the next one.
         struct M<'a> {
             base: &'a CloudBaseline,
             dc: Datacenter,
-            jobs: Vec<Job>,
+            jobs: &'a [Job],
+            next: usize,
             out: CloudOutcome,
         }
         enum Ev {
@@ -68,12 +71,12 @@ impl CloudBaseline {
         }
         impl Model for M<'_> {
             type Event = Ev;
-            fn init(&mut self, sched: &mut Scheduler<Ev>) {
-                for j in &self.jobs {
-                    if j.arrival < sched.horizon() {
-                        sched.at(j.arrival, Ev::Arrive(*j));
-                    }
-                }
+            fn next_input(&self) -> Option<SimTime> {
+                self.jobs.get(self.next).map(|j| j.arrival)
+            }
+            fn take_input(&mut self) -> Ev {
+                self.next += 1;
+                Ev::Arrive(self.jobs[self.next - 1])
             }
             fn handle(&mut self, now: SimTime, ev: Ev, sched: &mut Scheduler<Ev>) {
                 match ev {
@@ -107,7 +110,8 @@ impl CloudBaseline {
         let model = M {
             base: self,
             dc: Datacenter::new(self.dc),
-            jobs: jobs.jobs().to_vec(),
+            jobs: jobs.jobs(),
+            next: 0,
             out: CloudOutcome {
                 edge_response_ms: Histogram::new(0.0, 60_000.0, 2_000),
                 edge_completed: Counter::new(),

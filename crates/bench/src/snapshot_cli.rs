@@ -62,8 +62,9 @@ fn warm_config(preset: &str, hours: i64) -> Result<PlatformConfig, String> {
 
 /// The canonical job stream every snapshot subcommand runs: the same
 /// map-serving edge workload `df3-experiments report` uses, derived
-/// from the preset seed. Resume and branch never need it (arrivals live
-/// in the snapshotted event queue) except to replay cold for `--check`.
+/// from the preset seed. Resume and branch never need it (the snapshot
+/// carries the arrivals not yet dispatched in its `arrivals` section)
+/// except to replay cold for `--check`.
 fn canonical_jobs(cfg: &PlatformConfig) -> JobStream {
     location_service_jobs(
         LocationServiceConfig::map_serving(Flow::EdgeIndirect),

@@ -43,6 +43,7 @@ use simcore::telemetry::{
 };
 use simcore::time::{SimDuration, SimTime};
 use simcore::RngStreams;
+use std::sync::Arc;
 use thermal::batch::ThermalBatch;
 use thermal::weather::{Weather, WeatherConfig, WeatherTable};
 use workloads::job::JobStream;
@@ -59,6 +60,9 @@ enum Venue {
 /// Events of the platform model.
 #[derive(Debug, Clone)]
 enum Ev {
+    /// A job from the run's stream. The engine takes arrivals from the
+    /// model's cursor and never queues them; only a run restored from a
+    /// version-2 snapshot still finds some in its decoded queue.
     Arrival(Job),
     FinishLocal {
         cluster: usize,
@@ -260,7 +264,9 @@ pub struct PlatformOutcome {
     pub stats: PlatformStats,
     pub events: u64,
     pub end: SimTime,
-    /// High-water mark of concurrently pending events in the engine.
+    /// High-water mark of concurrently queued events in the engine.
+    /// Arrivals stream in from the job stream and are not counted, so
+    /// this is the peak of the work in flight, not the trace length.
     pub peak_queue: usize,
     /// Flight recorder and phase profiler of the run (both empty and
     /// disabled unless the config turned telemetry on).
@@ -347,7 +353,8 @@ impl Platform {
         let mut engine = Engine::new(
             PlatformModel {
                 p: self,
-                jobs: jobs.jobs().to_vec(),
+                jobs: jobs.shared(),
+                next: 0,
             },
             horizon,
         );
@@ -360,9 +367,11 @@ impl Platform {
 
     /// Rebuild a paused run from `snapshot_bytes` taken under the SAME
     /// config (weather, fleet shape, policies, fault plan — everything
-    /// is fingerprint-checked). The job stream is not needed: every
-    /// pre-horizon arrival was scheduled at init and lives in the
-    /// snapshotted event queue.
+    /// is fingerprint-checked). The job stream is not needed: the
+    /// snapshot's `arrivals` section carries every pre-horizon arrival
+    /// not yet dispatched. A version-2 snapshot has no such section;
+    /// its arrivals live in the snapshotted event queue and replay from
+    /// there, in the order the run that wrote it would have used.
     pub fn restore(config: PlatformConfig, bytes: &[u8]) -> Result<PausedRun, SnapshotError> {
         Self::restore_impl(config, None, bytes)
     }
@@ -458,11 +467,13 @@ impl Platform {
         let mut r = file.section("platform")?;
         p.restore_state(&mut r)?;
         r.expect_end()?;
+        let arrivals = restore_arrivals(&file, now, SimTime::ZERO + p.config.horizon)?;
         let telemetry_on = p.config.telemetry.enabled;
         let mut engine = Engine::restored(
             PlatformModel {
                 p,
-                jobs: Vec::new(),
+                jobs: Arc::new(arrivals),
+                next: 0,
             },
             sched,
             events,
@@ -1299,6 +1310,44 @@ fn plan_fingerprint(plan: &FaultPlan) -> u64 {
     simcore::snapshot::fingerprint(format!("{plan:?}").as_bytes())
 }
 
+/// Decode the arrivals a snapshot still owes the run. A version-2
+/// snapshot has none to owe (its arrivals are in the engine queue), so
+/// an `arrivals` section there is as corrupt as a missing one in a
+/// current snapshot. The jobs must be valid, sorted by `(arrival, id)`
+/// and lie in `[now, horizon)`, as the engine's input merge requires.
+fn restore_arrivals(
+    file: &SnapshotFile,
+    now: SimTime,
+    horizon: SimTime,
+) -> Result<Vec<Job>, SnapshotError> {
+    if file.version() < simcore::snapshot::VERSION {
+        if file.section("arrivals").is_ok() {
+            return Err(SnapshotError::Corrupt(format!(
+                "version-{} snapshot carries an arrivals section",
+                file.version()
+            )));
+        }
+        return Ok(Vec::new());
+    }
+    let mut r = file.section("arrivals")?;
+    let arrivals = Vec::<Job>::decode(&mut r)?;
+    r.expect_end()?;
+    if let Some(e) = arrivals.iter().find_map(|j| j.validate().err()) {
+        return Err(SnapshotError::Corrupt(format!("arrivals: {e}")));
+    }
+    let sorted = arrivals
+        .windows(2)
+        .all(|w| (w[0].arrival, w[0].id) <= (w[1].arrival, w[1].id));
+    let in_range = arrivals.first().is_none_or(|j| j.arrival >= now)
+        && arrivals.last().is_none_or(|j| j.arrival < horizon);
+    if !sorted || !in_range {
+        return Err(SnapshotError::Corrupt(
+            "arrivals are out of order or outside [now, horizon)".into(),
+        ));
+    }
+    Ok(arrivals)
+}
+
 /// Close out a finished engine run into a [`PlatformOutcome`].
 fn finish_outcome(model: PlatformModel, summary: RunSummary) -> PlatformOutcome {
     let mut p = model.p;
@@ -1371,6 +1420,14 @@ impl PausedRun {
         let mut w = SnapshotWriter::new();
         p.snapshot_state(&mut w);
         file.add("platform", w);
+        // Laid out as a `Vec<Job>`, which is how restore decodes it.
+        let arrivals = self.engine.model().remaining_arrivals();
+        let mut w = SnapshotWriter::new();
+        w.put_u64(arrivals.len() as u64);
+        for job in arrivals {
+            job.encode(&mut w);
+        }
+        file.add("arrivals", w);
         file.to_bytes()
     }
 
@@ -1401,20 +1458,40 @@ simcore::impl_snapshot! {
 
 struct PlatformModel {
     p: Platform,
-    jobs: Vec<Job>,
+    /// The run's jobs, sorted by `(arrival, id)` and shared with the
+    /// caller's stream, and the index of the next one to arrive. The
+    /// engine merges them in ahead of its queue (see
+    /// [`Model::next_input`]), so arrivals are never queued.
+    jobs: Arc<Vec<Job>>,
+    next: usize,
+}
+
+impl PlatformModel {
+    /// The arrivals still owed before the horizon, as a snapshot
+    /// carries them.
+    fn remaining_arrivals(&self) -> &[Job] {
+        let horizon = SimTime::ZERO + self.p.config.horizon;
+        let rest = &self.jobs[self.next..];
+        &rest[..rest.partition_point(|j| j.arrival < horizon)]
+    }
 }
 
 impl Model for PlatformModel {
     type Event = Ev;
 
+    fn next_input(&self) -> Option<SimTime> {
+        self.jobs.get(self.next).map(|j| j.arrival)
+    }
+
+    fn take_input(&mut self) -> Ev {
+        let job = self.jobs[self.next];
+        self.next += 1;
+        Ev::Arrival(job)
+    }
+
     fn init(&mut self, sched: &mut Scheduler<Ev>) {
         if self.p.config.telemetry.enabled {
             sched.profiler = PhaseProfiler::enabled();
-        }
-        for job in &self.jobs {
-            if job.arrival < sched.horizon() {
-                sched.at(job.arrival, Ev::Arrival(*job));
-            }
         }
         sched.immediately(Ev::ControlTick);
         if self.p.config.faults.worker_churn.is_some() {
@@ -1979,8 +2056,8 @@ mod tests {
         let cold = Platform::new(cfg.clone()).run(&jobs);
         let paused = pause_at(cfg.clone(), &jobs, 2);
         let bytes = paused.snapshot_bytes();
-        // The restored run never sees the job stream: arrivals live in
-        // the snapshotted event queue.
+        // The restored run never sees the job stream: the arrivals not
+        // yet dispatched travel in the snapshot's `arrivals` section.
         let warm = Platform::restore(cfg, &bytes).expect("round trip").resume();
         assert_eq!(cold.events, warm.events);
         assert_eq!(stats_bytes(&cold.stats), stats_bytes(&warm.stats));

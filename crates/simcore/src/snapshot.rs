@@ -45,9 +45,10 @@ use std::fmt;
 /// File magic: identifies a DF3 snapshot container.
 pub const MAGIC: [u8; 8] = *b"DF3SNAP\0";
 
-/// Container format version. Bump on any layout change; decoders reject
-/// versions they do not understand instead of misparsing.
-pub const VERSION: u32 = 2;
+/// Container format version. Bump on any layout change. Decoders accept
+/// this version and the one before it ([`SnapshotFile::version`] says
+/// which was read) and reject every other instead of misparsing.
+pub const VERSION: u32 = 3;
 
 /// Upper bound on declared collection lengths, as a corruption guard:
 /// a flipped length byte must produce [`SnapshotError::Corrupt`], not an
@@ -62,7 +63,8 @@ pub enum SnapshotError {
     Truncated,
     /// The first 8 bytes are not the DF3 snapshot magic.
     BadMagic,
-    /// Unknown container version.
+    /// A container version this build cannot read (neither
+    /// [`VERSION`] nor `VERSION - 1`).
     BadVersion(u32),
     /// A section's payload does not match its recorded CRC-32.
     ChecksumMismatch { section: String },
@@ -79,7 +81,11 @@ impl fmt::Display for SnapshotError {
             SnapshotError::Truncated => write!(f, "snapshot truncated"),
             SnapshotError::BadMagic => write!(f, "not a DF3 snapshot (bad magic)"),
             SnapshotError::BadVersion(v) => {
-                write!(f, "unsupported snapshot version {v} (expected {VERSION})")
+                write!(
+                    f,
+                    "unsupported snapshot version {v} (this build reads {} and {VERSION})",
+                    VERSION - 1
+                )
             }
             SnapshotError::ChecksumMismatch { section } => {
                 write!(f, "section `{section}` failed its CRC-32 check")
@@ -595,14 +601,32 @@ impl Snapshot for ChaCha8Rng {
 // The section container.
 
 /// A named-section container: what actually goes on disk.
-#[derive(Debug, Default, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct SnapshotFile {
+    version: u32,
     sections: Vec<(String, Vec<u8>)>,
 }
 
+impl Default for SnapshotFile {
+    fn default() -> Self {
+        SnapshotFile {
+            version: VERSION,
+            sections: Vec::new(),
+        }
+    }
+}
+
 impl SnapshotFile {
+    /// An empty container of the current [`VERSION`].
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The container version: [`VERSION`] for a new file, or whichever
+    /// readable version [`SnapshotFile::from_bytes`] found. Callers
+    /// whose section layout differs between versions branch on it.
+    pub fn version(&self) -> u32 {
+        self.version
     }
 
     /// Append a section. Names should be unique; [`SnapshotFile::section`]
@@ -630,7 +654,7 @@ impl SnapshotFile {
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = SnapshotWriter::new();
         w.put_bytes(&MAGIC);
-        w.put_u32(VERSION);
+        w.put_u32(self.version);
         w.put_u32(self.sections.len() as u32);
         for (name, payload) in &self.sections {
             w.put_str(name);
@@ -641,8 +665,9 @@ impl SnapshotFile {
         w.into_bytes()
     }
 
-    /// Parse and verify a container. Magic, version, and every section
-    /// CRC are checked here; malformed input errors, never panics.
+    /// Parse and verify a container. Magic, version (`VERSION` or
+    /// `VERSION - 1`), and every section CRC are checked here;
+    /// malformed input errors, never panics.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
         let mut r = SnapshotReader::new(bytes);
         let magic = r.take_bytes(MAGIC.len()).map_err(|_| {
@@ -658,7 +683,7 @@ impl SnapshotFile {
             return Err(SnapshotError::BadMagic);
         }
         let version = r.take_u32()?;
-        if version != VERSION {
+        if version != VERSION && version != VERSION - 1 {
             return Err(SnapshotError::BadVersion(version));
         }
         let count = r.take_u32()?;
@@ -677,7 +702,7 @@ impl SnapshotFile {
             sections.push((name, payload.to_vec()));
         }
         r.expect_end()?;
-        Ok(SnapshotFile { sections })
+        Ok(SnapshotFile { version, sections })
     }
 }
 
@@ -867,7 +892,15 @@ mod tests {
             Err(SnapshotError::BadMagic)
         );
         assert_eq!(SnapshotFile::from_bytes(b""), Err(SnapshotError::BadMagic));
-        for version in [1, 99] {
+        for version in [VERSION - 1, VERSION] {
+            let mut bytes = sample_file().to_bytes();
+            bytes[8..12].copy_from_slice(&version.to_le_bytes());
+            let f = SnapshotFile::from_bytes(&bytes).expect("readable version");
+            assert_eq!(f.version(), version);
+            // Writing it back keeps the version it was read with.
+            assert_eq!(f.to_bytes(), bytes);
+        }
+        for version in [1, VERSION as u8 + 1, 99] {
             let mut bytes = sample_file().to_bytes();
             bytes[8] = version; // version field
             assert_eq!(

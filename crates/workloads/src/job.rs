@@ -6,6 +6,7 @@
 //! directly computable.
 
 use simcore::time::{SimDuration, SimTime};
+use std::sync::Arc;
 
 /// Job identifier, unique within a generated stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -96,10 +97,13 @@ simcore::impl_snapshot! {
     Job { id, flow, arrival, work_gops, cores, deadline, input_bytes, output_bytes, org }
 }
 
-/// A generated stream of jobs, sorted by arrival.
+/// A generated stream of jobs, sorted by `(arrival, id)`.
+///
+/// The jobs sit behind an [`Arc`], so cloning a stream, or handing it
+/// to a simulation run through [`JobStream::shared`], copies no job.
 #[derive(Debug, Clone, Default)]
 pub struct JobStream {
-    jobs: Vec<Job>,
+    jobs: Arc<Vec<Job>>,
 }
 
 impl JobStream {
@@ -110,11 +114,18 @@ impl JobStream {
             }
         }
         jobs.sort_by_key(|j| (j.arrival, j.id));
-        JobStream { jobs }
+        JobStream {
+            jobs: Arc::new(jobs),
+        }
     }
 
     pub fn jobs(&self) -> &[Job] {
         &self.jobs
+    }
+
+    /// The sorted jobs themselves, shared rather than copied.
+    pub fn shared(&self) -> Arc<Vec<Job>> {
+        Arc::clone(&self.jobs)
     }
 
     pub fn len(&self) -> usize {
@@ -134,11 +145,15 @@ impl JobStream {
         self.jobs.iter().map(|j| j.work_gops).sum()
     }
 
-    /// Merge two streams (stable by arrival, then id).
-    pub fn merge(mut self, other: JobStream) -> JobStream {
-        self.jobs.extend(other.jobs);
-        self.jobs.sort_by_key(|j| (j.arrival, j.id));
-        JobStream { jobs: self.jobs }
+    /// Merge two streams (stable by arrival, then id). Reuses `self`'s
+    /// jobs in place unless another handle still shares them.
+    pub fn merge(self, other: JobStream) -> JobStream {
+        let mut jobs = Arc::unwrap_or_clone(self.jobs);
+        jobs.extend_from_slice(&other.jobs);
+        jobs.sort_by_key(|j| (j.arrival, j.id));
+        JobStream {
+            jobs: Arc::new(jobs),
+        }
     }
 
     /// Jobs arriving within `[from, to)`.
@@ -200,6 +215,19 @@ mod tests {
         let ids: Vec<u64> = m.iter().map(|j| j.id.0).collect();
         assert_eq!(ids, vec![1, 3, 2]);
         assert!((m.total_work_gops() - 300.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn shared_streams_hold_one_copy_of_the_jobs() {
+        let s = JobStream::new(vec![job(2, 50), job(1, 10)]);
+        let shared = s.shared();
+        let cloned = s.clone();
+        assert!(std::ptr::eq(shared.as_slice(), s.jobs()));
+        assert!(std::ptr::eq(cloned.jobs(), s.jobs()));
+        // Merging a shared stream leaves the other handles untouched.
+        let merged = cloned.merge(JobStream::new(vec![job(3, 30)]));
+        assert_eq!(merged.len(), 3);
+        assert_eq!(shared.len(), 2);
     }
 
     #[test]
