@@ -110,7 +110,9 @@ impl<'a> RunReport<'a> {
     }
 
     /// The JSONL run report (one JSON object per line, stable key
-    /// order). Validated line by line by the exporter tests.
+    /// order). Validated line by line by the exporter tests. The meta
+    /// line's `peak_queue` is [`PlatformOutcome::peak_queue`]: queued
+    /// events only, not the arrivals still in the job stream.
     pub fn jsonl(&self, opts: &ExportOptions) -> String {
         let mut out = String::new();
         let c = self.config;
