@@ -297,6 +297,42 @@ fn v2_fixture_restores_to_its_pinned_outcome() {
     assert!(prom == cp, "Prometheus snapshot diverged from a cold run");
 }
 
+/// The checked-in version-3 snapshot, written by the same command as
+/// the v2 fixture. It still carries the `registry` section that later
+/// writers dropped.
+const V3_FIXTURE: &[u8] = include_bytes!("fixtures/small_winter_v3.df3snap");
+
+/// A v3 snapshot, written by the version that first pinned it, must
+/// keep restoring and continue to the exact result it gave then. Its
+/// arrivals travel in its `arrivals` section, so unlike the v2 fixture
+/// it matches a cold run on all three exports, JSONL meta line
+/// included. The pinned values must never be edited to make a change
+/// pass.
+#[test]
+fn v3_fixture_restores_to_its_pinned_outcome() {
+    let bytes = V3_FIXTURE;
+    let file = SnapshotFile::from_bytes(bytes).unwrap();
+    assert_eq!(file.version(), 3);
+    assert!(file.names().any(|name| name == "registry"));
+    let cfg = fixture_config();
+    let warm = Platform::restore(cfg.clone(), bytes)
+        .expect("the v3 fixture restores")
+        .resume();
+    let (stats, jsonl, trace, prom) = observable(&cfg, &warm);
+    assert_eq!(
+        (fingerprint(&stats), warm.events),
+        (0x80bf_9b0a_b564_e221, 5190)
+    );
+
+    let cold = Platform::new(cfg.clone()).run(&jobs(&cfg));
+    let (cs, cj, ct, cp) = observable(&cfg, &cold);
+    assert_eq!(warm.events, cold.events);
+    assert!(stats == cs, "stats block diverged from a cold run");
+    assert!(jsonl == cj, "JSONL report diverged from a cold run");
+    assert!(trace == ct, "Chrome trace diverged from a cold run");
+    assert!(prom == cp, "Prometheus snapshot diverged from a cold run");
+}
+
 /// `bytes` with its container version word replaced. The version has no
 /// checksum of its own, and 3 → 2 is a single bit flip.
 fn with_version(bytes: &[u8], version: u32) -> Vec<u8> {
