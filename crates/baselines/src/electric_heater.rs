@@ -1,6 +1,6 @@
 //! The plain electric resistance heater — Figure 4's comfort baseline.
 //!
-//! §III-A: "as shown in [7], with DF servers, we can reach the same
+//! §III-A: "as shown in \[7\], with DF servers, we can reach the same
 //! level of comfort than with other heating systems." To check that,
 //! we need the other heating system: a resistive convector driven by a
 //! hysteresis thermostat. Experiment E1 runs this side by side with the

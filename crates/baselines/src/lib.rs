@@ -1,7 +1,7 @@
 //! # baselines — the comparator systems of §V
 //!
 //! "There exist alternatives to DF servers for edge computing":
-//! micro-datacenters (Schneider, ref [23]), classical clusters, private
+//! micro-datacenters (Schneider, ref \[23\]), classical clusters, private
 //! clouds, CDN infrastructure — plus the two systems the paper compares
 //! against throughout: the remote **cloud datacenter** and the
 //! **opportunistic desktop grid** of refs [3, 5]. And, for the comfort

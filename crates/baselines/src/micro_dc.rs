@@ -1,4 +1,4 @@
-//! Micro-datacenters (Schneider white paper, ref [23]).
+//! Micro-datacenters (Schneider white paper, ref \[23\]).
 //!
 //! Racks distributed in the city: metro-level latency (better than the
 //! cloud, slightly worse than in-building), air-cooled with small-scale
@@ -25,7 +25,7 @@ pub struct MicroDatacenter {
 }
 
 impl MicroDatacenter {
-    /// A 10 kW street cabinet per ref [23]: ~320 cores, PUE 1.3, 4 ms metro.
+    /// A 10 kW street cabinet per ref \[23\]: ~320 cores, PUE 1.3, 4 ms metro.
     pub fn street_cabinet() -> Self {
         MicroDatacenter {
             cores: 320,

@@ -2,7 +2,7 @@
 //!
 //! The worry: "a broad deployment of DF servers could create or
 //! increase the intensity of urban heat island", like air conditioners
-//! [10] and always-hot boilers. The defence: on-demand heat ("the heat
+//! \[10\] and always-hot boilers. The defence: on-demand heat ("the heat
 //! is only produced according to comfort constraints") minimises waste.
 //! Three district scenarios on the same 32×32 grid:
 //!

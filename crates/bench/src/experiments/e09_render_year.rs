@@ -2,7 +2,7 @@
 //!
 //! Paper numbers: "the Qarnot rendering platform … had 1100 users that
 //! rendered 600,000 images for 11,000,000 hours of computations",
-//! against a French DF park "not exceed[ing] 30,000 cores". We replay a
+//! against a French DF park "not exceed\[ing\] 30,000 cores". We replay a
 //! scaled rendering year through the platform and check the fleet can
 //! carry it: utilisation, completion rate, and the implied full-scale
 //! feasibility.

@@ -1,4 +1,4 @@
-//! **E11 — in-situ audio alarm detection** (§III-B, ref [11]).
+//! **E11 — in-situ audio alarm detection** (§III-B, ref \[11\]).
 //!
 //! "Near real-time applications for audio alarm detection (alarm
 //! sound, fall detection, etc.) could be operated on digital heaters."

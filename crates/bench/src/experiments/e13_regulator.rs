@@ -1,4 +1,4 @@
-//! **E13 — the DVFS heat regulator** (§III-B, ref [17]).
+//! **E13 — the DVFS heat regulator** (§III-B, ref \[17\]).
 //!
 //! Two curves: (a) heat-tracking — produced heat vs requested heat
 //! across the demand range (the regulator's §III-B guarantee); and

@@ -1,6 +1,6 @@
 //! # bench — the experiment harness
 //!
-//! One module per experiment of `DESIGN.md`'s index (E1–E14). Each
+//! One module per experiment of `DESIGN.md`'s index (E1–E20). Each
 //! module exposes a `run(scale)`-style entry returning both a rendered
 //! [`simcore::report::Table`] (what `df3-experiments` prints and
 //! `EXPERIMENTS.md` records) and a typed result struct that the

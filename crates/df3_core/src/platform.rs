@@ -446,10 +446,6 @@ impl Platform {
         let mut r = file.section("rng")?;
         p.streams = simcore::RngStreams::decode(&mut r)?;
         r.expect_end()?;
-        let mut r = file.section("registry")?;
-        let names = Vec::<String>::decode(&mut r)?;
-        r.expect_end()?;
-        simcore::metrics::reintern_names(&names);
         let mut r = file.section("telemetry")?;
         p.telemetry.recorder = FlightRecorder::decode(&mut r)?;
         r.expect_end()?;
@@ -1408,9 +1404,6 @@ impl PausedRun {
         let mut w = SnapshotWriter::new();
         p.streams.encode(&mut w);
         file.add("rng", w);
-        let mut w = SnapshotWriter::new();
-        simcore::metrics::registry_names().encode(&mut w);
-        file.add("registry", w);
         let mut w = SnapshotWriter::new();
         p.telemetry.recorder.encode(&mut w);
         file.add("telemetry", w);

@@ -80,7 +80,7 @@ pub struct PlatformStats {
     pub room_temp_c: TimeSeries,
     /// Usable DF cores at each control tick (heat-driven capacity).
     pub usable_cores: TimeSeries,
-    /// Aggregate heat demand at each tick (mean demand in [0,1]).
+    /// Aggregate heat demand at each tick (mean demand in \[0,1\]).
     pub heat_demand: TimeSeries,
     /// Per-organisation served work, Gop.
     pub org_served_gops: BTreeMap<u32, f64>,

@@ -76,6 +76,6 @@ fn work_counters_are_pinned() {
             .with_recovery(RecoveryPolicy::standard()),
         true,
     ));
-    assert_eq!(quiet, (5920, 146, 11770, 244_587));
-    assert_eq!(faulted, (5920, 188, 13631, 493_082));
+    assert_eq!(quiet, (5920, 146, 11770, 244_551));
+    assert_eq!(faulted, (5920, 188, 13631, 493_046));
 }

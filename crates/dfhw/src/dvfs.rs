@@ -7,7 +7,7 @@
 //! `P = C·V²·f` law plus static leakage, and throughput scales with
 //! frequency. Because voltage must rise with frequency, energy-per-op
 //! grows at the top of the ladder — the "laws of diminishing returns"
-//! of Le Sueur & Heiser [17], reproduced by experiment E13.
+//! of Le Sueur & Heiser \[17\], reproduced by experiment E13.
 
 /// One P-state: an operating point of the CPU.
 #[derive(Debug, Clone, Copy, PartialEq)]

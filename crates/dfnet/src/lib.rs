@@ -17,10 +17,6 @@
 //!   (1 % duty cycle, 140 messages/day) — the constraint that makes
 //!   "ship the raw audio to the cloud" impossible and local edge
 //!   processing necessary.
-//! - [`topology`]: a typed network graph (device / DF server / gateway /
-//!   master / datacenter) with shortest-latency routing.
-//! - [`segmentation`]: the §III-B isolation model — edge and DCC
-//!   segments, and the VPN overlay of architecture class B.
 //! - [`collective`]: allreduce/BSP cost models quantifying the
 //!   conclusion's claim that tightly-coupled applications scale poorly
 //!   across homes.
@@ -28,14 +24,8 @@
 pub mod collective;
 pub mod link;
 pub mod lowpower;
-pub mod message;
 pub mod protocol;
-pub mod segmentation;
-pub mod topology;
 
 pub use link::Link;
 pub use lowpower::DutyCycleBudget;
-pub use message::ReassembleError;
 pub use protocol::Protocol;
-pub use segmentation::{Segment, SegmentPolicy};
-pub use topology::{NodeId, NodeKind, RouteError, Topology};

@@ -1,44 +1,32 @@
-//! # sched — scheduling, clustering, offloading, fairness
+//! # sched — scheduling, offloading, fairness
 //!
 //! The decision-making substrate of the DF3 platform. §III-B poses the
-//! scheduling questions — how to cluster DF servers under gateways, how
-//! to order edge and DCC work, when to preempt, when to offload
-//! vertically (to the datacenter) or horizontally (to a sibling
-//! cluster), and how to keep cooperation between organisations fair
-//! (ref [16]). Each is a module here, consumed by `df3_core::platform`:
+//! scheduling questions — how to order edge and DCC work, when to
+//! preempt, when to offload vertically (to the datacenter) or
+//! horizontally (to a sibling cluster), and how to keep cooperation
+//! between organisations fair (ref \[16\]). Each is a module here:
 //!
-//! - [`cluster`]: cluster formation — by building, or WSN-style k-means
-//!   over server coordinates (ref [13]).
 //! - [`queue`]: ready-queue disciplines — FIFO, EDF (edge deadlines),
 //!   SJF.
-//! - [`list`]: offline list scheduling (LPT) for rigid parallel tasks
-//!   (ref [14]), used as the fairness experiments' building block.
 //! - [`preempt`]: victim selection for preempting moldable DCC work
 //!   when an edge request finds the cluster full.
 //! - [`offload`]: the peak-management policy of §III-B — preempt /
 //!   vertical offload / horizontal offload / delay — as a pluggable
 //!   decision procedure.
-//! - [`fairness`]: multi-organisation cooperation (ref [16]): Jain's
-//!   index, per-org accounting, and the "no org worse off than alone"
-//!   cooperation check.
-//! - [`decision`]: the local-vs-remote placement scorer §III-A calls
-//!   "a decision system that states what to do locally and remotely".
+//! - [`fairness`]: Jain's fairness index over shared service
+//!   (ref \[16\]).
 //! - [`admission`]: utilisation-threshold admission control protecting
 //!   edge latency guarantees.
 //! - [`retry`]: per-job retry budgets with exponential backoff and
 //!   flapping-worker quarantine (the fault layer's recovery policy).
 
 pub mod admission;
-pub mod cluster;
-pub mod decision;
 pub mod fairness;
-pub mod list;
 pub mod offload;
 pub mod preempt;
 pub mod queue;
 pub mod retry;
 
-pub use decision::{Placement, PlacementScorer};
 pub use offload::{ClusterLoad, PeakAction, PeakPolicy};
 pub use queue::{Discipline, ReadyQueue};
 pub use retry::{FlapTracker, QuarantinePolicy, RetryPolicy};

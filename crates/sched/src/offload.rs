@@ -5,7 +5,7 @@
 //! (bounded by cluster size), **vertical offloading** "towards
 //! datacenter nodes", **horizontal offloading** "towards another
 //! cluster of DF servers" (which "raises questions about the fairness
-//! of cooperation between clusters [16]"), or "not to scale but to
+//! of cooperation between clusters \[16\]"), or "not to scale but to
 //! delay the processing". [`PeakPolicy`] encodes a strategy; the
 //! platform consults it whenever placement fails.
 
@@ -77,7 +77,7 @@ pub enum PeakPolicy {
     VerticalFirst,
     /// Offload to the least-loaded sibling if it has room; fall back to
     /// vertical offload. `max_sibling_util` guards against dumping work
-    /// on an equally-stressed neighbour (the ref [16] fairness concern).
+    /// on an equally-stressed neighbour (the ref \[16\] fairness concern).
     HorizontalFirst { max_sibling_util: f64 },
     /// Preempt for edge, vertical for DCC — the hybrid §III-A sketches.
     Hybrid,

@@ -1,7 +1,7 @@
 //! Preemption victim selection.
 //!
 //! §III-B: when the cluster is full and an edge request arrives, "the
-//! first [solution] is to use preemption [14] to reschedule some DCC
+//! first \[solution\] is to use preemption \[14\] to reschedule some DCC
 //! requests." Edge jobs never get preempted (they hold the real-time
 //! guarantee); DCC jobs are chosen as victims by a pluggable criterion.
 

@@ -7,19 +7,16 @@
 //!   helpers (the paper's arguments are seasonal, so month arithmetic is
 //!   first-class).
 //! - [`event`]: a deterministic future-event list (stable FIFO tie-break).
-//! - [`engine`]: the [`Engine`](engine::Engine) driving a user [`Model`](engine::Model).
+//! - [`engine`]: the [`Engine`] driving a user [`Model`].
 //! - [`rng`]: named, seed-derived random streams so adding a stream never
 //!   perturbs existing ones (common random numbers across experiments).
 //! - [`dist`]: distribution samplers (exponential, normal, Poisson, …)
 //!   implemented locally so results are reproducible bit-for-bit.
 //! - [`metrics`]: counters, histograms, time-weighted gauges, percentile
 //!   estimation, Welford summaries.
-//! - [`runner`]: rayon-parallel Monte-Carlo replication with confidence
-//!   intervals (the only place threads are used; each replication is an
-//!   independent, deterministic simulation).
 //! - [`report`]: plain-text table rendering used by the experiment harness.
 //! - [`snapshot`]: versioned, checksummed checkpoint codec — the
-//!   [`Snapshot`](snapshot::Snapshot) trait plus the `DF3SNAP` section
+//!   [`Snapshot`] trait plus the `DF3SNAP` section
 //!   container behind deterministic checkpoint/restore and
 //!   branch-from-snapshot sweeps.
 //! - [`telemetry`]: the flight recorder (interned tags, typed fields,
@@ -40,11 +37,9 @@ pub mod event;
 pub mod metrics;
 pub mod report;
 pub mod rng;
-pub mod runner;
 pub mod snapshot;
 pub mod telemetry;
 pub mod time;
-pub mod trace;
 
 pub use engine::{Engine, Model, Scheduler};
 pub use event::{EventQueue, SlabEventQueue};

@@ -8,19 +8,15 @@
 //!   (queue lengths, power draw, temperature).
 //! - [`TimeSeries`]: (t, v) recording with per-month aggregation —
 //!   Figure 4 of the paper is a monthly mean of a `TimeSeries`.
-//! - [`MetricId`]: process-global metric-name interner backing the dense
-//!   [`MetricRow`](crate::runner::MetricRow) representation.
 
 mod counter;
 mod histogram;
-mod registry;
 mod summary;
 mod timeseries;
 mod timeweighted;
 
 pub use counter::Counter;
 pub use histogram::Histogram;
-pub use registry::{registry_len, registry_names, reintern_names, MetricId};
 pub use summary::Summary;
 pub use timeseries::{MonthlyAggregate, TimeSeries};
 pub use timeweighted::TimeWeighted;

@@ -113,15 +113,6 @@ impl Summary {
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
-
-    /// Half-width of the ~95 % confidence interval of the mean
-    /// (normal approximation; fine for the replication counts we use).
-    pub fn ci95_halfwidth(&self) -> f64 {
-        if self.n < 2 {
-            return 0.0;
-        }
-        1.96 * (self.sample_variance() / self.n as f64).sqrt()
-    }
 }
 
 crate::impl_snapshot! {
@@ -195,19 +186,6 @@ mod tests {
         e.merge(&before);
         assert_eq!(e.count(), 2);
         assert!((e.mean() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ci_shrinks_with_n() {
-        let mut small = Summary::new();
-        let mut large = Summary::new();
-        for i in 0..10 {
-            small.observe(i as f64);
-        }
-        for i in 0..10_000 {
-            large.observe((i % 10) as f64);
-        }
-        assert!(large.ci95_halfwidth() < small.ci95_halfwidth());
     }
 
     #[test]

@@ -120,11 +120,6 @@ pub fn f3(x: f64) -> String {
     format!("{x:.3}")
 }
 
-/// Format `mean ± ci` for a replicated metric.
-pub fn pm(mean: f64, ci: f64) -> String {
-    format!("{mean:.2} ± {ci:.2}")
-}
-
 /// Format a ratio as a percentage.
 pub fn pct(x: f64) -> String {
     format!("{:.1}%", x * 100.0)
@@ -163,7 +158,6 @@ mod tests {
     fn formatting_helpers() {
         assert_eq!(f2(1.005), "1.00"); // default float formatting (banker-ish rounding of repr)
         assert_eq!(f3(2.0), "2.000");
-        assert_eq!(pm(10.0, 0.5), "10.00 ± 0.50");
         assert_eq!(pct(0.125), "12.5%");
     }
 

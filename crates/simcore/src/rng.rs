@@ -72,8 +72,9 @@ impl RngStreams {
         ChaCha8Rng::from_seed(seed)
     }
 
-    /// Derive a sub-factory for replication `rep` — used by the runner so
-    /// each Monte-Carlo replication gets an independent seed universe.
+    /// Derive a sub-factory for replication `rep` with an independent
+    /// seed universe. `df3-experiments branch` seeds each branch of a
+    /// sweep this way.
     pub fn replication(&self, rep: u64) -> RngStreams {
         let mut x = self.master ^ rep.wrapping_mul(0xA24BAED4963EE407).wrapping_add(0x9E6D);
         x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);

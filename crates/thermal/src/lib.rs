@@ -18,8 +18,6 @@
 //! - [`thermostat`]: hysteresis and modulating thermostats with day /
 //!   night setback schedules; these emit the paper's *heating request*
 //!   flow.
-//! - [`building`]: multi-room buildings and the *collaborative* heating
-//!   requests of §II-C (target the mean temperature of an apartment).
 //! - [`comfort`]: comfort metrics (time-in-band, degree-hour deficit)
 //!   used to reproduce Figure 4.
 //! - [`uhi`]: a 2-D urban district grid for the urban-heat-island
@@ -28,7 +26,6 @@
 //!   demand (thermosensitivity), consumed by the `predict` crate.
 
 pub mod batch;
-pub mod building;
 pub mod comfort;
 pub mod demand;
 pub mod hotwater;
@@ -38,7 +35,6 @@ pub mod uhi;
 pub mod weather;
 
 pub use batch::ThermalBatch;
-pub use building::{Building, CollaborativeTarget};
 pub use comfort::ComfortStats;
 pub use room::{Room, RoomParams};
 pub use thermostat::{HysteresisThermostat, ModulatingThermostat, SetpointSchedule};

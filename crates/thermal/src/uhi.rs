@@ -2,7 +2,7 @@
 //!
 //! The paper's urban-integration worry: "a broad deployment of DF servers
 //! could create or increase the intensity of urban heat island", citing
-//! air-conditioner exhaust [10] and always-hot boilers. The counter-
+//! air-conditioner exhaust \[10\] and always-hot boilers. The counter-
 //! argument is that *on-demand* heat delivery ("the heat is only produced
 //! according to comfort constraints") minimises waste heat.
 //!
@@ -25,7 +25,7 @@
 //!
 //! The solver is forward-Euler with a stability guard; the UHI intensity
 //! is the mean anomaly over urban cells — the quantity the statistics
-//! of Zhou et al. [9] describe.
+//! of Zhou et al. \[9\] describe.
 
 use simcore::time::SimDuration;
 

@@ -1,6 +1,6 @@
-//! The in-situ audio alarm-detection pipeline (Durand et al. [11]).
+//! The in-situ audio alarm-detection pipeline (Durand et al. \[11\]).
 //!
-//! §III-B: "in [11], it is shown that near real-time applications for
+//! §III-B: "in \[11\], it is shown that near real-time applications for
 //! audio alarm detection (alarm sound, fall detection, etc.) could be
 //! operated on digital heaters." The pipeline is:
 //!

@@ -4,7 +4,7 @@
 //! Liu et al.'s second data-furnace application class — the one the
 //! paper says is "representative of the scope of applications targeted
 //! in Edge computing" — is "low-bandwidth neighborhood applications
-//! [including] location-based services such as map serving, traffic
+//! \[including\] location-based services such as map serving, traffic
 //! estimation, local navigation" (§II-A). §III-B adds the
 //! sense-compute-actuate paradigm "that implies to frequently collect
 //! data".

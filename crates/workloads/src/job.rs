@@ -40,7 +40,7 @@ pub struct Job {
     pub input_bytes: usize,
     /// Response payload, bytes (server → device).
     pub output_bytes: usize,
-    /// Owning organisation / user group (fairness accounting, ref [16]).
+    /// Owning organisation / user group (fairness accounting, ref \[16\]).
     pub org: u32,
 }
 

@@ -3,10 +3,11 @@
 //! §II-C defines the DF3 processing model as three request flows:
 //! *heating requests*, *Internet computing requests* (DCC), and *local
 //! computing requests* (edge, direct or indirect). This crate generates
-//! all of them, plus the concrete application workloads the paper
+//! the two computing flows (`thermal`'s thermostats issue the heating
+//! requests), plus the concrete application workloads the paper
 //! motivates:
 //!
-//! - [`job`]: the common [`Job`](job::Job) currency (work in giga-ops,
+//! - [`job`]: the common [`Job`] currency (work in giga-ops,
 //!   rigid core count, optional deadline, payload sizes, organisation).
 //! - [`arrival`]: Poisson and non-homogeneous arrival processes
 //!   (thinning), business-hour and seasonal modulation.
@@ -17,8 +18,7 @@
 //! - [`edge`]: location-based services (map serving, traffic
 //!   estimation) and sense-compute-actuate loops.
 //! - [`alarm`]: the in-situ audio alarm-detection pipeline of Durand
-//!   et al. [11] (experiment E11).
-//! - [`heating`]: thermostat-driven heating request streams.
+//!   et al. \[11\] (experiment E11).
 //! - [`peak`]: peak injection (§III-B's "management of requests peak").
 //! - [`traces`]: CSV export/import of job streams.
 
@@ -26,7 +26,6 @@ pub mod alarm;
 pub mod arrival;
 pub mod dcc;
 pub mod edge;
-pub mod heating;
 pub mod job;
 pub mod peak;
 pub mod render;
