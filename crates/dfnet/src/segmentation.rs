@@ -4,7 +4,7 @@
 //! implementation, it is important to formulate a good resource sharing
 //! and network segmentation model." §III-B: "to guarantee the privacy of
 //! edge data, it is preferable to have two local networks, one for edge
-//! and one for DCC", and architecture class B "put[s] the dedicated edge
+//! and one for DCC", and architecture class B "put\[s\] the dedicated edge
 //! servers in a (virtual) private network".
 //!
 //! [`SegmentPolicy`] is that model: nodes are assigned to segments, a

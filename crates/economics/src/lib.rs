@@ -14,9 +14,12 @@
 //!   resistive electric heater.
 //! - [`sla`]: availability/deadline SLOs with penalty accounting,
 //!   including seasonal capacity commitments.
+//! - [`compare`]: total-cost-of-compute comparison between a DF fleet
+//!   (capex reuses buildings, no cooling) and a classical datacenter.
 //! - [`mining`]: crypto-heater unit economics (§II-B.3/§IV): mining
 //!   revenue plus the displaced-heating credit.
 
+pub mod compare;
 pub mod compensation;
 pub mod mining;
 pub mod pricing;

@@ -1,6 +1,6 @@
 //! Offline list scheduling of sequential tasks (LPT).
 //!
-//! Ref [14] (Dutot, Mounié, Trystram — scheduling parallel tasks) is
+//! Ref \[14\] (Dutot, Mounié, Trystram — scheduling parallel tasks) is
 //! the paper's pointer for preemption/rescheduling theory; here we
 //! implement the classic Longest-Processing-Time list rule on identical
 //! machines, which the fairness module uses as its makespan engine.

@@ -141,6 +141,10 @@ impl SimDuration {
         SimDuration(h * Self::HOUR.0)
     }
 
+    pub fn from_hours_f64(h: f64) -> Self {
+        Self::from_secs_f64(h * 3600.0)
+    }
+
     pub fn from_days(d: i64) -> Self {
         SimDuration(d * Self::DAY.0)
     }

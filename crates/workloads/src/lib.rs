@@ -3,8 +3,7 @@
 //! §II-C defines the DF3 processing model as three request flows:
 //! *heating requests*, *Internet computing requests* (DCC), and *local
 //! computing requests* (edge, direct or indirect). This crate generates
-//! the two computing flows (`thermal`'s thermostats issue the heating
-//! requests), plus the concrete application workloads the paper
+//! all of them, plus the concrete application workloads the paper
 //! motivates:
 //!
 //! - [`job`]: the common [`Job`] currency (work in giga-ops,
@@ -19,6 +18,7 @@
 //!   estimation) and sense-compute-actuate loops.
 //! - [`alarm`]: the in-situ audio alarm-detection pipeline of Durand
 //!   et al. \[11\] (experiment E11).
+//! - [`heating`]: thermostat-driven heating request streams.
 //! - [`peak`]: peak injection (§III-B's "management of requests peak").
 //! - [`traces`]: CSV export/import of job streams.
 
@@ -26,6 +26,7 @@ pub mod alarm;
 pub mod arrival;
 pub mod dcc;
 pub mod edge;
+pub mod heating;
 pub mod job;
 pub mod peak;
 pub mod render;
