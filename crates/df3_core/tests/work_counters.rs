@@ -1,24 +1,72 @@
 //! Exact work counters of the two golden snapshot configs (the ones
 //! `snapshot_roundtrip.rs` pins section by section): the engine's peak
-//! queue depth and event count over a full 6 h run, and the byte length
-//! of the snapshot taken at 3 h.
+//! queue depth and event count over a full 6 h run, the byte length of
+//! the snapshot taken at 3 h, and the heap allocations of the run.
 //!
 //! Wall time on a shared host is too noisy to gate; these counters are
 //! exact. The peak queue depth is the one that matters most: arrivals
 //! stream into the engine from the job stream, so the queue holds only
 //! the work in flight. Scheduling the stream into the queue again would
 //! lift it to the number of jobs (and the snapshot with it), and fail
-//! here.
+//! here. The allocation pin guards the hot path (events, placement,
+//! control ticks): one allocation per event or per tick would add
+//! thousands to the run's count.
 
 use df3_core::{
     FaultPlan, Platform, PlatformConfig, RecoveryPolicy, RunTo, SensorFaultKind, Window,
 };
 use simcore::time::{SimDuration, SimTime};
 use simcore::RngStreams;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use workloads::dcc::{boinc_jobs, finance_jobs, BoincConfig, FinanceConfig};
 use workloads::edge::{location_service_jobs, LocationServiceConfig};
 use workloads::job::JobStream;
 use workloads::Flow;
+
+/// The system allocator, counting each thread's allocations so one test
+/// can measure its own calls while the others run on their threads.
+struct Counting;
+
+thread_local! {
+    /// `(allocations, bytes)` requested on this thread so far.
+    static ALLOCATED: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
+
+/// Count one allocation or reallocation of `bytes`. `try_with` because
+/// the allocator also runs while a thread's locals are torn down.
+fn count(bytes: usize) {
+    let _ = ALLOCATED.try_with(|c| {
+        let (n, b) = c.get();
+        c.set((n + 1, b + bytes as u64));
+    });
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, so
+// `System`'s guarantees are this allocator's; counting allocates nothing.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
 
 /// A 6 h `small_winter` config under `plan`.
 fn config(plan: FaultPlan, telemetry: bool) -> PlatformConfig {
@@ -64,10 +112,24 @@ fn counters(cfg: PlatformConfig) -> (usize, usize, u64, usize) {
     (js.len(), out.peak_queue, out.events, snapshot.len())
 }
 
-#[test]
-fn work_counters_are_pinned() {
-    let quiet = counters(config(FaultPlan::none(), false));
-    let faulted = counters(config(
+/// `(allocations, bytes)` requested by `Platform::run` alone: the
+/// platform and the job stream are built before counting starts.
+fn run_allocations(cfg: PlatformConfig) -> (u64, u64) {
+    let js = jobs(&cfg);
+    let platform = Platform::new(cfg);
+    let before = ALLOCATED.with(Cell::get);
+    let out = platform.run(&js);
+    let after = ALLOCATED.with(Cell::get);
+    drop(out);
+    (after.0 - before.0, after.1 - before.1)
+}
+
+fn quiet() -> PlatformConfig {
+    config(FaultPlan::none(), false)
+}
+
+fn faulted() -> PlatformConfig {
+    config(
         FaultPlan::none()
             .with_churn(SimDuration::from_hours(4), SimDuration::from_secs(1_800))
             .with_cluster_outage(1, Window::from_hours(1, 2))
@@ -75,7 +137,17 @@ fn work_counters_are_pinned() {
             .with_sensor_fault(2, None, Window::from_hours(1, 4), SensorFaultKind::Dropout)
             .with_recovery(RecoveryPolicy::standard()),
         true,
-    ));
-    assert_eq!(quiet, (5920, 146, 11770, 244_551));
-    assert_eq!(faulted, (5920, 188, 13631, 493_046));
+    )
+}
+
+#[test]
+fn work_counters_are_pinned() {
+    assert_eq!(counters(quiet()), (5920, 146, 11770, 244_551));
+    assert_eq!(counters(faulted()), (5920, 188, 13631, 493_046));
+}
+
+#[test]
+fn run_allocations_are_pinned() {
+    assert_eq!(run_allocations(quiet()), (142, 126_336));
+    assert_eq!(run_allocations(faulted()), (438, 235_280));
 }
