@@ -19,6 +19,12 @@
 //! 3. at zero demand the board powers off — the Qarnot hybrid
 //!    behaviour of §III-A ("embedded motherboards … are turned off when
 //!    no heat is requested").
+//!
+//! Each control step needs two answers for the same demand: the budget
+//! for the backlog actually present, and the *potential* cores an
+//! unlimited backlog would get. One scan of the ladder yields both
+//! (`HeatRegulator::decide_with_potential`); [`HeatRegulator::decide`]
+//! is its budget half.
 
 use dfhw::dvfs::DvfsLadder;
 
@@ -85,12 +91,25 @@ impl HeatRegulator {
         demand: f64,
         backlog_cores: usize,
     ) -> RegulatorDecision {
+        self.decide_with_potential(ladder, demand, backlog_cores).0
+    }
+
+    /// [`HeatRegulator::decide`] plus the *potential* cores: the count
+    /// it would grant with an unlimited backlog (the §III-C "computing
+    /// power depends on the heat demand" metric). One scan of the
+    /// ladder yields both.
+    pub(crate) fn decide_with_potential(
+        &self,
+        ladder: &DvfsLadder,
+        demand: f64,
+        backlog_cores: usize,
+    ) -> (RegulatorDecision, usize) {
         assert!(
             (0.0..=1.0).contains(&demand),
             "demand out of range: {demand}"
         );
         if demand < self.power_off_threshold {
-            return RegulatorDecision {
+            let off = RegulatorDecision {
                 powered: false,
                 usable_cores: 0,
                 level: 0,
@@ -98,6 +117,7 @@ impl HeatRegulator {
                 resistive_w: 0.0,
                 heat_budget_w: 0.0,
             };
+            return (off, 0);
         }
         let budget_w = demand * self.max_power_w;
         // Power available to cores after board overhead.
@@ -105,16 +125,23 @@ impl HeatRegulator {
         // Find the (cores, level) pair maximising throughput within the
         // budget. Throughput = cores × freq(level); power =
         // cores × power(level). Scan levels from top down; for each, the
-        // max core count that fits; keep the best throughput.
+        // max core count that fits; keep the best throughput, once
+        // capped by the backlog and once not (the potential).
         let mut best = (0usize, 0usize, 0.0f64); // (cores, level, throughput)
+        let mut potential = (0usize, 0.0f64); // (cores, throughput)
         for level in (0..ladder.n_states()).rev() {
             let per_core = ladder.power_w(level, 1.0);
             if per_core <= 0.0 {
                 continue;
             }
             let fit = ((core_budget / per_core).floor() as usize).min(self.n_cores);
+            let gops = ladder.throughput(level);
+            let thr = fit as f64 * gops;
+            if thr > potential.1 + 1e-12 {
+                potential = (fit, thr);
+            }
             let usable = fit.min(backlog_cores);
-            let thr = usable as f64 * ladder.throughput(level);
+            let thr = usable as f64 * gops;
             if thr > best.2 + 1e-12 {
                 best = (usable, level, thr);
             }
@@ -131,14 +158,15 @@ impl HeatRegulator {
         } else {
             0.0
         };
-        RegulatorDecision {
+        let decision = RegulatorDecision {
             powered: true,
             usable_cores,
             level,
             compute_budget_w: compute_w,
             resistive_w,
             heat_budget_w: budget_w,
-        }
+        };
+        (decision, potential.0)
     }
 }
 
@@ -156,6 +184,140 @@ mod tests {
 
     fn qrad() -> HeatRegulator {
         HeatRegulator::for_qrad()
+    }
+
+    /// The pre-fusion `decide`: one ladder scan per call.
+    fn reference_decide(
+        r: &HeatRegulator,
+        ladder: &DvfsLadder,
+        demand: f64,
+        backlog_cores: usize,
+    ) -> RegulatorDecision {
+        assert!(
+            (0.0..=1.0).contains(&demand),
+            "demand out of range: {demand}"
+        );
+        if demand < r.power_off_threshold {
+            return RegulatorDecision {
+                powered: false,
+                usable_cores: 0,
+                level: 0,
+                compute_budget_w: 0.0,
+                resistive_w: 0.0,
+                heat_budget_w: 0.0,
+            };
+        }
+        let budget_w = demand * r.max_power_w;
+        let core_budget = (budget_w - r.overhead_w).max(0.0);
+        let mut best = (0usize, 0usize, 0.0f64);
+        for level in (0..ladder.n_states()).rev() {
+            let per_core = ladder.power_w(level, 1.0);
+            if per_core <= 0.0 {
+                continue;
+            }
+            let fit = ((core_budget / per_core).floor() as usize).min(r.n_cores);
+            let usable = fit.min(backlog_cores);
+            let thr = usable as f64 * ladder.throughput(level);
+            if thr > best.2 + 1e-12 {
+                best = (usable, level, thr);
+            }
+        }
+        let (usable_cores, level, _) = best;
+        let compute_w = if usable_cores > 0 {
+            r.overhead_w + usable_cores as f64 * ladder.power_w(level, 1.0)
+        } else {
+            r.overhead_w.min(budget_w)
+        };
+        let resistive_w = if r.has_resistive_backup {
+            (budget_w - compute_w).max(0.0)
+        } else {
+            0.0
+        };
+        RegulatorDecision {
+            powered: true,
+            usable_cores,
+            level,
+            compute_budget_w: compute_w,
+            resistive_w,
+            heat_budget_w: budget_w,
+        }
+    }
+
+    /// Every field of `(decision, potential)`, floats as raw bits.
+    fn bits(
+        (d, potential): (RegulatorDecision, usize),
+    ) -> (bool, usize, usize, u64, u64, u64, usize) {
+        (
+            d.powered,
+            d.usable_cores,
+            d.level,
+            d.compute_budget_w.to_bits(),
+            d.resistive_w.to_bits(),
+            d.heat_budget_w.to_bits(),
+            potential,
+        )
+    }
+
+    /// The boiler's regulator: no resistive element, on the Xeon ladder.
+    fn boiler() -> (HeatRegulator, DvfsLadder) {
+        let spec = dfhw::servers::ServerSpec::asperitas_boiler();
+        let r = HeatRegulator {
+            n_cores: spec.n_cores(),
+            overhead_w: spec.overhead_w,
+            has_resistive_backup: false,
+            power_off_threshold: 0.02,
+            max_power_w: spec.nameplate_w,
+        };
+        (r, (*spec.ladder).clone())
+    }
+
+    #[test]
+    fn fused_scan_matches_the_two_call_reference_bit_for_bit() {
+        let (boiler, xeon) = boiler();
+        for (r, l) in [(qrad(), ladder()), (boiler, xeon)] {
+            let threshold = r.power_off_threshold;
+            let mut demands = vec![
+                0.0,
+                threshold.next_down(),
+                threshold,
+                threshold.next_up(),
+                1.0,
+            ];
+            demands.extend((0..=1_000).map(|i| i as f64 / 1_000.0));
+            // Demands whose core budget is an exact multiple of a
+            // level's per-core power, where `floor` sits on its edge: the
+            // nearest such demand to each multiple, if one is within an ulp.
+            let n_grid = demands.len();
+            for level in 0..l.n_states() {
+                let per_core = l.power_w(level, 1.0);
+                for k in 0..=r.n_cores + 2 {
+                    let d = (r.overhead_w + k as f64 * per_core) / r.max_power_w;
+                    let on_edge = [d, d.next_down(), d.next_up()].into_iter().find(|&d| {
+                        let q = (d * r.max_power_w - r.overhead_w).max(0.0) / per_core;
+                        (0.0..=1.0).contains(&d) && q == q.floor()
+                    });
+                    demands.extend(on_edge);
+                }
+            }
+            assert!(
+                demands.len() - n_grid > r.n_cores,
+                "only {} exact-integer demands",
+                demands.len() - n_grid
+            );
+            for &demand in &demands {
+                // The two-call form the worker's control step used before
+                // the fused scan: a second call with a full backlog gave
+                // the potential.
+                let potential = reference_decide(&r, &l, demand, r.n_cores).usable_cores;
+                for backlog in 0..=r.n_cores + 2 {
+                    assert_eq!(
+                        bits(r.decide_with_potential(&l, demand, backlog)),
+                        bits((reference_decide(&r, &l, demand, backlog), potential)),
+                        "demand {demand:e}, backlog {backlog}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

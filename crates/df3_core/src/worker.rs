@@ -8,7 +8,10 @@
 //! [`WorkerSim::complete_tick`] with the new room temperature: energy
 //! accounting closes, the thermostat reads the temperature, and the
 //! regulator converts the demand into a compute budget for the next
-//! period. [`WorkerSim::control_tick`] bundles the same sequence around
+//! period. Each step sums the running slices' power once and scans the
+//! DVFS ladder once: that one scan yields both the budget and the
+//! backlog-free potential ([`WorkerSim::potential_cores`]).
+//! [`WorkerSim::control_tick`] bundles the same sequence around
 //! a standalone scalar [`Room`] for single-worker studies and tests.
 //!
 //! Jobs occupy cores at the P-state in force at dispatch and keep that
@@ -219,18 +222,23 @@ impl WorkerSim {
     /// budget and the actual compute draw (§II-C decoupling — comfort
     /// never depends on cloud demand).
     pub fn resistive_w(&self) -> f64 {
+        self.resistive_from(self.compute_power_w())
+    }
+
+    /// The resistive share given the compute draw `compute_w`, so a
+    /// caller that holds it needn't sum the running slices again.
+    fn resistive_from(&self, compute_w: f64) -> f64 {
         if !self.decision.powered || !self.regulator.has_resistive_backup {
             return 0.0;
         }
-        (self.decision.heat_budget_w - self.compute_power_w()).max(0.0)
+        (self.decision.heat_budget_w - compute_w).max(0.0)
     }
 
-    /// Instantaneous electrical power, W.
+    /// Instantaneous electrical power, W. Unpowered, both shares are
+    /// `0.0`, so the sum is too.
     pub fn power_w(&self) -> f64 {
-        if !self.decision.powered {
-            return 0.0;
-        }
-        self.compute_power_w() + self.resistive_w()
+        let compute_w = self.compute_power_w();
+        compute_w + self.resistive_from(compute_w)
     }
 
     /// Heat currently flowing into the room, W (all drawn power).
@@ -323,8 +331,10 @@ impl WorkerSim {
     pub fn complete_tick(&mut self, now: SimTime, room_c: f64, backlog_cores: usize) -> f64 {
         let dt = now.saturating_since(self.last_tick);
         if dt > SimDuration::ZERO {
-            self.energy_j += self.heat_w() * dt.as_secs_f64();
-            self.compute_energy_j += self.compute_power_w() * dt.as_secs_f64();
+            let compute_w = self.compute_power_w();
+            let heat_w = compute_w + self.resistive_from(compute_w);
+            self.energy_j += heat_w * dt.as_secs_f64();
+            self.compute_energy_j += compute_w * dt.as_secs_f64();
         }
         self.last_tick = now;
         if self.failed {
@@ -342,15 +352,14 @@ impl WorkerSim {
         }
         let measured_c = self.sense(room_c);
         let demand = self.thermostat.demand(now, measured_c);
-        self.potential_cores = self
-            .regulator
-            .decide(&self.ladder, demand, self.regulator.n_cores)
-            .usable_cores;
         // Never budget below what running jobs already hold: running
         // slices finish at their dispatched speed.
-        let decision =
-            self.regulator
-                .decide(&self.ladder, demand, backlog_cores.max(self.busy_cores()));
+        let (decision, potential_cores) = self.regulator.decide_with_potential(
+            &self.ladder,
+            demand,
+            backlog_cores.max(self.busy_cores()),
+        );
+        self.potential_cores = potential_cores;
         let floor = self.busy_cores();
         self.decision = RegulatorDecision {
             powered: decision.powered || floor > 0,
@@ -628,6 +637,73 @@ mod tests {
         assert_eq!(w.busy_cores(), 8);
         assert!(w.decision().usable_cores >= 8);
         assert_eq!(w.free_cores(), 0, "but no headroom for new work");
+    }
+
+    /// Through dispatch at several P-states, throttling, failure and
+    /// repair, with and without a resistive element: a powered worker's
+    /// power splits exactly into its compute and resistive shares, and
+    /// each control step integrates the power read just before it.
+    #[test]
+    fn each_step_integrates_the_power_it_reads_bit_for_bit() {
+        // Room temperatures against the 20 °C / 1.5 K thermostat: full,
+        // partial and zero demand, so the dispatch P-state moves.
+        let temps = [17.0, 19.3, 19.6, 18.9, 21.0, 19.8, 17.5, 20.4, 19.1];
+        for backup in [true, false] {
+            let (mut w, _) = worker();
+            w.regulator.has_resistive_backup = backup;
+            let check_split = |w: &WorkerSim| {
+                let expect = if w.decision.powered {
+                    w.compute_power_w() + w.resistive_w()
+                } else {
+                    0.0
+                };
+                assert_eq!(w.power_w().to_bits(), expect.to_bits());
+            };
+            let mut levels = std::collections::BTreeSet::new();
+            let (mut throttled, mut failed_steps) = (0, 0);
+            let (mut now, mut next_id) = (SimTime::ZERO, 0);
+            for step in 0..120i64 {
+                // Odd intervals, as off-cycle wake-ups give; every tenth
+                // step repeats the last time (a zero interval).
+                if step % 10 != 0 {
+                    now += SimDuration::from_micros(37_000_001 * (step % 7 + 1));
+                }
+                let room_c = temps[step as usize % temps.len()];
+                match step % 40 {
+                    25 => drop(w.fail(now)),
+                    31 => w.repair(),
+                    _ => {}
+                }
+                check_split(&w);
+                let (power, compute) = (w.power_w(), w.compute_power_w());
+                let (energy, compute_energy) = (w.energy_j, w.compute_energy_j);
+                let dt = now.saturating_since(w.last_tick()).as_secs_f64();
+                w.complete_tick(now, room_c, (step % 5) as usize * 4);
+                assert_eq!(w.energy_j.to_bits(), (energy + power * dt).to_bits());
+                assert_eq!(
+                    w.compute_energy_j.to_bits(),
+                    (compute_energy + compute * dt).to_bits()
+                );
+                check_split(&w);
+                failed_steps += usize::from(w.is_failed());
+                if w.busy_cores() > 0 && w.decision.usable_cores == w.busy_cores() {
+                    throttled += 1;
+                }
+                // Retire the oldest slice now and then, and fill up to
+                // the budget with two-core slices at today's P-state.
+                if step % 3 == 0 && !w.running.is_empty() {
+                    w.remove(w.running[0].job.id);
+                }
+                while w.free_cores() >= 2 {
+                    next_id += 1;
+                    let j = job(next_id, 2, 1e9, next_id % 2 == 0);
+                    w.dispatch(now, j, SimDuration::ZERO).unwrap();
+                }
+                levels.extend(w.running.iter().map(|s| s.level));
+            }
+            assert!(levels.len() >= 3, "slices ran at P-states {levels:?}");
+            assert!(throttled > 0 && failed_steps > 0);
+        }
     }
 
     #[test]
