@@ -29,7 +29,7 @@
 use crate::cluster::{ClusterSim, Dispatch};
 use crate::config::{ArchClass, PlatformConfig};
 use crate::datacenter::{Datacenter, DatacenterConfig};
-use crate::faults::{FaultEventKind, FaultPlan, FaultRuntime, SensorFaultKind};
+use crate::faults::{FaultEventKind, FaultPlan, FaultRuntime, SensorFault, SensorFaultKind};
 use crate::stats::PlatformStats;
 use crate::worker::SensorState;
 use dfnet::link::{Link, LinkClass};
@@ -55,6 +55,60 @@ enum Venue {
     Local { cluster: usize },
     Horizontal { from: usize, to: usize },
     Datacenter,
+}
+
+/// The analytic (uncongested) links a job's request and response cross.
+#[derive(Debug, Clone, Copy)]
+struct Links {
+    device: Link,
+    lan: Link,
+    fiber: Link,
+    wan: Link,
+}
+
+impl Links {
+    fn standard() -> Self {
+        Links {
+            device: Link::new(Protocol::Wifi),
+            lan: Link::new(Protocol::EthernetLan),
+            fiber: Link::new(Protocol::Fiber),
+            wan: Link::new(Protocol::WanInternet).with_extra_latency(0.022),
+        }
+    }
+
+    /// Network time added to a job's response by its flow and venue
+    /// under `arch`.
+    fn penalty(&self, arch: ArchClass, job: &Job, venue: Venue) -> SimDuration {
+        let ingress_local = match job.flow {
+            Flow::EdgeDirect => self.device.transfer_time(job.input_bytes),
+            Flow::EdgeIndirect => {
+                // Device → gateway → master → worker (§II-C's extra hop).
+                self.device.transfer_time(job.input_bytes)
+                    + self.lan.transfer_time(job.input_bytes)
+                    + self.lan.transfer_time(job.input_bytes)
+            }
+            Flow::Dcc => self.fiber.transfer_time(job.input_bytes),
+        };
+        let egress_local = match job.flow {
+            Flow::EdgeDirect | Flow::EdgeIndirect => self.device.transfer_time(job.output_bytes),
+            Flow::Dcc => self.fiber.transfer_time(job.output_bytes),
+        };
+        let vpn = match (arch, job.is_edge()) {
+            (ArchClass::DedicatedEdge { vpn_overhead, .. }, true) => vpn_overhead * 2,
+            _ => SimDuration::ZERO,
+        };
+        let venue_extra = match venue {
+            Venue::Local { .. } => SimDuration::ZERO,
+            Venue::Horizontal { .. } => {
+                self.fiber.transfer_time(job.input_bytes)
+                    + self.fiber.transfer_time(job.output_bytes)
+            }
+            Venue::Datacenter => {
+                self.wan.transfer_time(job.input_bytes) + self.wan.transfer_time(job.output_bytes)
+            }
+        };
+        ingress_local + egress_local + vpn + venue_extra
+    }
 }
 
 /// Events of the platform model.
@@ -234,11 +288,8 @@ pub struct Platform {
     pub telemetry: Telemetry,
     /// Pre-interned telemetry tag ids.
     tags: Tags,
-    // Link models (uncongested, analytic).
-    lan: Link,
-    device_link: Link,
-    fiber: Link,
-    wan: Link,
+    /// The links before any plan degradation.
+    links: Links,
     last_energy_sample: SimTime,
     /// Seed-derived streams (worker-failure processes).
     streams: RngStreams,
@@ -322,10 +373,7 @@ impl Platform {
             stats: PlatformStats::new(),
             telemetry,
             tags,
-            lan: Link::new(Protocol::EthernetLan),
-            device_link: Link::new(Protocol::Wifi),
-            fiber: Link::new(Protocol::Fiber),
-            wan: Link::new(Protocol::WanInternet).with_extra_latency(0.022),
+            links: Links::standard(),
             last_energy_sample: SimTime::ZERO,
             streams,
             faults,
@@ -396,67 +444,46 @@ impl Platform {
         bytes: &[u8],
     ) -> Result<PausedRun, SnapshotError> {
         let file = SnapshotFile::from_bytes(bytes)?;
-        let mut r = file.section("meta")?;
-        let config_fp = r.take_u64()?;
-        let plan_fp = r.take_u64()?;
-        let now = SimTime::decode(&mut r)?;
-        let events = r.take_u64()?;
-        r.expect_end()?;
-        if config_fp != config_fingerprint(&config) {
+        let meta: Meta = get(&file, "meta")?;
+        let now = meta.now;
+        if meta.config_fp != config_fingerprint(&config) {
             return Err(SnapshotError::Corrupt(
                 "snapshot was taken under a different platform config".into(),
             ));
         }
-        match base_plan {
-            None => {
-                if plan_fp != plan_fingerprint(&config.faults) {
-                    return Err(SnapshotError::Corrupt(
-                        "snapshot was taken under a different fault plan \
-                         (use restore_branch to extend one)"
-                            .into(),
-                    ));
+        if meta.plan_fp != plan_fingerprint(base_plan.unwrap_or(&config.faults)) {
+            return Err(SnapshotError::Corrupt(
+                if base_plan.is_some() {
+                    "base plan is not the one the snapshot was taken under"
+                } else {
+                    "snapshot was taken under a different fault plan \
+                     (use restore_branch to extend one)"
                 }
-            }
-            Some(base) => {
-                if plan_fp != plan_fingerprint(base) {
-                    return Err(SnapshotError::Corrupt(
-                        "base plan is not the one the snapshot was taken under".into(),
-                    ));
-                }
-                config
-                    .faults
-                    .is_extension_of(
-                        base,
-                        now.saturating_since(SimTime::ZERO),
-                        config.control_period,
-                    )
-                    .map_err(SnapshotError::Corrupt)?;
-            }
+                .into(),
+            ));
+        }
+        if let Some(base) = base_plan {
+            let at = now.saturating_since(SimTime::ZERO);
+            config
+                .faults
+                .is_extension_of(base, at, config.control_period)
+                .map_err(SnapshotError::Corrupt)?;
         }
         let mut p = Platform::new(config);
-        let mut r = file.section("engine")?;
-        let sched = Scheduler::<Ev>::decode(&mut r)?;
-        r.expect_end()?;
+        let sched: Scheduler<Ev> = get(&file, "engine")?;
         if sched.now() != now {
             return Err(SnapshotError::Corrupt(format!(
                 "engine clock {} disagrees with snapshot meta {now}",
                 sched.now()
             )));
         }
-        let mut r = file.section("rng")?;
-        p.streams = simcore::RngStreams::decode(&mut r)?;
-        r.expect_end()?;
-        let mut r = file.section("telemetry")?;
-        p.telemetry.recorder = FlightRecorder::decode(&mut r)?;
-        r.expect_end()?;
-        let mut r = file.section("thermal")?;
-        let rooms = ThermalBatch::decode(&mut r)?;
-        r.expect_end()?;
-        if rooms.len() != p.rooms.len() {
+        p.streams = get(&file, "rng")?;
+        p.telemetry.recorder = get(&file, "telemetry")?;
+        let rooms: ThermalBatch = get(&file, "thermal")?;
+        let (n, want) = (rooms.len(), p.rooms.len());
+        if n != want {
             return Err(SnapshotError::Corrupt(format!(
-                "snapshot has {} rooms, config builds {}",
-                rooms.len(),
-                p.rooms.len()
+                "snapshot has {n} rooms, config builds {want}"
             )));
         }
         p.rooms = rooms;
@@ -472,7 +499,7 @@ impl Platform {
                 next: 0,
             },
             sched,
-            events,
+            meta.events,
         );
         engine.event_budget = 500_000_000;
         if telemetry_on {
@@ -481,10 +508,6 @@ impl Platform {
             engine.scheduler_mut().profiler = PhaseProfiler::enabled();
         }
         Ok(PausedRun { engine })
-    }
-
-    fn outdoor(&self, t: SimTime) -> f64 {
-        self.weather.outdoor_c(t)
     }
 
     /// Global worker-slot index for the running-events map.
@@ -516,12 +539,11 @@ impl Platform {
         after: SimTime,
         sched: &mut Scheduler<Ev>,
     ) {
-        if let Some(at) = self.next_failure(cluster, worker, after) {
-            if at < sched.horizon() {
-                let ev = sched.at(at, Ev::WorkerFail { cluster, worker });
-                let slot = self.wslot(cluster, worker);
-                self.fail_events[slot] = Some(ev);
-            }
+        let next = self.next_failure(cluster, worker, after);
+        if let Some(at) = next.filter(|&at| at < sched.horizon()) {
+            let ev = sched.at(at, Ev::WorkerFail { cluster, worker });
+            let slot = self.wslot(cluster, worker);
+            self.fail_events[slot] = Some(ev);
         }
     }
 
@@ -537,64 +559,19 @@ impl Platform {
             .is_some_and(|rt| rt.partitioned(class, now))
     }
 
-    /// Network time added to a job's response by its flow and venue,
-    /// over the given link set.
-    fn net_penalty_links(
-        &self,
-        job: &Job,
-        venue: Venue,
-        device_link: Link,
-        lan: Link,
-        fiber: Link,
-        wan: Link,
-    ) -> SimDuration {
-        let ingress_local = match job.flow {
-            Flow::EdgeDirect => device_link.transfer_time(job.input_bytes),
-            Flow::EdgeIndirect => {
-                // Device → gateway → master → worker (§II-C's extra hop).
-                device_link.transfer_time(job.input_bytes)
-                    + lan.transfer_time(job.input_bytes)
-                    + lan.transfer_time(job.input_bytes)
-            }
-            Flow::Dcc => fiber.transfer_time(job.input_bytes),
-        };
-        let egress_local = match job.flow {
-            Flow::EdgeDirect | Flow::EdgeIndirect => device_link.transfer_time(job.output_bytes),
-            Flow::Dcc => fiber.transfer_time(job.output_bytes),
-        };
-        let vpn = match (self.config.arch, job.is_edge()) {
-            (ArchClass::DedicatedEdge { vpn_overhead, .. }, true) => vpn_overhead * 2,
-            _ => SimDuration::ZERO,
-        };
-        let venue_extra = match venue {
-            Venue::Local { .. } => SimDuration::ZERO,
-            Venue::Horizontal { .. } => {
-                fiber.transfer_time(job.input_bytes) + fiber.transfer_time(job.output_bytes)
-            }
-            Venue::Datacenter => {
-                wan.transfer_time(job.input_bytes) + wan.transfer_time(job.output_bytes)
-            }
-        };
-        ingress_local + egress_local + vpn + venue_extra
-    }
-
-    /// Network penalty at `now`: base links, with any active plan
-    /// degradations folded in (links are `Copy`; the fault-free path
-    /// passes the base links through untouched).
+    /// Network penalty at `now`: the links with any active plan
+    /// degradations folded in (the fault-free path uses them untouched).
     fn net_penalty(&self, now: SimTime, job: &Job, venue: Venue) -> SimDuration {
-        match &self.faults {
-            Some(rt) => self.net_penalty_links(
-                job,
-                venue,
-                rt.effective_link(LinkClass::Device, now, self.device_link),
-                rt.effective_link(LinkClass::Lan, now, self.lan),
-                rt.effective_link(LinkClass::Fiber, now, self.fiber),
-                rt.effective_link(LinkClass::Wan, now, self.wan),
-            ),
-            None => {
-                self.net_penalty_links(job, venue, self.device_link, self.lan, self.fiber, self.wan)
-            }
-        }
+        let links = match &self.faults {
+            Some(rt) => Links {
+                device: rt.effective_link(LinkClass::Device, now, self.links.device),
+                lan: rt.effective_link(LinkClass::Lan, now, self.links.lan),
+                fiber: rt.effective_link(LinkClass::Fiber, now, self.links.fiber),
+                wan: rt.effective_link(LinkClass::Wan, now, self.links.wan),
+            },
+            None => self.links,
+        };
+        links.penalty(self.config.arch, job, venue)
     }
 
     /// Record a fault-timeline entry in both the stats and the flight
@@ -636,11 +613,39 @@ impl Platform {
             .instant(t, tag, Track::PLATFORM, fields);
     }
 
+    /// Close `job`'s retry chain, if it has one.
+    fn forget_retry(&mut self, id: JobId) {
+        if let Some(rt) = self.faults.as_mut() {
+            rt.retry_book.forget(id);
+        }
+    }
+
+    /// An edge request whose deadline passed before it could start.
+    fn expire(&mut self, now: SimTime, job: &Job) {
+        self.stats.edge_expired.inc();
+        self.record_job_instant(now, self.tags.job_expire, job, None);
+        self.forget_retry(job.id);
+    }
+
+    /// Record a finished job's span on `track`, when spans are on.
+    fn record_span(&mut self, now: SimTime, job: &Job, track: Track) {
+        if self.telemetry.is_enabled() && self.config.telemetry.spans {
+            self.telemetry.recorder.span(
+                job.arrival,
+                now,
+                self.tags.job_span[flow_ix(job.flow)],
+                track,
+                [
+                    (self.tags.k_job, Value::U64(job.id.0)),
+                    (self.tags.k_gops, Value::F64(job.work_gops)),
+                ],
+            );
+        }
+    }
+
     /// Record a completion.
     fn record_completion(&mut self, now: SimTime, job: &Job, venue: Venue) {
-        if let Some(rt) = self.faults.as_mut() {
-            rt.retry_book.forget(job.id);
-        }
+        self.forget_retry(job.id);
         let response = now.saturating_since(job.arrival) + self.net_penalty(now, job, venue);
         let finish_with_net = job.arrival + response;
         if job.is_edge() {
@@ -651,15 +656,10 @@ impl Platform {
             // Ideal: full-speed local run with no waiting, on pristine
             // links (degradation must show up as slowdown, not shrink
             // the baseline).
-            let ideal = job.service_time(3.0)
-                + self.net_penalty_links(
-                    job,
-                    Venue::Local { cluster: 0 },
-                    self.device_link,
-                    self.lan,
-                    self.fiber,
-                    self.wan,
-                );
+            let pristine = self
+                .links
+                .penalty(self.config.arch, job, Venue::Local { cluster: 0 });
+            let ideal = job.service_time(3.0) + pristine;
             self.stats.record_dcc(
                 response.as_secs_f64(),
                 ideal.as_secs_f64(),
@@ -677,10 +677,7 @@ impl Platform {
             (job.id.0 as usize).wrapping_mul(0x9E37_79B9).rotate_left(7) % self.clusters.len()
         } else {
             (0..self.clusters.len())
-                .max_by_key(|&i| {
-                    let l = self.clusters[i].load();
-                    (l.free_cores(), usize::MAX - i)
-                })
+                .max_by_key(|&i| (self.clusters[i].load().free_cores(), usize::MAX - i))
                 .expect("at least one cluster")
         }
     }
@@ -692,24 +689,32 @@ impl Platform {
         let Some(dc) = self.datacenter.as_mut() else {
             return false;
         };
-        match dc.submit(now, job) {
-            Some(finish) => {
-                sched.at(finish, Ev::FinishDc { job });
-            }
-            None => { /* queued in the DC; completion scheduled on start */ }
+        // A job queued in the DC gets its finish event when it starts.
+        if let Some(finish) = dc.submit(now, job) {
+            sched.at(finish, Ev::FinishDc { job });
         }
         true
     }
 
+    /// Track a job started on `(cluster, worker)`. A job started
+    /// outside its `home` cluster is a horizontal offload.
     fn start_local(
         &mut self,
+        home: usize,
         cluster: usize,
         worker: usize,
         job: Job,
         finish: SimTime,
-        venue: Venue,
         sched: &mut Scheduler<Ev>,
     ) {
+        let venue = if cluster == home {
+            Venue::Local { cluster }
+        } else {
+            Venue::Horizontal {
+                from: home,
+                to: cluster,
+            }
+        };
         let ev = sched.at(
             finish,
             Ev::FinishLocal {
@@ -723,39 +728,35 @@ impl Platform {
         self.running_events.insert(slot, job.id, ev);
     }
 
+    /// Turn away a job the platform cannot place: an edge request goes
+    /// through [`Platform::reject_edge`], a DCC job is counted rejected.
+    fn reject(&mut self, now: SimTime, job: Job, sched: &mut Scheduler<Ev>) {
+        if job.is_edge() {
+            self.reject_edge(now, job, sched);
+        } else {
+            self.stats.dcc_rejected.inc();
+        }
+    }
+
     /// Terminal-or-retry for an edge request the platform cannot place:
     /// with an enabled retry policy, re-submission is scheduled with
     /// exponential backoff while the budget and the deadline both
     /// allow; the request is abandoned (counted, never silent) once a
-    /// started chain runs dry. Without a retry layer this is the plain
-    /// legacy rejection.
+    /// started chain runs dry. Without a retry layer, or before a chain
+    /// has started, this is the plain legacy rejection.
     fn reject_edge(&mut self, now: SimTime, job: Job, sched: &mut Scheduler<Ev>) {
-        let Some(policy) = self
-            .faults
-            .as_ref()
-            .map(|rt| rt.plan().recovery.retry)
-            .filter(|p| p.enabled())
-        else {
-            self.stats.edge_rejected.inc();
-            self.record_job_instant(now, self.tags.job_reject, &job, None);
-            return;
-        };
-        let attempts = self
-            .faults
-            .as_ref()
-            .expect("retry policy implies runtime")
-            .retry_book
-            .attempts(job.id);
-        if attempts < policy.max_attempts {
+        let retry = self.faults.as_ref().and_then(|rt| {
+            let policy = rt.plan().recovery.retry;
+            policy
+                .enabled()
+                .then(|| (policy, rt.retry_book.attempts(job.id)))
+        });
+        if let Some((policy, attempts)) = retry {
             let due = now + policy.backoff(attempts + 1);
-            let in_time = match job.absolute_deadline() {
-                Some(d) => due < d,
-                None => true,
-            };
-            if in_time {
+            if attempts < policy.max_attempts && job.absolute_deadline().is_none_or(|d| due < d) {
                 self.faults
                     .as_mut()
-                    .expect("checked")
+                    .expect("retry policy implies runtime")
                     .retry_book
                     .record_attempt(job.id);
                 self.stats.jobs_retried.inc();
@@ -764,19 +765,15 @@ impl Platform {
                 sched.at(due, Ev::Retry { job });
                 return;
             }
+            if attempts > 0 {
+                self.forget_retry(job.id);
+                self.stats.jobs_abandoned.inc();
+                self.record_job_instant(now, self.tags.job_abandon, &job, Some(attempts));
+                return;
+            }
         }
-        if attempts > 0 {
-            self.faults
-                .as_mut()
-                .expect("checked")
-                .retry_book
-                .forget(job.id);
-            self.stats.jobs_abandoned.inc();
-            self.record_job_instant(now, self.tags.job_abandon, &job, Some(attempts));
-        } else {
-            self.stats.edge_rejected.inc();
-            self.record_job_instant(now, self.tags.job_reject, &job, None);
-        }
+        self.stats.edge_rejected.inc();
+        self.record_job_instant(now, self.tags.job_reject, &job, None);
     }
 
     /// Admission + placement shared by fresh arrivals and retries.
@@ -794,25 +791,20 @@ impl Platform {
         }
         let home = self.route_cluster(&job);
         let load = self.clusters[home].load();
-        if !self.config.admission.admit(&job, &load) {
-            if job.is_edge() {
-                self.reject_edge(now, job, sched);
-            } else {
-                self.stats.dcc_rejected.inc();
-            }
-            return;
+        if self.config.admission.admit(&job, &load) {
+            self.dispatch_home(now, home, job, sched);
+        } else {
+            self.reject(now, job, sched);
         }
-        let outdoor = self.outdoor(now);
+    }
+
+    /// Start `job` on its home cluster, or consult the peak policy when
+    /// the cluster is full.
+    fn dispatch_home(&mut self, now: SimTime, home: usize, job: Job, sched: &mut Scheduler<Ev>) {
+        let outdoor = self.weather.outdoor_c(now);
         match self.clusters[home].try_dispatch(now, outdoor, job, &mut self.rooms) {
             Dispatch::Started { worker, finish } => {
-                self.start_local(
-                    home,
-                    worker,
-                    job,
-                    finish,
-                    Venue::Local { cluster: home },
-                    sched,
-                );
+                self.start_local(home, home, worker, job, finish, sched)
             }
             Dispatch::Full => self.handle_full(now, home, job, sched),
         }
@@ -822,7 +814,7 @@ impl Platform {
     /// policy and carry out the action.
     fn handle_full(&mut self, now: SimTime, home: usize, job: Job, sched: &mut Scheduler<Ev>) {
         let t_offload = sched.profiler.start();
-        let outdoor = self.outdoor(now);
+        let outdoor = self.weather.outdoor_c(now);
         let local = self.clusters[home].load();
         let policy = self.config.peak_policy;
         // The policy reads sibling loads through a lazy view: each O(1)
@@ -836,36 +828,29 @@ impl Platform {
             policy.decide(&job, &local, siblings.map(ClusterSim::load))
         };
         if self.telemetry.is_enabled() {
-            // Rejects get their instant from `reject_edge`/the DCC
-            // counter below; the other four decisions are recorded
-            // here on the home cluster's track.
+            // Rejects get their instant from `reject` below; the other
+            // four decisions are recorded here on the home cluster's track.
+            let t = &self.tags;
+            let at_home = Value::U64(home as u64);
             let decided = match action {
-                PeakAction::Preempt => Some((
-                    self.tags.peak_preempt,
-                    FieldSet::from([(self.tags.k_cluster, Value::U64(home as u64))]),
-                )),
+                PeakAction::Preempt => {
+                    Some((t.peak_preempt, FieldSet::from([(t.k_cluster, at_home)])))
+                }
                 PeakAction::OffloadVertical => Some((
-                    self.tags.peak_offload_vertical,
-                    FieldSet::from([(self.tags.k_from, Value::U64(home as u64))]),
+                    t.peak_offload_vertical,
+                    FieldSet::from([(t.k_from, at_home)]),
                 )),
                 PeakAction::OffloadHorizontal { target } => Some((
-                    self.tags.peak_offload_horizontal,
-                    FieldSet::from([
-                        (self.tags.k_from, Value::U64(home as u64)),
-                        (self.tags.k_to, Value::U64(target as u64)),
-                    ]),
+                    t.peak_offload_horizontal,
+                    FieldSet::from([(t.k_from, at_home), (t.k_to, Value::U64(target as u64))]),
                 )),
-                PeakAction::Delay => Some((
-                    self.tags.peak_delay,
-                    FieldSet::from([(self.tags.k_cluster, Value::U64(home as u64))]),
-                )),
+                PeakAction::Delay => Some((t.peak_delay, FieldSet::from([(t.k_cluster, at_home)]))),
                 PeakAction::Reject => None,
             };
             if let Some((tag, mut fields)) = decided {
-                fields.push(self.tags.k_job, Value::U64(job.id.0));
-                self.telemetry
-                    .recorder
-                    .instant(now, tag, Track::new(home as u32 + 1, 0), fields);
+                fields.push(t.k_job, Value::U64(job.id.0));
+                let track = Track::new(home as u32 + 1, 0);
+                self.telemetry.recorder.instant(now, tag, track, fields);
             }
         }
         match action {
@@ -884,14 +869,7 @@ impl Platform {
                     let finish = self.clusters[home]
                         .dispatch_on(worker, now, job)
                         .expect("preemption freed the cores");
-                    self.start_local(
-                        home,
-                        worker,
-                        job,
-                        finish,
-                        Venue::Local { cluster: home },
-                        sched,
-                    );
+                    self.start_local(home, home, worker, job, finish, sched);
                 } else {
                     self.enqueue(home, job);
                 }
@@ -907,17 +885,7 @@ impl Platform {
                 match self.clusters[target].try_dispatch(now, outdoor, job, &mut self.rooms) {
                     Dispatch::Started { worker, finish } => {
                         self.stats.offload_horizontal.inc();
-                        self.start_local(
-                            target,
-                            worker,
-                            job,
-                            finish,
-                            Venue::Horizontal {
-                                from: home,
-                                to: target,
-                            },
-                            sched,
-                        );
+                        self.start_local(home, target, worker, job, finish, sched);
                     }
                     Dispatch::Full => self.enqueue(target, job),
                 }
@@ -926,13 +894,7 @@ impl Platform {
                 self.stats.delays.inc();
                 self.enqueue(home, job);
             }
-            PeakAction::Reject => {
-                if job.is_edge() {
-                    self.reject_edge(now, job, sched);
-                } else {
-                    self.stats.dcc_rejected.inc();
-                }
-            }
+            PeakAction::Reject => self.reject(now, job, sched),
         }
         sched.profiler.stop(Phase::Offload, t_offload);
     }
@@ -949,7 +911,9 @@ impl Platform {
     /// finish events, and re-dispatch each orphan through the normal
     /// offload decision (a failed building's work spills to siblings or
     /// the datacenter instead of queueing behind a dark board). A crash
-    /// loses in-flight progress: orphans restart from their full work.
+    /// loses in-flight progress: orphans restart from their full work,
+    /// except an edge orphan already past its deadline, which expires
+    /// instead of wasting a slot.
     fn fail_worker(
         &mut self,
         now: SimTime,
@@ -979,44 +943,12 @@ impl Platform {
             if let Some(ev) = self.running_events.remove(slot, job.id) {
                 sched.cancel(ev);
             }
-            self.redispatch_orphan(now, cluster, job, sched);
-        }
-    }
-
-    /// Re-dispatch an orphaned job after its worker failed, through the
-    /// same placement logic as an arrival (deadline-aware: an already
-    /// overdue edge orphan expires instead of wasting a slot).
-    fn redispatch_orphan(
-        &mut self,
-        now: SimTime,
-        home: usize,
-        job: Job,
-        sched: &mut Scheduler<Ev>,
-    ) {
-        self.stats.jobs_requeued.inc();
-        if let Some(d) = job.absolute_deadline() {
-            if now >= d {
-                self.stats.edge_expired.inc();
-                self.record_job_instant(now, self.tags.job_expire, &job, None);
-                if let Some(rt) = self.faults.as_mut() {
-                    rt.retry_book.forget(job.id);
-                }
-                return;
+            self.stats.jobs_requeued.inc();
+            if job.absolute_deadline().is_some_and(|d| now >= d) {
+                self.expire(now, &job);
+            } else {
+                self.dispatch_home(now, cluster, job, sched);
             }
-        }
-        let outdoor = self.outdoor(now);
-        match self.clusters[home].try_dispatch(now, outdoor, job, &mut self.rooms) {
-            Dispatch::Started { worker, finish } => {
-                self.start_local(
-                    home,
-                    worker,
-                    job,
-                    finish,
-                    Venue::Local { cluster: home },
-                    sched,
-                );
-            }
-            Dispatch::Full => self.handle_full(now, home, job, sched),
         }
     }
 
@@ -1072,36 +1004,31 @@ impl Platform {
         if !rt.has_sensor_faults() {
             return;
         }
-        let faults = rt.plan().sensor_faults.clone();
         let wpc = self.config.workers_per_cluster;
-        // Reset every targeted sensor, then overlay the active windows
-        // (a later fault in the plan wins on overlap).
-        for f in &faults {
-            let range = match f.worker {
+        let clusters = &mut self.clusters;
+        let mut set = |f: &SensorFault, state: SensorState| {
+            let workers = match f.worker {
                 Some(w) => w..w + 1,
                 None => 0..wpc,
             };
-            for w in range {
-                self.clusters[f.cluster].set_sensor(w, SensorState::Healthy);
+            for w in workers {
+                clusters[f.cluster].set_sensor(w, state);
             }
+        };
+        // Reset every targeted sensor, then overlay the active windows
+        // (a later fault in the plan wins on overlap).
+        let faults = &rt.plan().sensor_faults;
+        for f in faults {
+            set(f, SensorState::Healthy);
         }
         let mut any_active = false;
-        for f in &faults {
-            if !f.window.contains(now) {
-                continue;
-            }
+        for f in faults.iter().filter(|f| f.window.contains(now)) {
             any_active = true;
             let state = match f.kind {
                 SensorFaultKind::Dropout => SensorState::Dropout,
                 SensorFaultKind::StuckAt(v) => SensorState::StuckAt(v),
             };
-            let range = match f.worker {
-                Some(w) => w..w + 1,
-                None => 0..wpc,
-            };
-            for w in range {
-                self.clusters[f.cluster].set_sensor(w, state);
-            }
+            set(f, state);
         }
         if any_active {
             self.stats.sensor_faulted_ticks.inc();
@@ -1110,24 +1037,13 @@ impl Platform {
 
     /// Start everything a cluster's drain released.
     fn drain_cluster(&mut self, now: SimTime, cluster: usize, sched: &mut Scheduler<Ev>) {
-        let outdoor = self.outdoor(now);
+        let outdoor = self.weather.outdoor_c(now);
         for job in self.clusters[cluster].take_expired(now) {
-            self.stats.edge_expired.inc();
-            self.record_job_instant(now, self.tags.job_expire, &job, None);
-            if let Some(rt) = self.faults.as_mut() {
-                rt.retry_book.forget(job.id);
-            }
+            self.expire(now, &job);
         }
         let started = self.clusters[cluster].drain(now, outdoor, &mut self.rooms);
         for (worker, job, finish) in started {
-            self.start_local(
-                cluster,
-                worker,
-                job,
-                finish,
-                Venue::Local { cluster },
-                sched,
-            );
+            self.start_local(cluster, cluster, worker, job, finish, sched);
         }
     }
 
@@ -1135,7 +1051,7 @@ impl Platform {
         // Close each worker's energy integral by a final control tick.
         // The weather wraps past its span, so no clamp is needed even
         // when the engine overruns the generated trace.
-        let outdoor = self.outdoor(end);
+        let outdoor = self.weather.outdoor_c(end);
         for c in &mut self.clusters {
             c.control_tick(end, outdoor, &mut self.rooms);
         }
@@ -1169,40 +1085,34 @@ impl Platform {
         }
         self.stats.edge_in_flight_end = edge;
         self.stats.dcc_in_flight_end = dcc;
-        if self.telemetry.is_enabled() {
-            let ledgers = [
-                (
-                    self.stats.edge_arrived.get(),
-                    self.stats.edge_terminal() + edge,
-                ),
-                (
-                    self.stats.dcc_arrived.get(),
-                    self.stats.dcc_completed.get() + self.stats.dcc_rejected.get() + dcc,
-                ),
-            ];
-            for (arrived, accounted) in ledgers {
-                if arrived != accounted {
-                    self.telemetry.recorder.instant(
-                        end,
-                        self.tags.wd_ledger_drift,
-                        Track::PLATFORM,
-                        [
-                            (self.tags.k_arrived, Value::U64(arrived)),
-                            (self.tags.k_accounted, Value::U64(accounted)),
-                        ],
-                    );
-                }
+        let s = &self.stats;
+        // Edge: completed + rejected + expired + abandoned + in flight.
+        // DCC: completed + rejected + in flight.
+        let ledgers = [
+            (s.edge_arrived.get(), s.edge_terminal() + edge),
+            (
+                s.dcc_arrived.get(),
+                s.dcc_completed.get() + s.dcc_rejected.get() + dcc,
+            ),
+        ];
+        for (arrived, accounted) in ledgers {
+            if arrived != accounted && self.telemetry.is_enabled() {
+                self.telemetry.recorder.instant(
+                    end,
+                    self.tags.wd_ledger_drift,
+                    Track::PLATFORM,
+                    [
+                        (self.tags.k_arrived, Value::U64(arrived)),
+                        (self.tags.k_accounted, Value::U64(accounted)),
+                    ],
+                );
             }
         }
-        debug_assert_eq!(
-            self.stats.edge_arrived.get(),
-            self.stats.edge_terminal() + edge,
-            "edge conservation: arrived = completed+rejected+expired+abandoned+in-flight"
-        );
-        debug_assert_eq!(
-            self.stats.dcc_arrived.get(),
-            self.stats.dcc_completed.get() + self.stats.dcc_rejected.get() + dcc,
-            "dcc conservation: arrived = completed+rejected+in-flight"
+        debug_assert!(
+            ledgers
+                .iter()
+                .all(|(arrived, accounted)| arrived == accounted),
+            "work conservation, (arrived, accounted) for edge and DCC: {ledgers:?}"
         );
     }
 
@@ -1306,6 +1216,32 @@ fn plan_fingerprint(plan: &FaultPlan) -> u64 {
     simcore::snapshot::fingerprint(format!("{plan:?}").as_bytes())
 }
 
+/// A snapshot's `meta` section: what it must be restored under, and
+/// where the run stood.
+struct Meta {
+    config_fp: u64,
+    plan_fp: u64,
+    now: SimTime,
+    events: u64,
+}
+
+simcore::impl_snapshot! { Meta { config_fp, plan_fp, now, events } }
+
+/// Decode section `name` of `file` as one `T`, with nothing left over.
+fn get<T: Snapshot>(file: &SnapshotFile, name: &str) -> Result<T, SnapshotError> {
+    let mut r = file.section(name)?;
+    let v = T::decode(&mut r)?;
+    r.expect_end()?;
+    Ok(v)
+}
+
+/// Add `v` to `file` as section `name`.
+fn put<T: Snapshot>(file: &mut SnapshotFile, name: &str, v: &T) {
+    let mut w = SnapshotWriter::new();
+    v.encode(&mut w);
+    file.add(name, w);
+}
+
 /// Decode the arrivals a snapshot still owes the run. A version-2
 /// snapshot has none to owe (its arrivals are in the engine queue), so
 /// an `arrivals` section there is as corrupt as a missing one in a
@@ -1325,9 +1261,7 @@ fn restore_arrivals(
         }
         return Ok(Vec::new());
     }
-    let mut r = file.section("arrivals")?;
-    let arrivals = Vec::<Job>::decode(&mut r)?;
-    r.expect_end()?;
+    let arrivals: Vec<Job> = get(file, "arrivals")?;
     if let Some(e) = arrivals.iter().find_map(|j| j.validate().err()) {
         return Err(SnapshotError::Corrupt(format!("arrivals: {e}")));
     }
@@ -1392,24 +1326,17 @@ impl PausedRun {
     pub fn snapshot_bytes(&self) -> Vec<u8> {
         let p = &self.engine.model().p;
         let mut file = SnapshotFile::new();
-        let mut w = SnapshotWriter::new();
-        w.put_u64(config_fingerprint(&p.config));
-        w.put_u64(plan_fingerprint(&p.config.faults));
-        self.engine.now().encode(&mut w);
-        w.put_u64(self.engine.events());
-        file.add("meta", w);
-        let mut w = SnapshotWriter::new();
-        self.engine.scheduler().encode(&mut w);
-        file.add("engine", w);
-        let mut w = SnapshotWriter::new();
-        p.streams.encode(&mut w);
-        file.add("rng", w);
-        let mut w = SnapshotWriter::new();
-        p.telemetry.recorder.encode(&mut w);
-        file.add("telemetry", w);
-        let mut w = SnapshotWriter::new();
-        p.rooms.encode(&mut w);
-        file.add("thermal", w);
+        let meta = Meta {
+            config_fp: config_fingerprint(&p.config),
+            plan_fp: plan_fingerprint(&p.config.faults),
+            now: self.engine.now(),
+            events: self.engine.events(),
+        };
+        put(&mut file, "meta", &meta);
+        put(&mut file, "engine", self.engine.scheduler());
+        put(&mut file, "rng", &p.streams);
+        put(&mut file, "telemetry", &p.telemetry.recorder);
+        put(&mut file, "thermal", &p.rooms);
         let mut w = SnapshotWriter::new();
         p.snapshot_state(&mut w);
         file.add("platform", w);
@@ -1500,277 +1427,22 @@ impl Model for PlatformModel {
     }
 
     fn handle(&mut self, now: SimTime, ev: Ev, sched: &mut Scheduler<Ev>) {
+        let p = &mut self.p;
         match ev {
-            Ev::Arrival(job) => {
-                if job.is_edge() {
-                    self.p.stats.edge_arrived.inc();
-                } else {
-                    self.p.stats.dcc_arrived.inc();
-                }
-                self.p.place(now, job, sched);
-            }
-            Ev::Retry { job } => {
-                self.p.retries_pending -= 1;
-                self.p.place(now, job, sched);
-            }
+            Ev::Arrival(job) => p.on_arrival(now, job, sched),
+            Ev::Retry { job } => p.on_retry(now, job, sched),
             Ev::FinishLocal {
                 cluster,
                 worker,
                 job,
                 venue,
-            } => {
-                let slot = self.p.wslot(cluster, worker);
-                self.p
-                    .running_events
-                    .remove(slot, job.id)
-                    .expect("finished job had a tracked event");
-                self.p.clusters[cluster].finish(worker, job.id);
-                self.p.record_completion(now, &job, venue);
-                if self.p.telemetry.is_enabled() && self.p.config.telemetry.spans {
-                    self.p.telemetry.recorder.span(
-                        job.arrival,
-                        now,
-                        self.p.tags.job_span[flow_ix(job.flow)],
-                        Track::new(cluster as u32 + 1, worker as u32),
-                        [
-                            (self.p.tags.k_job, Value::U64(job.id.0)),
-                            (self.p.tags.k_gops, Value::F64(job.work_gops)),
-                        ],
-                    );
-                }
-                self.p.drain_cluster(now, cluster, sched);
-            }
-            Ev::FinishDc { job } => {
-                let started = self
-                    .p
-                    .datacenter
-                    .as_mut()
-                    .expect("DC event without a DC")
-                    .complete(now, job.id);
-                self.p.record_completion(now, &job, Venue::Datacenter);
-                if self.p.telemetry.is_enabled() && self.p.config.telemetry.spans {
-                    // The datacenter renders as the group after the
-                    // last cluster.
-                    let dc_group = self.p.config.n_clusters as u32 + 1;
-                    self.p.telemetry.recorder.span(
-                        job.arrival,
-                        now,
-                        self.p.tags.job_span[flow_ix(job.flow)],
-                        Track::new(dc_group, 0),
-                        [
-                            (self.p.tags.k_job, Value::U64(job.id.0)),
-                            (self.p.tags.k_gops, Value::F64(job.work_gops)),
-                        ],
-                    );
-                }
-                for (j, finish) in started {
-                    sched.at(finish, Ev::FinishDc { job: j });
-                }
-            }
-            Ev::WorkerFail { cluster, worker } => {
-                let slot = self.p.wslot(cluster, worker);
-                self.p.fail_events[slot] = None;
-                if self.p.clusters[cluster].worker(worker).is_failed() {
-                    return; // already dark (overlapping outage owns it)
-                }
-                let Some(churn) = self.p.config.faults.worker_churn else {
-                    return; // only a churn plan draws failures
-                };
-                let t_fault = sched.profiler.start();
-                self.p.fail_worker(now, cluster, worker, sched);
-                let mut delay = churn.repair_time;
-                let quarantine = self
-                    .p
-                    .faults
-                    .as_ref()
-                    .and_then(|rt| rt.plan().recovery.quarantine);
-                if let (Some(q), Some(rt)) = (quarantine, self.p.faults.as_mut()) {
-                    if rt.flap.record(slot, now, &q) {
-                        self.p.stats.quarantines.inc();
-                        self.p.record_fault_event(
-                            now,
-                            FaultEventKind::Quarantine,
-                            cluster,
-                            Some(worker),
-                        );
-                        delay += q.extra_downtime;
-                    }
-                }
-                let ev = sched.after(delay, Ev::WorkerRepair { cluster, worker });
-                self.p.repair_events[slot] = Some(ev);
-                // Orphaned work may fit elsewhere right away.
-                self.p.drain_cluster(now, cluster, sched);
-                sched.profiler.stop(Phase::FaultRuntime, t_fault);
-            }
-            Ev::WorkerRepair { cluster, worker } => {
-                let slot = self.p.wslot(cluster, worker);
-                self.p.repair_events[slot] = None;
-                if self
-                    .p
-                    .faults
-                    .as_ref()
-                    .is_some_and(|rt| rt.cluster_dark[cluster])
-                {
-                    return; // the outage owns this board; ClusterUp restores it
-                }
-                if !self.p.clusters[cluster].worker(worker).is_failed() {
-                    return; // stale: an intervening restoration already repaired it
-                }
-                let t_fault = sched.profiler.start();
-                self.p.repair_worker(now, cluster, worker);
-                self.p.schedule_next_failure(cluster, worker, now, sched);
-                self.p.drain_cluster(now, cluster, sched);
-                sched.profiler.stop(Phase::FaultRuntime, t_fault);
-            }
-            Ev::ClusterDown { outage } => {
-                let t_fault = sched.profiler.start();
-                let c = {
-                    let rt = self.p.faults.as_ref().expect("outage implies runtime");
-                    rt.plan().cluster_outages[outage].cluster
-                };
-                self.p.faults.as_mut().expect("checked").cluster_dark[c] = true;
-                self.p.stats.cluster_outages.inc();
-                self.p
-                    .record_fault_event(now, FaultEventKind::ClusterDown, c, None);
-                for w in 0..self.p.config.workers_per_cluster {
-                    let slot = self.p.wslot(c, w);
-                    if let Some(ev) = self.p.fail_events[slot].take() {
-                        sched.cancel(ev); // churn is moot while the building is dark
-                    }
-                    if !self.p.clusters[c].worker(w).is_failed() {
-                        self.p.fail_worker(now, c, w, sched);
-                    }
-                }
-                self.p.drain_cluster(now, c, sched);
-                sched.profiler.stop(Phase::FaultRuntime, t_fault);
-            }
-            Ev::ClusterUp { outage } => {
-                let (c, still_dark) =
-                    {
-                        let rt = self.p.faults.as_ref().expect("outage implies runtime");
-                        let c = rt.plan().cluster_outages[outage].cluster;
-                        let still =
-                            rt.plan().cluster_outages.iter().enumerate().any(|(i, o)| {
-                                i != outage && o.cluster == c && o.window.contains(now)
-                            });
-                        (c, still)
-                    };
-                if still_dark {
-                    return; // an overlapping outage keeps the building down
-                }
-                let t_fault = sched.profiler.start();
-                self.p.faults.as_mut().expect("checked").cluster_dark[c] = false;
-                self.p
-                    .record_fault_event(now, FaultEventKind::ClusterUp, c, None);
-                for w in 0..self.p.config.workers_per_cluster {
-                    if self.p.clusters[c].worker(w).is_failed() {
-                        let slot = self.p.wslot(c, w);
-                        if let Some(ev) = self.p.repair_events[slot].take() {
-                            sched.cancel(ev); // power restoration resets the board
-                        }
-                        self.p.repair_worker(now, c, w);
-                        self.p.schedule_next_failure(c, w, now, sched);
-                    }
-                }
-                self.p.drain_cluster(now, c, sched);
-                sched.profiler.stop(Phase::FaultRuntime, t_fault);
-            }
-            Ev::ControlTick => {
-                let t_tick = sched.profiler.start();
-                let t_fault = sched.profiler.start();
-                self.p.schedule_due_outages(now, sched);
-                self.p.apply_sensor_states(now);
-                sched.profiler.stop(Phase::FaultRuntime, t_fault);
-                let outdoor = self.p.outdoor(now);
-                let mut temp = 0.0;
-                let mut usable = 0usize;
-                let mut demand = 0.0;
-                let n = self.p.clusters.len();
-                // Stage every worker's pending interval, then advance
-                // the entire fleet's thermals in ONE sweep over the SoA
-                // batch — the district-scale fast path.
-                let t_stage = sched.profiler.start();
-                for c in &self.p.clusters {
-                    c.stage_thermal(now, &mut self.p.rooms);
-                }
-                sched.profiler.stop(Phase::StageThermal, t_stage);
-                // Boiler backfill (§II-B): failed workers' rooms were
-                // staged at 0 W; restage them with boiler heat so the
-                // §IV comfort guarantee holds while boards are dark.
-                let backfill = self
-                    .p
-                    .faults
-                    .as_ref()
-                    .map(|rt| rt.plan().recovery)
-                    .filter(|r| r.boiler_backfill);
-                if let Some(r) = backfill {
-                    let mut kwh = 0.0;
-                    for c in &self.p.clusters {
-                        kwh += c.stage_backfill(now, &mut self.p.rooms, r.backfill_power_w);
-                    }
-                    self.p.stats.boiler_backfill_kwh += kwh;
-                }
-                let t_step = sched.profiler.start();
-                self.p.rooms.step_staged(outdoor);
-                sched.profiler.stop(Phase::StepStaged, t_step);
-                for i in 0..n {
-                    let (t, u, d) = self.p.clusters[i].finish_control_tick(now, &self.p.rooms);
-                    temp += t;
-                    usable += u;
-                    demand += d;
-                    self.p.drain_cluster(now, i, sched);
-                }
-                self.p
-                    .stats
-                    .sample_tick(now, temp / n as f64, usable as f64, demand / n as f64);
-                if self.p.telemetry.is_enabled() {
-                    let mean_temp = temp / n as f64;
-                    let tags = &self.p.tags;
-                    self.p.telemetry.recorder.instant(
-                        now,
-                        tags.tick_sample,
-                        Track::PLATFORM,
-                        [
-                            (tags.k_temp_c, Value::F64(mean_temp)),
-                            (tags.k_usable_cores, Value::U64(usable as u64)),
-                            (tags.k_heat_demand, Value::F64(demand / n as f64)),
-                        ],
-                    );
-                    // Invariant watchdogs: observe, record, never panic.
-                    let wd = self.p.config.watchdogs;
-                    if mean_temp < wd.temp_lo_c || mean_temp > wd.temp_hi_c {
-                        self.p.telemetry.recorder.instant(
-                            now,
-                            tags.wd_temp_band,
-                            Track::PLATFORM,
-                            [
-                                (tags.k_temp_c, Value::F64(mean_temp)),
-                                (tags.k_lo_c, Value::F64(wd.temp_lo_c)),
-                                (tags.k_hi_c, Value::F64(wd.temp_hi_c)),
-                            ],
-                        );
-                    }
-                    let queued: usize = self
-                        .p
-                        .clusters
-                        .iter()
-                        .map(|c| c.edge_queue.len() + c.dcc_queue.len())
-                        .sum();
-                    if queued > wd.max_queued {
-                        self.p.telemetry.recorder.instant(
-                            now,
-                            tags.wd_queue_depth,
-                            Track::PLATFORM,
-                            [
-                                (tags.k_queued, Value::U64(queued as u64)),
-                                (tags.k_limit, Value::U64(wd.max_queued as u64)),
-                            ],
-                        );
-                    }
-                }
-                sched.after(self.p.config.control_period, Ev::ControlTick);
-                sched.profiler.stop(Phase::ControlTick, t_tick);
-            }
+            } => p.on_finish_local(now, cluster, worker, job, venue, sched),
+            Ev::FinishDc { job } => p.on_finish_dc(now, job, sched),
+            Ev::WorkerFail { cluster, worker } => p.on_worker_fail(now, cluster, worker, sched),
+            Ev::WorkerRepair { cluster, worker } => p.on_worker_repair(now, cluster, worker, sched),
+            Ev::ClusterDown { outage } => p.on_cluster_down(now, outage, sched),
+            Ev::ClusterUp { outage } => p.on_cluster_up(now, outage, sched),
+            Ev::ControlTick => p.on_control_tick(now, sched),
         }
     }
 
@@ -1779,6 +1451,269 @@ impl Model for PlatformModel {
         // render them after the engine is consumed.
         let prof = std::mem::take(&mut sched.profiler);
         self.p.telemetry.profiler.merge(&prof);
+    }
+}
+
+/// One handler per [`Ev`] variant. Each times its own profiler phases;
+/// an event that returns early (a stale or moot fault event) is not
+/// timed.
+impl Platform {
+    fn on_arrival(&mut self, now: SimTime, job: Job, sched: &mut Scheduler<Ev>) {
+        if job.is_edge() {
+            self.stats.edge_arrived.inc();
+        } else {
+            self.stats.dcc_arrived.inc();
+        }
+        self.place(now, job, sched);
+    }
+
+    fn on_retry(&mut self, now: SimTime, job: Job, sched: &mut Scheduler<Ev>) {
+        self.retries_pending -= 1;
+        self.place(now, job, sched);
+    }
+
+    fn on_finish_local(
+        &mut self,
+        now: SimTime,
+        cluster: usize,
+        worker: usize,
+        job: Job,
+        venue: Venue,
+        sched: &mut Scheduler<Ev>,
+    ) {
+        let slot = self.wslot(cluster, worker);
+        self.running_events
+            .remove(slot, job.id)
+            .expect("finished job had a tracked event");
+        self.clusters[cluster].finish(worker, job.id);
+        self.record_completion(now, &job, venue);
+        self.record_span(now, &job, Track::new(cluster as u32 + 1, worker as u32));
+        self.drain_cluster(now, cluster, sched);
+    }
+
+    fn on_finish_dc(&mut self, now: SimTime, job: Job, sched: &mut Scheduler<Ev>) {
+        let started = self
+            .datacenter
+            .as_mut()
+            .expect("DC event without a DC")
+            .complete(now, job.id);
+        self.record_completion(now, &job, Venue::Datacenter);
+        // The datacenter renders as the group after the last cluster.
+        self.record_span(now, &job, Track::new(self.config.n_clusters as u32 + 1, 0));
+        for (j, finish) in started {
+            sched.at(finish, Ev::FinishDc { job: j });
+        }
+    }
+
+    fn on_worker_fail(
+        &mut self,
+        now: SimTime,
+        cluster: usize,
+        worker: usize,
+        sched: &mut Scheduler<Ev>,
+    ) {
+        let slot = self.wslot(cluster, worker);
+        self.fail_events[slot] = None;
+        if self.clusters[cluster].worker(worker).is_failed() {
+            return; // already dark (overlapping outage owns it)
+        }
+        let Some(churn) = self.config.faults.worker_churn else {
+            return; // only a churn plan draws failures
+        };
+        let t_fault = sched.profiler.start();
+        self.fail_worker(now, cluster, worker, sched);
+        let mut delay = churn.repair_time;
+        let quarantine = self
+            .faults
+            .as_ref()
+            .and_then(|rt| rt.plan().recovery.quarantine);
+        if let (Some(q), Some(rt)) = (quarantine, self.faults.as_mut()) {
+            if rt.flap.record(slot, now, &q) {
+                self.stats.quarantines.inc();
+                self.record_fault_event(now, FaultEventKind::Quarantine, cluster, Some(worker));
+                delay += q.extra_downtime;
+            }
+        }
+        let ev = sched.after(delay, Ev::WorkerRepair { cluster, worker });
+        self.repair_events[slot] = Some(ev);
+        // Orphaned work may fit elsewhere right away.
+        self.drain_cluster(now, cluster, sched);
+        sched.profiler.stop(Phase::FaultRuntime, t_fault);
+    }
+
+    fn on_worker_repair(
+        &mut self,
+        now: SimTime,
+        cluster: usize,
+        worker: usize,
+        sched: &mut Scheduler<Ev>,
+    ) {
+        let slot = self.wslot(cluster, worker);
+        self.repair_events[slot] = None;
+        if self
+            .faults
+            .as_ref()
+            .is_some_and(|rt| rt.cluster_dark[cluster])
+        {
+            return; // the outage owns this board; ClusterUp restores it
+        }
+        if !self.clusters[cluster].worker(worker).is_failed() {
+            return; // stale: an intervening restoration already repaired it
+        }
+        let t_fault = sched.profiler.start();
+        self.repair_worker(now, cluster, worker);
+        self.schedule_next_failure(cluster, worker, now, sched);
+        self.drain_cluster(now, cluster, sched);
+        sched.profiler.stop(Phase::FaultRuntime, t_fault);
+    }
+
+    fn on_cluster_down(&mut self, now: SimTime, outage: usize, sched: &mut Scheduler<Ev>) {
+        let t_fault = sched.profiler.start();
+        let rt = self.faults.as_mut().expect("outage implies runtime");
+        let c = rt.plan().cluster_outages[outage].cluster;
+        rt.cluster_dark[c] = true;
+        self.stats.cluster_outages.inc();
+        self.record_fault_event(now, FaultEventKind::ClusterDown, c, None);
+        for w in 0..self.config.workers_per_cluster {
+            let slot = self.wslot(c, w);
+            if let Some(ev) = self.fail_events[slot].take() {
+                sched.cancel(ev); // churn is moot while the building is dark
+            }
+            if !self.clusters[c].worker(w).is_failed() {
+                self.fail_worker(now, c, w, sched);
+            }
+        }
+        self.drain_cluster(now, c, sched);
+        sched.profiler.stop(Phase::FaultRuntime, t_fault);
+    }
+
+    fn on_cluster_up(&mut self, now: SimTime, outage: usize, sched: &mut Scheduler<Ev>) {
+        let rt = self.faults.as_mut().expect("outage implies runtime");
+        let outages = &rt.plan().cluster_outages;
+        let c = outages[outage].cluster;
+        let still_dark = outages
+            .iter()
+            .enumerate()
+            .any(|(i, o)| i != outage && o.cluster == c && o.window.contains(now));
+        if still_dark {
+            return; // an overlapping outage keeps the building down
+        }
+        let t_fault = sched.profiler.start();
+        rt.cluster_dark[c] = false;
+        self.record_fault_event(now, FaultEventKind::ClusterUp, c, None);
+        for w in 0..self.config.workers_per_cluster {
+            if self.clusters[c].worker(w).is_failed() {
+                let slot = self.wslot(c, w);
+                if let Some(ev) = self.repair_events[slot].take() {
+                    sched.cancel(ev); // power restoration resets the board
+                }
+                self.repair_worker(now, c, w);
+                self.schedule_next_failure(c, w, now, sched);
+            }
+        }
+        self.drain_cluster(now, c, sched);
+        sched.profiler.stop(Phase::FaultRuntime, t_fault);
+    }
+
+    fn on_control_tick(&mut self, now: SimTime, sched: &mut Scheduler<Ev>) {
+        let t_tick = sched.profiler.start();
+        let t_fault = sched.profiler.start();
+        self.schedule_due_outages(now, sched);
+        self.apply_sensor_states(now);
+        sched.profiler.stop(Phase::FaultRuntime, t_fault);
+        let outdoor = self.weather.outdoor_c(now);
+        // Stage every worker's pending interval, then advance the entire
+        // fleet's thermals in ONE sweep over the SoA batch — the
+        // district-scale fast path.
+        let t_stage = sched.profiler.start();
+        for c in &self.clusters {
+            c.stage_thermal(now, &mut self.rooms);
+        }
+        sched.profiler.stop(Phase::StageThermal, t_stage);
+        // Boiler backfill (§II-B): failed workers' rooms were staged at
+        // 0 W; restage them with boiler heat so the §IV comfort
+        // guarantee holds while boards are dark.
+        let backfill = self
+            .faults
+            .as_ref()
+            .map(|rt| rt.plan().recovery)
+            .filter(|r| r.boiler_backfill);
+        if let Some(r) = backfill {
+            let mut kwh = 0.0;
+            for c in &self.clusters {
+                kwh += c.stage_backfill(now, &mut self.rooms, r.backfill_power_w);
+            }
+            self.stats.boiler_backfill_kwh += kwh;
+        }
+        let t_step = sched.profiler.start();
+        self.rooms.step_staged(outdoor);
+        sched.profiler.stop(Phase::StepStaged, t_step);
+        let mut temp = 0.0;
+        let mut usable = 0usize;
+        let mut demand = 0.0;
+        for i in 0..self.clusters.len() {
+            let (t, u, d) = self.clusters[i].finish_control_tick(now, &self.rooms);
+            temp += t;
+            usable += u;
+            demand += d;
+            self.drain_cluster(now, i, sched);
+        }
+        let n = self.clusters.len() as f64;
+        self.record_tick(now, temp / n, usable, demand / n);
+        sched.after(self.config.control_period, Ev::ControlTick);
+        sched.profiler.stop(Phase::ControlTick, t_tick);
+    }
+
+    /// The tick's fleet sample, in the stats and (with telemetry on) the
+    /// flight recorder, plus the invariant watchdogs: observe, record,
+    /// never panic.
+    fn record_tick(&mut self, now: SimTime, mean_temp: f64, usable: usize, mean_demand: f64) {
+        self.stats
+            .sample_tick(now, mean_temp, usable as f64, mean_demand);
+        if !self.telemetry.is_enabled() {
+            return;
+        }
+        let tags = &self.tags;
+        let recorder = &mut self.telemetry.recorder;
+        recorder.instant(
+            now,
+            tags.tick_sample,
+            Track::PLATFORM,
+            [
+                (tags.k_temp_c, Value::F64(mean_temp)),
+                (tags.k_usable_cores, Value::U64(usable as u64)),
+                (tags.k_heat_demand, Value::F64(mean_demand)),
+            ],
+        );
+        let wd = self.config.watchdogs;
+        if mean_temp < wd.temp_lo_c || mean_temp > wd.temp_hi_c {
+            recorder.instant(
+                now,
+                tags.wd_temp_band,
+                Track::PLATFORM,
+                [
+                    (tags.k_temp_c, Value::F64(mean_temp)),
+                    (tags.k_lo_c, Value::F64(wd.temp_lo_c)),
+                    (tags.k_hi_c, Value::F64(wd.temp_hi_c)),
+                ],
+            );
+        }
+        let queued: usize = self
+            .clusters
+            .iter()
+            .map(|c| c.edge_queue.len() + c.dcc_queue.len())
+            .sum();
+        if queued > wd.max_queued {
+            recorder.instant(
+                now,
+                tags.wd_queue_depth,
+                Track::PLATFORM,
+                [
+                    (tags.k_queued, Value::U64(queued as u64)),
+                    (tags.k_limit, Value::U64(wd.max_queued as u64)),
+                ],
+            );
+        }
     }
 }
 

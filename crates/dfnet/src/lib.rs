@@ -17,8 +17,6 @@
 //!   (1 % duty cycle, 140 messages/day) — the constraint that makes
 //!   "ship the raw audio to the cloud" impossible and local edge
 //!   processing necessary.
-//! - [`segmentation`]: the §III-B isolation model — edge and DCC
-//!   segments, and the VPN overlay of architecture class B.
 //! - [`collective`]: allreduce/BSP cost models quantifying the
 //!   conclusion's claim that tightly-coupled applications scale poorly
 //!   across homes.
@@ -27,9 +25,7 @@ pub mod collective;
 pub mod link;
 pub mod lowpower;
 pub mod protocol;
-pub mod segmentation;
 
 pub use link::Link;
 pub use lowpower::DutyCycleBudget;
 pub use protocol::Protocol;
-pub use segmentation::{Segment, SegmentPolicy};

@@ -8,8 +8,6 @@
 //!
 //! - [`queue`]: ready-queue disciplines — FIFO, EDF (edge deadlines),
 //!   SJF.
-//! - [`list`]: offline list scheduling (LPT) for rigid parallel tasks
-//!   (ref \[14\]).
 //! - [`preempt`]: victim selection for preempting moldable DCC work
 //!   when an edge request finds the cluster full.
 //! - [`offload`]: the peak-management policy of §III-B — preempt /
@@ -24,7 +22,6 @@
 
 pub mod admission;
 pub mod fairness;
-pub mod list;
 pub mod offload;
 pub mod preempt;
 pub mod queue;

@@ -40,38 +40,6 @@ pub struct ThermalBatch {
     heater_w: Vec<f64>,
 }
 
-/// The batch columns as slices, borrowed for one staged sweep. Every
-/// slice covers the same index range.
-struct Lane<'a> {
-    temp_c: &'a mut [f64],
-    decay: &'a mut [f64],
-    decay_dt_s: &'a mut [f64],
-    dt_s: &'a mut [f64],
-    resistance: &'a [f64],
-    gains_w: &'a [f64],
-    tau_s: &'a [f64],
-    heater_w: &'a [f64],
-}
-
-impl Lane<'_> {
-    /// The tight loop: mul-add only while Δ matches the cached decay.
-    fn sweep(&mut self, outdoor_c: f64) {
-        for i in 0..self.temp_c.len() {
-            let dt = self.dt_s[i];
-            if dt <= 0.0 {
-                continue;
-            }
-            self.dt_s[i] = 0.0;
-            if dt != self.decay_dt_s[i] {
-                self.decay[i] = (-dt / self.tau_s[i]).exp();
-                self.decay_dt_s[i] = dt;
-            }
-            let t_inf = outdoor_c + self.resistance[i] * (self.heater_w[i] + self.gains_w[i]);
-            self.temp_c[i] = t_inf + (self.temp_c[i] - t_inf) * self.decay[i];
-        }
-    }
-}
-
 impl ThermalBatch {
     pub fn new() -> Self {
         Self::default()
@@ -166,17 +134,14 @@ impl ThermalBatch {
     /// one sweep over the dense columns. Rooms with no staged Δ are
     /// untouched. Clears the staging buffers.
     pub fn step_staged(&mut self, outdoor_c: f64) {
-        let mut lane = Lane {
-            temp_c: &mut self.temp_c,
-            decay: &mut self.decay,
-            decay_dt_s: &mut self.decay_dt_s,
-            dt_s: &mut self.dt_s,
-            resistance: &self.resistance,
-            gains_w: &self.gains_w,
-            tau_s: &self.tau_s,
-            heater_w: &self.heater_w,
-        };
-        lane.sweep(outdoor_c);
+        for i in 0..self.len() {
+            let dt_s = self.dt_s[i];
+            if dt_s <= 0.0 {
+                continue;
+            }
+            self.dt_s[i] = 0.0;
+            self.advance(i, dt_s, outdoor_c, self.heater_w[i]);
+        }
     }
 
     /// Step a single room immediately (the off-cycle wake path). The
@@ -186,15 +151,9 @@ impl ThermalBatch {
         assert!(heater_w >= 0.0, "heater power cannot be negative");
         assert!(!dt.is_negative());
         let dt_s = dt.as_secs_f64();
-        if dt_s <= 0.0 {
-            return self.temp_c[i];
+        if dt_s > 0.0 {
+            self.advance(i, dt_s, outdoor_c, heater_w);
         }
-        if dt_s != self.decay_dt_s[i] {
-            self.decay[i] = (-dt_s / self.tau_s[i]).exp();
-            self.decay_dt_s[i] = dt_s;
-        }
-        let t_inf = outdoor_c + self.resistance[i] * (heater_w + self.gains_w[i]);
-        self.temp_c[i] = t_inf + (self.temp_c[i] - t_inf) * self.decay[i];
         self.temp_c[i]
     }
 
@@ -212,13 +171,21 @@ impl ThermalBatch {
         }
         for (i, &p) in powers.iter().enumerate() {
             assert!(p >= 0.0, "heater power cannot be negative");
-            if dt_s != self.decay_dt_s[i] {
-                self.decay[i] = (-dt_s / self.tau_s[i]).exp();
-                self.decay_dt_s[i] = dt_s;
-            }
-            let t_inf = outdoor_c + self.resistance[i] * (p + self.gains_w[i]);
-            self.temp_c[i] = t_inf + (self.temp_c[i] - t_inf) * self.decay[i];
+            self.advance(i, dt_s, outdoor_c, p);
         }
+    }
+
+    /// The kernel every entry point shares: advance room `i` by
+    /// `dt_s > 0` seconds at `heater_w`, mul-add only while Δ matches the
+    /// cached decay.
+    #[inline]
+    fn advance(&mut self, i: usize, dt_s: f64, outdoor_c: f64, heater_w: f64) {
+        if dt_s != self.decay_dt_s[i] {
+            self.decay[i] = (-dt_s / self.tau_s[i]).exp();
+            self.decay_dt_s[i] = dt_s;
+        }
+        let t_inf = outdoor_c + self.resistance[i] * (heater_w + self.gains_w[i]);
+        self.temp_c[i] = t_inf + (self.temp_c[i] - t_inf) * self.decay[i];
     }
 }
 

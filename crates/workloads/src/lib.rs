@@ -3,8 +3,9 @@
 //! §II-C defines the DF3 processing model as three request flows:
 //! *heating requests*, *Internet computing requests* (DCC), and *local
 //! computing requests* (edge, direct or indirect). This crate generates
-//! all of them, plus the concrete application workloads the paper
-//! motivates:
+//! the two computing flows (heat demand comes from the rooms' thermal
+//! model in `df3_core`), plus the concrete application workloads the
+//! paper motivates:
 //!
 //! - [`job`]: the common [`Job`] currency (work in giga-ops,
 //!   rigid core count, optional deadline, payload sizes, organisation).
@@ -18,7 +19,6 @@
 //!   estimation) and sense-compute-actuate loops.
 //! - [`alarm`]: the in-situ audio alarm-detection pipeline of Durand
 //!   et al. \[11\] (experiment E11).
-//! - [`heating`]: thermostat-driven heating request streams.
 //! - [`peak`]: peak injection (§III-B's "management of requests peak").
 //! - [`traces`]: CSV export/import of job streams.
 
@@ -26,7 +26,6 @@ pub mod alarm;
 pub mod arrival;
 pub mod dcc;
 pub mod edge;
-pub mod heating;
 pub mod job;
 pub mod peak;
 pub mod render;
