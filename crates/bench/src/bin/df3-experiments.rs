@@ -11,46 +11,40 @@
 //! df3-experiments branch   --preset district_winter --snapshot warm.df3snap --sweep 32
 //! ```
 
+use simcore::report::Table;
 use std::env;
 use std::time::Instant;
 
+/// Run subcommand `sub` on its arguments. The outer error is a bad
+/// argument (exit 2, as the suite's), the inner one a failed run
+/// (exit 1).
+fn subcommand(sub: &str, rest: &[String]) -> Result<Result<Table, String>, String> {
+    use bench::{run_report as report, snapshot_cli as snap};
+    Ok(match sub {
+        "report" => report::run(&report::parse_args(rest)?),
+        "snapshot" => snap::run_snapshot(&snap::parse_snapshot_args(rest)?),
+        "resume" => snap::run_resume(&snap::parse_resume_args(rest)?),
+        _ => snap::run_branch(&snap::parse_branch_args(rest)?),
+    })
+}
+
 fn main() {
     let args: Vec<String> = env::args().skip(1).collect();
-    if let Some(sub @ ("snapshot" | "resume" | "branch")) = args.first().map(String::as_str) {
+    if let Some(sub @ ("report" | "snapshot" | "resume" | "branch")) =
+        args.first().map(String::as_str)
+    {
         let t0 = Instant::now();
-        let result = match sub {
-            "snapshot" => bench::snapshot_cli::parse_snapshot_args(&args[1..])
-                .and_then(|a| bench::snapshot_cli::run_snapshot(&a)),
-            "resume" => bench::snapshot_cli::parse_resume_args(&args[1..])
-                .and_then(|a| bench::snapshot_cli::run_resume(&a)),
-            _ => bench::snapshot_cli::parse_branch_args(&args[1..])
-                .and_then(|a| bench::snapshot_cli::run_branch(&a)),
+        let (e, code) = match subcommand(sub, &args[1..]) {
+            Ok(Ok(table)) => {
+                println!("{}", table.render());
+                println!("done in {:.1} s", t0.elapsed().as_secs_f64());
+                return;
+            }
+            Ok(Err(e)) => (e, 1),
+            Err(e) => (e, 2),
         };
-        match result {
-            Ok(table) => {
-                println!("{}", table.render());
-                println!("done in {:.1} s", t0.elapsed().as_secs_f64());
-            }
-            Err(e) => {
-                eprintln!("df3-experiments {sub}: {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-    if args.first().map(String::as_str) == Some("report") {
-        let t0 = Instant::now();
-        match bench::run_report::parse_args(&args[1..]).and_then(|a| bench::run_report::run(&a)) {
-            Ok(table) => {
-                println!("{}", table.render());
-                println!("done in {:.1} s", t0.elapsed().as_secs_f64());
-            }
-            Err(e) => {
-                eprintln!("df3-experiments report: {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
+        eprintln!("df3-experiments {sub}: {e}");
+        std::process::exit(code);
     }
     let suite = match bench::cli::parse_suite_args(&args) {
         Ok(suite) => suite,

@@ -20,6 +20,7 @@ use simcore::time::SimDuration;
 use simcore::RngStreams;
 use std::time::Instant;
 use workloads::edge::{location_service_jobs, LocationServiceConfig};
+use workloads::job::JobStream;
 use workloads::Flow;
 
 /// Parsed `report` subcommand arguments.
@@ -65,9 +66,7 @@ pub fn parse_args(rest: &[String]) -> Result<ReportArgs, String> {
             other => return Err(format!("unknown report flag: {other}")),
         }
     }
-    if args.hours <= 0 {
-        return Err("--hours must be positive".into());
-    }
+    warm_config(&args.preset, args.hours)?;
     Ok(args)
 }
 
@@ -83,18 +82,37 @@ pub fn preset_config(name: &str) -> Result<PlatformConfig, String> {
     }
 }
 
-/// Run the preset with telemetry enabled and write the three documents.
-/// Returns the rendered summary table.
-pub fn run(args: &ReportArgs) -> Result<Table, String> {
-    let mut cfg = preset_config(&args.preset)?;
-    cfg.horizon = SimDuration::from_hours(args.hours);
+/// The preset's config over `hours` with telemetry on (so the flight
+/// recorder has content to export and rides through snapshots). Every
+/// subcommand's parser calls it to reject a bad preset or horizon.
+pub(crate) fn warm_config(preset: &str, hours: i64) -> Result<PlatformConfig, String> {
+    if hours <= 0 {
+        return Err("--hours must be positive".into());
+    }
+    let mut cfg = preset_config(preset)?;
+    cfg.horizon = SimDuration::from_hours(hours);
     cfg.telemetry.enabled = true;
-    let jobs = location_service_jobs(
+    Ok(cfg)
+}
+
+/// The canonical job stream every subcommand runs: the map-serving
+/// edge workload, derived from the preset seed. `resume` and `branch`
+/// need it only to replay cold for `--check`: a snapshot carries the
+/// arrivals not yet dispatched in its `arrivals` section.
+pub(crate) fn canonical_jobs(cfg: &PlatformConfig) -> JobStream {
+    location_service_jobs(
         LocationServiceConfig::map_serving(Flow::EdgeIndirect),
         cfg.horizon,
         &RngStreams::new(cfg.seed),
         0,
-    );
+    )
+}
+
+/// Run the preset with telemetry enabled and write the three documents.
+/// Returns the rendered summary table.
+pub fn run(args: &ReportArgs) -> Result<Table, String> {
+    let cfg = warm_config(&args.preset, args.hours)?;
+    let jobs = canonical_jobs(&cfg);
     let t0 = Instant::now();
     let out = Platform::new(cfg.clone()).run(&jobs);
     let run_wall_s = t0.elapsed().as_secs_f64();
@@ -207,6 +225,7 @@ mod tests {
         assert!(parse_args(&["--bogus".to_string()]).is_err());
         assert!(parse_args(&["--hours".to_string(), "0".to_string()]).is_err());
         assert!(parse_args(&["--preset".to_string()]).is_err());
+        assert!(parse_args(&["--preset".to_string(), "mars_colony".to_string()]).is_err());
     }
 
     #[test]

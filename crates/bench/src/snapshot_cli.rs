@@ -18,7 +18,7 @@
 //! re-derived per branch index, so a sweep is reproducible from the
 //! preset seed alone).
 
-use crate::run_report::preset_config;
+use crate::run_report::{canonical_jobs, warm_config};
 use df3_core::report::{ExportOptions, RunReport};
 use df3_core::{FaultPlan, PausedRun, Platform, PlatformConfig, PlatformOutcome, Window};
 use rand::Rng;
@@ -26,9 +26,7 @@ use simcore::report::Table;
 use simcore::time::{SimDuration, SimTime};
 use simcore::RngStreams;
 use std::time::Instant;
-use workloads::edge::{location_service_jobs, LocationServiceConfig};
 use workloads::job::JobStream;
-use workloads::Flow;
 
 /// Parse `72h` / `30m` / `3600s` / `2d` into a [`SimDuration`].
 pub fn parse_sim_duration(s: &str) -> Result<SimDuration, String> {
@@ -46,32 +44,6 @@ pub fn parse_sim_duration(s: &str) -> Result<SimDuration, String> {
         "d" => Ok(SimDuration::from_hours(n * 24)),
         _ => Err(format!("unknown duration unit in {s} (want s, m, h, or d)")),
     }
-}
-
-/// The preset's config with telemetry on (so the flight recorder rides
-/// through the snapshot and the exports have content to compare).
-fn warm_config(preset: &str, hours: i64) -> Result<PlatformConfig, String> {
-    if hours <= 0 {
-        return Err("--hours must be positive".into());
-    }
-    let mut cfg = preset_config(preset)?;
-    cfg.horizon = SimDuration::from_hours(hours);
-    cfg.telemetry.enabled = true;
-    Ok(cfg)
-}
-
-/// The canonical job stream every snapshot subcommand runs: the same
-/// map-serving edge workload `df3-experiments report` uses, derived
-/// from the preset seed. Resume and branch never need it (the snapshot
-/// carries the arrivals not yet dispatched in its `arrivals` section)
-/// except to replay cold for `--check`.
-fn canonical_jobs(cfg: &PlatformConfig) -> JobStream {
-    location_service_jobs(
-        LocationServiceConfig::map_serving(Flow::EdgeIndirect),
-        cfg.horizon,
-        &RngStreams::new(cfg.seed),
-        0,
-    )
 }
 
 fn pause(cfg: PlatformConfig, jobs: &JobStream, at: SimDuration) -> Result<PausedRun, String> {
@@ -164,19 +136,20 @@ pub fn parse_snapshot_args(rest: &[String]) -> Result<SnapshotArgs, String> {
             other => return Err(format!("unknown snapshot flag: {other}")),
         }
     }
+    let horizon = warm_config(&a.preset, a.hours)?.horizon;
+    if a.at >= horizon {
+        return Err(format!(
+            "--at ({:.0} h) must fall inside the {:.0}-hour horizon",
+            a.at.as_hours_f64(),
+            horizon.as_hours_f64()
+        ));
+    }
     Ok(a)
 }
 
 /// Warm a preset up to `--at` and write the checkpoint file.
 pub fn run_snapshot(a: &SnapshotArgs) -> Result<Table, String> {
     let cfg = warm_config(&a.preset, a.hours)?;
-    if a.at >= cfg.horizon {
-        return Err(format!(
-            "--at ({:.0} h) must fall inside the {:.0}-hour horizon",
-            a.at.as_hours_f64(),
-            cfg.horizon.as_hours_f64()
-        ));
-    }
     let jobs = canonical_jobs(&cfg);
     let t0 = Instant::now();
     let paused = pause(cfg, &jobs, a.at)?;
@@ -236,6 +209,7 @@ pub fn parse_resume_args(rest: &[String]) -> Result<ResumeArgs, String> {
             other => return Err(format!("unknown resume flag: {other}")),
         }
     }
+    warm_config(&a.preset, a.hours)?;
     Ok(a)
 }
 
@@ -316,6 +290,7 @@ pub fn parse_branch_args(rest: &[String]) -> Result<BranchArgs, String> {
     if a.sweep == 0 {
         return Err("--sweep must be at least 1".into());
     }
+    warm_config(&a.preset, a.hours)?;
     Ok(a)
 }
 
@@ -426,7 +401,7 @@ mod tests {
 
     #[test]
     fn branch_plans_are_deterministic_extensions() {
-        let mut cfg = preset_config("small_winter").unwrap();
+        let mut cfg = crate::run_report::preset_config("small_winter").unwrap();
         cfg.horizon = SimDuration::from_hours(12);
         let warm = SimDuration::from_hours(4);
         for i in 0..8 {

@@ -4,46 +4,6 @@ use crate::faults::FaultPlan;
 use simcore::telemetry::TelemetryConfig;
 use simcore::time::{Calendar, SimDuration};
 
-/// Thresholds for the run-time invariant watchdogs. Watchdogs only run
-/// while telemetry is enabled and only *observe*: a tripped invariant
-/// becomes a `watchdog.*` flight-recorder event (surfaced by the run
-/// report), never a panic — week-long district runs should land with
-/// their evidence, not die mid-flight.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WatchdogConfig {
-    /// Mean room temperature below this trips `watchdog.temp_band`.
-    pub temp_lo_c: f64,
-    /// Mean room temperature above this trips `watchdog.temp_band`.
-    pub temp_hi_c: f64,
-    /// Total queued jobs (all clusters) above this trips
-    /// `watchdog.queue_depth`.
-    pub max_queued: usize,
-}
-
-impl Default for WatchdogConfig {
-    fn default() -> Self {
-        // The declared comfort band brackets the 17 °C night setback
-        // and the 20 °C day setpoint with margin for cold snaps.
-        WatchdogConfig {
-            temp_lo_c: 10.0,
-            temp_hi_c: 26.0,
-            max_queued: 50_000,
-        }
-    }
-}
-
-impl WatchdogConfig {
-    pub fn validate(&self) -> Result<(), String> {
-        if self.temp_lo_c >= self.temp_hi_c || self.temp_lo_c.is_nan() || self.temp_hi_c.is_nan() {
-            return Err(format!(
-                "watchdog temp band {}..{} is empty",
-                self.temp_lo_c, self.temp_hi_c
-            ));
-        }
-        Ok(())
-    }
-}
-
 /// The two §III-B cluster architectures.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArchClass {
@@ -66,6 +26,13 @@ pub enum ArchClass {
     },
 }
 
+simcore::impl_snapshot! {
+    enum ArchClass {
+        0 => SharedWorkers { switch_cost },
+        1 => DedicatedEdge { edge_workers, vpn_overhead },
+    }
+}
+
 /// Full platform configuration.
 #[derive(Debug, Clone)]
 pub struct PlatformConfig {
@@ -77,8 +44,6 @@ pub struct PlatformConfig {
     pub arch: ArchClass,
     /// Peak-management policy.
     pub peak_policy: sched::PeakPolicy,
-    /// Admission control.
-    pub admission: sched::admission::AdmissionControl,
     /// Control-loop period (thermostat/regulator tick).
     pub control_period: SimDuration,
     /// Datacenter cores for vertical offloading (0 = no datacenter).
@@ -102,12 +67,10 @@ pub struct PlatformConfig {
     /// empty plan (the default) leaves the platform bit-identical to a
     /// build without the fault layer.
     pub faults: FaultPlan,
-    /// Flight-recorder + phase-profiler switches. Disabled by default;
+    /// Flight-recorder + phase-profiler switch. Disabled by default;
     /// a disabled recorder leaves the run bit-identical to a build
     /// without the telemetry layer (property-tested).
     pub telemetry: TelemetryConfig,
-    /// Invariant-watchdog thresholds (active only with telemetry on).
-    pub watchdogs: WatchdogConfig,
 }
 
 impl PlatformConfig {
@@ -121,7 +84,6 @@ impl PlatformConfig {
                 switch_cost: SimDuration::from_secs(2),
             },
             peak_policy: sched::PeakPolicy::Hybrid,
-            admission: sched::admission::AdmissionControl::open(),
             control_period: SimDuration::from_secs(600),
             datacenter_cores: 512,
             calendar: Calendar::NOVEMBER_EPOCH,
@@ -131,7 +93,6 @@ impl PlatformConfig {
             roc_fallback_direct: false,
             faults: FaultPlan::none(),
             telemetry: TelemetryConfig::default(),
-            watchdogs: WatchdogConfig::default(),
         }
     }
 
@@ -187,8 +148,6 @@ impl PlatformConfig {
         if self.horizon <= SimDuration::ZERO {
             return Err("horizon must be positive".into());
         }
-        self.telemetry.validate()?;
-        self.watchdogs.validate()?;
         self.faults
             .validate(self.n_clusters, self.workers_per_cluster)
     }

@@ -208,6 +208,34 @@ pub struct FaultPlan {
     pub recovery: RecoveryPolicy,
 }
 
+// The plan's explicit encoding: a snapshot's `meta` section pins the
+// plan it was taken under by a fingerprint of these bytes.
+simcore::impl_snapshot!(Window { start, end });
+simcore::impl_snapshot!(WorkerChurn { mtbf, repair_time });
+simcore::impl_snapshot!(ClusterOutage { cluster, window });
+simcore::impl_snapshot! {
+    LinkFault { link, window, degradation, partition }
+}
+simcore::impl_snapshot! {
+    SensorFault { cluster, worker, window, kind }
+}
+simcore::impl_snapshot! {
+    enum SensorFaultKind { 0 => Dropout, 1 => StuckAt(value) }
+}
+simcore::impl_snapshot! {
+    RecoveryPolicy { retry, quarantine, boiler_backfill, backfill_power_w, sensor_bias_c }
+}
+simcore::impl_snapshot! {
+    FaultPlan {
+        worker_churn,
+        cluster_outages,
+        master_outages,
+        link_faults,
+        sensor_faults,
+        recovery,
+    }
+}
+
 impl FaultPlan {
     /// The empty plan: no injectors, recovery moot. A platform built
     /// with this is bit-identical to one without the fault layer.

@@ -45,7 +45,7 @@ pub mod smartgrid;
 pub mod stats;
 pub mod worker;
 
-pub use config::{ArchClass, PlatformConfig, WatchdogConfig};
+pub use config::{ArchClass, PlatformConfig};
 pub use faults::{FaultPlan, RecoveryPolicy, SensorFaultKind, Window};
 pub use platform::{PausedRun, Platform, PlatformOutcome, RunTo};
 pub use regulator::{HeatRegulator, RegulatorDecision};

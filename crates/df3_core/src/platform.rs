@@ -37,7 +37,9 @@ use dfnet::protocol::Protocol;
 use sched::PeakAction;
 use simcore::engine::{Engine, EngineRun, Model, RunSummary, Scheduler};
 use simcore::event::EventId;
-use simcore::snapshot::{Snapshot, SnapshotError, SnapshotFile, SnapshotReader, SnapshotWriter};
+use simcore::snapshot::{
+    fingerprint, Snapshot, SnapshotError, SnapshotFile, SnapshotReader, SnapshotWriter, VERSION,
+};
 use simcore::telemetry::{
     FieldSet, FlightRecorder, Phase, PhaseProfiler, TagId, Telemetry, Track, Value,
 };
@@ -115,8 +117,7 @@ impl Links {
 #[derive(Debug, Clone)]
 enum Ev {
     /// A job from the run's stream. The engine takes arrivals from the
-    /// model's cursor and never queues them; only a run restored from a
-    /// version-2 snapshot still finds some in its decoded queue.
+    /// model's cursor and never queues them.
     Arrival(Job),
     FinishLocal {
         cluster: usize,
@@ -187,6 +188,18 @@ fn flow_ix(f: Flow) -> usize {
         Flow::EdgeIndirect => 2,
     }
 }
+
+/// Invariant-watchdog thresholds. Watchdogs run only with telemetry on
+/// and only *observe*: a tripped invariant becomes a `watchdog.*`
+/// flight-recorder event (surfaced by the run report), never a panic.
+/// A mean room temperature outside this band trips
+/// `watchdog.temp_band`; the band brackets the 17 °C night setback and
+/// the 20 °C day setpoint with margin for cold snaps.
+const WATCHDOG_TEMP_LO_C: f64 = 10.0;
+const WATCHDOG_TEMP_HI_C: f64 = 26.0;
+/// More jobs queued across all clusters than this trips
+/// `watchdog.queue_depth`.
+const WATCHDOG_MAX_QUEUED: usize = 50_000;
 
 /// Telemetry tags pre-interned at construction. Interning works on a
 /// disabled recorder too (stable ids without storage), so enabled and
@@ -417,9 +430,7 @@ impl Platform {
     /// config (weather, fleet shape, policies, fault plan — everything
     /// is fingerprint-checked). The job stream is not needed: the
     /// snapshot's `arrivals` section carries every pre-horizon arrival
-    /// not yet dispatched. A version-2 snapshot has no such section;
-    /// its arrivals live in the snapshotted event queue and replay from
-    /// there, in the order the run that wrote it would have used.
+    /// not yet dispatched.
     pub fn restore(config: PlatformConfig, bytes: &[u8]) -> Result<PausedRun, SnapshotError> {
         Self::restore_impl(config, None, bytes)
     }
@@ -446,12 +457,14 @@ impl Platform {
         let file = SnapshotFile::from_bytes(bytes)?;
         let meta: Meta = get(&file, "meta")?;
         let now = meta.now;
-        if meta.config_fp != config_fingerprint(&config) {
+        let plan = base_plan.unwrap_or(&config.faults);
+        let (config_fp, plan_fp) = fingerprints(&config, plan, file.version());
+        if meta.config_fp != config_fp {
             return Err(SnapshotError::Corrupt(
                 "snapshot was taken under a different platform config".into(),
             ));
         }
-        if meta.plan_fp != plan_fingerprint(base_plan.unwrap_or(&config.faults)) {
+        if meta.plan_fp != plan_fp {
             return Err(SnapshotError::Corrupt(
                 if base_plan.is_some() {
                     "base plan is not the one the snapshot was taken under"
@@ -627,9 +640,9 @@ impl Platform {
         self.forget_retry(job.id);
     }
 
-    /// Record a finished job's span on `track`, when spans are on.
+    /// Record a finished job's span on `track`, when telemetry is on.
     fn record_span(&mut self, now: SimTime, job: &Job, track: Track) {
-        if self.telemetry.is_enabled() && self.config.telemetry.spans {
+        if self.telemetry.is_enabled() {
             self.telemetry.recorder.span(
                 job.arrival,
                 now,
@@ -776,7 +789,7 @@ impl Platform {
         self.record_job_instant(now, self.tags.job_reject, &job, None);
     }
 
-    /// Admission + placement shared by fresh arrivals and retries.
+    /// Placement shared by fresh arrivals and retries.
     fn place(&mut self, now: SimTime, mut job: Job, sched: &mut Scheduler<Ev>) {
         // Master outage (§IV): indirect edge requests need the master;
         // they fail — or degrade to direct under the resource-oriented
@@ -790,12 +803,7 @@ impl Platform {
             }
         }
         let home = self.route_cluster(&job);
-        let load = self.clusters[home].load();
-        if self.config.admission.admit(&job, &load) {
-            self.dispatch_home(now, home, job, sched);
-        } else {
-            self.reject(now, job, sched);
-        }
+        self.dispatch_home(now, home, job, sched);
     }
 
     /// Start `job` on its home cluster, or consult the peak policy when
@@ -1203,17 +1211,83 @@ impl Platform {
     }
 }
 
-/// Stable fingerprint of everything in the config EXCEPT the fault
-/// plan (which has its own fingerprint so branches can swap it).
-fn config_fingerprint(config: &PlatformConfig) -> u64 {
-    let mut c = config.clone();
-    c.faults = FaultPlan::none();
-    simcore::snapshot::fingerprint(format!("{c:?}").as_bytes())
+/// The `meta` fingerprints a snapshot of container `version` pins: one
+/// of everything in `config` except its fault plan, and one of `plan`
+/// (kept apart so branches can swap it).
+fn fingerprints(config: &PlatformConfig, plan: &FaultPlan, version: u32) -> (u64, u64) {
+    if version == 3 {
+        return fingerprints_v3(config, plan);
+    }
+    // Exhaustive, so a new config field does not compile until it is
+    // placed in the encoding (or left out of it) on purpose.
+    let PlatformConfig {
+        n_clusters,
+        workers_per_cluster,
+        arch,
+        peak_policy,
+        control_period,
+        datacenter_cores,
+        calendar,
+        setpoint_c,
+        horizon,
+        seed,
+        roc_fallback_direct,
+        faults: _,
+        telemetry,
+    } = config;
+    let mut w = SnapshotWriter::new();
+    n_clusters.encode(&mut w);
+    workers_per_cluster.encode(&mut w);
+    arch.encode(&mut w);
+    peak_policy.encode(&mut w);
+    control_period.encode(&mut w);
+    datacenter_cores.encode(&mut w);
+    calendar.encode(&mut w);
+    setpoint_c.encode(&mut w);
+    horizon.encode(&mut w);
+    seed.encode(&mut w);
+    roc_fallback_direct.encode(&mut w);
+    telemetry.encode(&mut w);
+    let config_fp = fingerprint(&w.into_bytes());
+    let mut w = SnapshotWriter::new();
+    plan.encode(&mut w);
+    (config_fp, fingerprint(&w.into_bytes()))
 }
 
-/// Stable fingerprint of a fault plan.
-fn plan_fingerprint(plan: &FaultPlan) -> u64 {
-    simcore::snapshot::fingerprint(format!("{plan:?}").as_bytes())
+/// The version-3 `meta` fingerprints, FNV over `Debug` text: the config
+/// as it stood at version 3, with its fault plan emptied and the fields
+/// removed since written at their only values, and the fault plan.
+/// Delete at the next `VERSION` bump.
+fn fingerprints_v3(config: &PlatformConfig, plan: &FaultPlan) -> (u64, u64) {
+    let PlatformConfig {
+        n_clusters,
+        workers_per_cluster,
+        arch,
+        peak_policy,
+        control_period,
+        datacenter_cores,
+        calendar,
+        setpoint_c,
+        horizon,
+        seed,
+        roc_fallback_direct,
+        telemetry,
+        ..
+    } = config;
+    let (none, enabled) = (FaultPlan::none(), telemetry.enabled);
+    let text = format!(
+        "PlatformConfig {{ n_clusters: {n_clusters:?}, workers_per_cluster: \
+         {workers_per_cluster:?}, arch: {arch:?}, peak_policy: {peak_policy:?}, admission: \
+         AdmissionControl {{ dcc_util_threshold: inf, edge_util_threshold: inf, max_dcc_queue: \
+         18446744073709551615 }}, control_period: {control_period:?}, datacenter_cores: \
+         {datacenter_cores:?}, calendar: {calendar:?}, setpoint_c: {setpoint_c:?}, horizon: \
+         {horizon:?}, seed: {seed:?}, roc_fallback_direct: {roc_fallback_direct:?}, faults: \
+         {none:?}, telemetry: TelemetryConfig {{ enabled: {enabled:?}, capacity: 16384, spans: \
+         true }}, watchdogs: WatchdogConfig {{ temp_lo_c: 10.0, temp_hi_c: 26.0, max_queued: \
+         50000 }} }}"
+    );
+    let plan = format!("{plan:?}");
+    (fingerprint(text.as_bytes()), fingerprint(plan.as_bytes()))
 }
 
 /// A snapshot's `meta` section: what it must be restored under, and
@@ -1242,25 +1316,14 @@ fn put<T: Snapshot>(file: &mut SnapshotFile, name: &str, v: &T) {
     file.add(name, w);
 }
 
-/// Decode the arrivals a snapshot still owes the run. A version-2
-/// snapshot has none to owe (its arrivals are in the engine queue), so
-/// an `arrivals` section there is as corrupt as a missing one in a
-/// current snapshot. The jobs must be valid, sorted by `(arrival, id)`
-/// and lie in `[now, horizon)`, as the engine's input merge requires.
+/// Decode the arrivals a snapshot still owes the run. The jobs must be
+/// valid, sorted by `(arrival, id)` and lie in `[now, horizon)`, as the
+/// engine's input merge requires.
 fn restore_arrivals(
     file: &SnapshotFile,
     now: SimTime,
     horizon: SimTime,
 ) -> Result<Vec<Job>, SnapshotError> {
-    if file.version() < simcore::snapshot::VERSION {
-        if file.section("arrivals").is_ok() {
-            return Err(SnapshotError::Corrupt(format!(
-                "version-{} snapshot carries an arrivals section",
-                file.version()
-            )));
-        }
-        return Ok(Vec::new());
-    }
     let arrivals: Vec<Job> = get(file, "arrivals")?;
     if let Some(e) = arrivals.iter().find_map(|j| j.validate().err()) {
         return Err(SnapshotError::Corrupt(format!("arrivals: {e}")));
@@ -1326,9 +1389,10 @@ impl PausedRun {
     pub fn snapshot_bytes(&self) -> Vec<u8> {
         let p = &self.engine.model().p;
         let mut file = SnapshotFile::new();
+        let (config_fp, plan_fp) = fingerprints(&p.config, &p.config.faults, VERSION);
         let meta = Meta {
-            config_fp: config_fingerprint(&p.config),
-            plan_fp: plan_fingerprint(&p.config.faults),
+            config_fp,
+            plan_fp,
             now: self.engine.now(),
             events: self.engine.events(),
         };
@@ -1685,16 +1749,15 @@ impl Platform {
                 (tags.k_heat_demand, Value::F64(mean_demand)),
             ],
         );
-        let wd = self.config.watchdogs;
-        if mean_temp < wd.temp_lo_c || mean_temp > wd.temp_hi_c {
+        if !(WATCHDOG_TEMP_LO_C..=WATCHDOG_TEMP_HI_C).contains(&mean_temp) {
             recorder.instant(
                 now,
                 tags.wd_temp_band,
                 Track::PLATFORM,
                 [
                     (tags.k_temp_c, Value::F64(mean_temp)),
-                    (tags.k_lo_c, Value::F64(wd.temp_lo_c)),
-                    (tags.k_hi_c, Value::F64(wd.temp_hi_c)),
+                    (tags.k_lo_c, Value::F64(WATCHDOG_TEMP_LO_C)),
+                    (tags.k_hi_c, Value::F64(WATCHDOG_TEMP_HI_C)),
                 ],
             );
         }
@@ -1703,14 +1766,14 @@ impl Platform {
             .iter()
             .map(|c| c.edge_queue.len() + c.dcc_queue.len())
             .sum();
-        if queued > wd.max_queued {
+        if queued > WATCHDOG_MAX_QUEUED {
             recorder.instant(
                 now,
                 tags.wd_queue_depth,
                 Track::PLATFORM,
                 [
                     (tags.k_queued, Value::U64(queued as u64)),
-                    (tags.k_limit, Value::U64(wd.max_queued as u64)),
+                    (tags.k_limit, Value::U64(WATCHDOG_MAX_QUEUED as u64)),
                 ],
             );
         }

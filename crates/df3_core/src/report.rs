@@ -24,6 +24,7 @@ use crate::config::{ArchClass, PlatformConfig};
 use crate::platform::PlatformOutcome;
 use crate::stats::PlatformStats;
 use simcore::telemetry::export::{chrome_trace, jnum, jstr, PromText};
+use simcore::telemetry::RING_CAPACITY;
 
 /// What goes into the JSONL run report.
 #[derive(Debug, Clone, Copy)]
@@ -98,7 +99,7 @@ impl<'a> RunReport<'a> {
             w.push(format!(
                 "flight recorder wrapped: {} oldest events overwritten (capacity {})",
                 rec.dropped(),
-                self.config.telemetry.capacity
+                RING_CAPACITY
             ));
         }
         for (name, trips) in self.watchdog_trips() {

@@ -17,7 +17,8 @@ pub struct PlatformStats {
     /// Edge requests meeting their deadline / total completed.
     pub edge_deadline_met: Counter,
     pub edge_completed: Counter,
-    /// Edge requests rejected (admission or infeasibility).
+    /// Edge requests rejected (refused by the peak policy, or indirect
+    /// during a master outage).
     pub edge_rejected: Counter,
     /// Edge requests dropped because their deadline expired in queue.
     pub edge_expired: Counter,
@@ -211,66 +212,6 @@ impl PlatformStats {
             + self.jobs_abandoned.get()
     }
 
-    /// Rows of the recovery section of the run report:
-    /// `(metric, value)` pairs, rendered by the experiment tables.
-    pub fn recovery_report(&self) -> Vec<(String, String)> {
-        let mut rows = vec![
-            (
-                "worker failures".into(),
-                self.worker_failures.get().to_string(),
-            ),
-            ("jobs requeued".into(), self.jobs_requeued.get().to_string()),
-            ("jobs retried".into(), self.jobs_retried.get().to_string()),
-            (
-                "jobs abandoned".into(),
-                self.jobs_abandoned.get().to_string(),
-            ),
-            (
-                "wasted core-hours".into(),
-                format!("{:.2}", self.wasted_core_s / 3_600.0),
-            ),
-        ];
-        if self.mttr_s.count() > 0 {
-            rows.push((
-                "MTTR".into(),
-                format!(
-                    "{:.2} h (n={}, max {:.2} h)",
-                    self.mttr_s.mean() / 3_600.0,
-                    self.mttr_s.count(),
-                    self.mttr_s.max() / 3_600.0
-                ),
-            ));
-        }
-        if self.quarantines.get() > 0 {
-            rows.push(("quarantines".into(), self.quarantines.get().to_string()));
-        }
-        if self.cluster_outages.get() > 0 {
-            rows.push((
-                "cluster outages".into(),
-                self.cluster_outages.get().to_string(),
-            ));
-        }
-        if self.boiler_backfill_kwh > 0.0 {
-            rows.push((
-                "boiler backfill kWh".into(),
-                format!("{:.2}", self.boiler_backfill_kwh),
-            ));
-        }
-        if self.fault_timeline_dropped.get() > 0 {
-            // The timeline silently losing entries would make post-hoc
-            // chaos analysis lie; surface the truncation loudly.
-            rows.push((
-                "fault timeline dropped".into(),
-                format!(
-                    "{} (WARNING: timeline truncated at {} entries)",
-                    self.fault_timeline_dropped.get(),
-                    FAULT_TIMELINE_CAP
-                ),
-            ));
-        }
-        rows
-    }
-
     /// Every monotonic counter as stable `(name, value)` rows, in a
     /// fixed order — the exporters (Prometheus text, JSONL run report)
     /// iterate this so their output is byte-reproducible.
@@ -403,17 +344,6 @@ mod tests {
         }
         assert_eq!(s.fault_timeline.len(), 20_000);
         assert_eq!(s.fault_timeline_dropped.get(), 5_000);
-    }
-
-    #[test]
-    fn recovery_report_grows_with_activity() {
-        let mut s = PlatformStats::new();
-        let base = s.recovery_report().len();
-        s.mttr_s.observe(3_600.0);
-        s.quarantines.inc();
-        s.cluster_outages.inc();
-        s.boiler_backfill_kwh = 1.5;
-        assert_eq!(s.recovery_report().len(), base + 4);
     }
 
     #[test]

@@ -248,7 +248,7 @@ fn golden_section_fingerprints_are_pinned() {
     );
 }
 
-/// The config the checked-in v2 fixture was written under: the
+/// The config the checked-in fixtures were written under: the
 /// `small_winter` preset, a 3 h horizon and telemetry on, as
 /// `df3-experiments snapshot --preset small_winter --hours 3 --at 1h`
 /// builds it.
@@ -259,55 +259,16 @@ fn fixture_config() -> PlatformConfig {
     cfg
 }
 
-/// The checked-in version-2 snapshot.
-const V2_FIXTURE: &[u8] = include_bytes!("fixtures/small_winter_v2.df3snap");
-
-/// A v2 snapshot, written by the version that first pinned it, must
-/// keep restoring and continue to the exact result it gave then. Its
-/// arrivals are still in the decoded event queue, so it restores with
-/// an empty arrival cursor. The pinned values must never be edited to
-/// make a change pass.
-#[test]
-fn v2_fixture_restores_to_its_pinned_outcome() {
-    let bytes = V2_FIXTURE;
-    assert_eq!(SnapshotFile::from_bytes(bytes).unwrap().version(), 2);
-    let cfg = fixture_config();
-    let warm = Platform::restore(cfg.clone(), bytes)
-        .expect("the v2 fixture restores")
-        .resume();
-    let (stats, jsonl, trace, prom) = observable(&cfg, &warm);
-    assert_eq!(
-        (fingerprint(&stats), warm.events),
-        (0x80bf_9b0a_b564_e221, 5190)
-    );
-
-    // It also matches a cold run of the same config. The JSONL meta
-    // line is left out: it carries the engine's peak queue depth,
-    // which depends on how the run was started.
-    let cold = Platform::new(cfg.clone()).run(&jobs(&cfg));
-    let (cs, cj, ct, cp) = observable(&cfg, &cold);
-    let body = |s: &str| s.lines().skip(1).collect::<Vec<_>>().join("\n");
-    assert_eq!(warm.events, cold.events);
-    assert!(stats == cs, "stats block diverged from a cold run");
-    assert!(
-        body(&jsonl) == body(&cj),
-        "JSONL body diverged from a cold run"
-    );
-    assert!(trace == ct, "Chrome trace diverged from a cold run");
-    assert!(prom == cp, "Prometheus snapshot diverged from a cold run");
-}
-
-/// The checked-in version-3 snapshot, written by the same command as
-/// the v2 fixture. It still carries the `registry` section that later
-/// writers dropped.
+/// The checked-in version-3 snapshot. It still carries the `registry`
+/// section that later writers dropped, and its `meta` fingerprints hash
+/// the config's and plan's `Debug` text.
 const V3_FIXTURE: &[u8] = include_bytes!("fixtures/small_winter_v3.df3snap");
 
 /// A v3 snapshot, written by the version that first pinned it, must
 /// keep restoring and continue to the exact result it gave then. Its
-/// arrivals travel in its `arrivals` section, so unlike the v2 fixture
-/// it matches a cold run on all three exports, JSONL meta line
-/// included. The pinned values must never be edited to make a change
-/// pass.
+/// arrivals travel in its `arrivals` section, so it matches a cold run
+/// on all three exports, JSONL meta line included. The pinned values
+/// must never be edited to make a change pass.
 #[test]
 fn v3_fixture_restores_to_its_pinned_outcome() {
     let bytes = V3_FIXTURE;
@@ -333,27 +294,72 @@ fn v3_fixture_restores_to_its_pinned_outcome() {
     assert!(prom == cp, "Prometheus snapshot diverged from a cold run");
 }
 
+/// The v3 verifier rejects as well as accepts: the v3 fixture under a
+/// config that differs in one field is refused.
+#[test]
+fn v3_fixture_refuses_a_different_config() {
+    let mut cfg = fixture_config();
+    cfg.setpoint_c += 1.0;
+    assert!(matches!(
+        Platform::restore(cfg, V3_FIXTURE),
+        Err(SnapshotError::Corrupt(why)) if why.contains("platform config")
+    ));
+}
+
+/// The checked-in version-4 snapshot, written by the same command as
+/// the v3 fixture. Its `meta` fingerprints hash explicit encodings of
+/// the config and plan, so any drift in those encodings fails this
+/// fixture's restore.
+const V4_FIXTURE: &[u8] = include_bytes!("fixtures/small_winter_v4.df3snap");
+
+/// A v4 snapshot continues to the v3 fixture's pinned outcome and
+/// matches a cold run on all three exports. The pinned values must
+/// never be edited to make a change pass.
+#[test]
+fn v4_fixture_restores_to_its_pinned_outcome() {
+    let bytes = V4_FIXTURE;
+    assert_eq!(SnapshotFile::from_bytes(bytes).unwrap().version(), 4);
+    let cfg = fixture_config();
+    let warm = Platform::restore(cfg.clone(), bytes)
+        .expect("the v4 fixture restores")
+        .resume();
+    let (stats, jsonl, trace, prom) = observable(&cfg, &warm);
+    assert_eq!(
+        (fingerprint(&stats), warm.events),
+        (0x80bf_9b0a_b564_e221, 5190)
+    );
+
+    let cold = Platform::new(cfg.clone()).run(&jobs(&cfg));
+    let (cs, cj, ct, cp) = observable(&cfg, &cold);
+    assert_eq!(warm.events, cold.events);
+    assert!(stats == cs, "stats block diverged from a cold run");
+    assert!(jsonl == cj, "JSONL report diverged from a cold run");
+    assert!(trace == ct, "Chrome trace diverged from a cold run");
+    assert!(prom == cp, "Prometheus snapshot diverged from a cold run");
+}
+
 /// `bytes` with its container version word replaced. The version has no
-/// checksum of its own, and 3 → 2 is a single bit flip.
+/// checksum of its own.
 fn with_version(bytes: &[u8], version: u32) -> Vec<u8> {
     let mut out = bytes.to_vec();
     out[8..12].copy_from_slice(&version.to_le_bytes());
     out
 }
 
-/// A version word that disagrees with the sections is caught: a v2
-/// header over a file with an `arrivals` section is corrupt, and a v3
-/// header over a file without one misses it.
+/// A version word that disagrees with the file is caught: versions 3
+/// and 4 pin the config with different kinds of fingerprint, so a v3
+/// word over a v4 file and a v4 word over the v3 fixture both fail the
+/// config check.
 #[test]
 fn version_word_must_match_the_arrivals_section() {
-    let (cfg, v3) = shared_snapshot();
-    assert_eq!(SnapshotFile::from_bytes(v3).unwrap().version(), VERSION);
+    let (cfg, v4) = shared_snapshot();
+    assert_eq!(SnapshotFile::from_bytes(v4).unwrap().version(), VERSION);
     assert!(matches!(
-        Platform::restore(cfg.clone(), &with_version(v3, VERSION - 1)),
-        Err(SnapshotError::Corrupt(_))
+        Platform::restore(cfg.clone(), &with_version(v4, VERSION - 1)),
+        Err(SnapshotError::Corrupt(why)) if why.contains("platform config")
     ));
     assert!(matches!(
-        Platform::restore(fixture_config(), &with_version(V2_FIXTURE, VERSION)),
-        Err(SnapshotError::MissingSection(name)) if name == "arrivals"
+        Platform::restore(fixture_config(), &with_version(V3_FIXTURE, VERSION)),
+        Err(SnapshotError::Corrupt(why)) if why.contains("platform config")
     ));
 }

@@ -18,6 +18,10 @@ pub enum LinkClass {
     Wan,
 }
 
+simcore::impl_snapshot! {
+    enum LinkClass { 0 => Device, 1 => Lan, 2 => Fiber, 3 => Wan }
+}
+
 impl LinkClass {
     /// Stable lowercase name for telemetry and run reports.
     pub fn label(&self) -> &'static str {
@@ -38,6 +42,10 @@ pub struct Degradation {
     pub latency_factor: f64,
     /// Factor in `(0, 1]` applied to the link's effective data rate.
     pub bandwidth_factor: f64,
+}
+
+simcore::impl_snapshot! {
+    Degradation { latency_factor, bandwidth_factor }
 }
 
 impl Degradation {

@@ -15,12 +15,9 @@
 //!   decision procedure.
 //! - [`fairness`]: Jain's fairness index over shared service
 //!   (ref \[16\]).
-//! - [`admission`]: utilisation-threshold admission control protecting
-//!   edge latency guarantees.
 //! - [`retry`]: per-job retry budgets with exponential backoff and
 //!   flapping-worker quarantine (the fault layer's recovery policy).
 
-pub mod admission;
 pub mod fairness;
 pub mod offload;
 pub mod preempt;

@@ -48,7 +48,7 @@ pub enum PeakAction {
     OffloadHorizontal { target: usize },
     /// Keep it queued locally.
     Delay,
-    /// Refuse it outright (admission failure).
+    /// Refuse it outright.
     Reject,
 }
 
@@ -81,6 +81,16 @@ pub enum PeakPolicy {
     HorizontalFirst { max_sibling_util: f64 },
     /// Preempt for edge, vertical for DCC — the hybrid §III-A sketches.
     Hybrid,
+}
+
+simcore::impl_snapshot! {
+    enum PeakPolicy {
+        0 => AlwaysDelay,
+        1 => PreemptFirst,
+        2 => VerticalFirst,
+        3 => HorizontalFirst { max_sibling_util },
+        4 => Hybrid,
+    }
 }
 
 impl PeakPolicy {

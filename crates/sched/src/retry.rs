@@ -23,6 +23,10 @@ pub struct RetryPolicy {
     pub backoff_max: SimDuration,
 }
 
+simcore::impl_snapshot! {
+    RetryPolicy { max_attempts, backoff_base, backoff_max }
+}
+
 impl RetryPolicy {
     /// No retries: every terminal rejection is final.
     pub fn disabled() -> Self {
@@ -77,6 +81,10 @@ pub struct QuarantinePolicy {
     pub threshold: u32,
     pub window: SimDuration,
     pub extra_downtime: SimDuration,
+}
+
+simcore::impl_snapshot! {
+    QuarantinePolicy { threshold, window, extra_downtime }
 }
 
 impl QuarantinePolicy {

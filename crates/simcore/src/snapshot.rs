@@ -37,7 +37,7 @@
 //! fields stay private.
 
 use crate::rng::RngStreams;
-use crate::time::{SimDuration, SimTime};
+use crate::time::{Calendar, SimDuration, SimTime};
 use rand_chacha::ChaCha8Rng;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -48,7 +48,7 @@ pub const MAGIC: [u8; 8] = *b"DF3SNAP\0";
 /// Container format version. Bump on any layout change. Decoders accept
 /// this version and the one before it ([`SnapshotFile::version`] says
 /// which was read) and reject every other instead of misparsing.
-pub const VERSION: u32 = 3;
+pub const VERSION: u32 = 4;
 
 /// Upper bound on declared collection lengths, as a corruption guard:
 /// a flipped length byte must produce [`SnapshotError::Corrupt`], not an
@@ -455,6 +455,8 @@ impl Snapshot for SimTime {
         Ok(SimTime::from_micros(r.take_i64()?))
     }
 }
+
+crate::impl_snapshot!(Calendar { epoch_month });
 
 impl Snapshot for SimDuration {
     fn encode(&self, w: &mut SnapshotWriter) {
@@ -900,7 +902,7 @@ mod tests {
             // Writing it back keeps the version it was read with.
             assert_eq!(f.to_bytes(), bytes);
         }
-        for version in [1, VERSION as u8 + 1, 99] {
+        for version in [1, 2, VERSION as u8 + 1, 99] {
             let mut bytes = sample_file().to_bytes();
             bytes[8] = version; // version field
             assert_eq!(

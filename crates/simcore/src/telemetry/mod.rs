@@ -29,56 +29,22 @@ pub mod recorder;
 pub use profiler::{Phase, PhaseAcc, PhaseGuard, PhaseProfiler, PhaseTimer, HOT_PHASE_STRIDE};
 pub use recorder::{FieldSet, FlightRecorder, TagId, TelemetryEvent, Track, Value, MAX_FIELDS};
 
-/// Run-time telemetry switches (embedded in downstream platform
-/// configs; the default is fully disabled, the bit-identical mode).
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Ring-buffer capacity of an enabled flight recorder: the last N
+/// events are kept, older ones are overwritten and counted as dropped.
+/// It keeps the ring's working set a few MB, so steady-state recording
+/// stays cache-resident.
+pub const RING_CAPACITY: usize = 1 << 14;
+
+/// The run-time telemetry switch (embedded in downstream platform
+/// configs; the default is disabled, the bit-identical mode).
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct TelemetryConfig {
-    /// Master switch: flight recorder + phase profiler.
+    /// Master switch: flight recorder (with per-job spans) + phase
+    /// profiler.
     pub enabled: bool,
-    /// Ring-buffer capacity of the flight recorder (last N events are
-    /// kept; older ones are overwritten and counted as dropped). The
-    /// default keeps the ring's working set a few MB so steady-state
-    /// recording stays cache-resident — raise it for full-history
-    /// captures at the price of measurably more memory traffic.
-    pub capacity: usize,
-    /// Record per-job sim-time spans (the Chrome-trace timeline). Can
-    /// be switched off to keep only decision/fault/watchdog events.
-    pub spans: bool,
 }
 
-impl TelemetryConfig {
-    /// Telemetry fully off (the default; bit-identical to a build
-    /// without the layer).
-    pub fn disabled() -> Self {
-        TelemetryConfig {
-            enabled: false,
-            capacity: 1 << 14,
-            spans: true,
-        }
-    }
-
-    /// Recorder + profiler on with the default ring capacity.
-    pub fn enabled() -> Self {
-        TelemetryConfig {
-            enabled: true,
-            ..Self::disabled()
-        }
-    }
-
-    /// Validate the switches (capacity must hold at least one event).
-    pub fn validate(&self) -> Result<(), String> {
-        if self.enabled && self.capacity == 0 {
-            return Err("telemetry capacity must be positive when enabled".into());
-        }
-        Ok(())
-    }
-}
-
-impl Default for TelemetryConfig {
-    fn default() -> Self {
-        Self::disabled()
-    }
-}
+crate::impl_snapshot!(TelemetryConfig { enabled });
 
 /// The bundle a model carries through a run: one flight recorder plus
 /// the phase profiler collected from the engine afterwards.
@@ -92,16 +58,12 @@ impl Telemetry {
     pub fn from_config(cfg: TelemetryConfig) -> Self {
         Telemetry {
             recorder: if cfg.enabled {
-                FlightRecorder::enabled(cfg.capacity)
+                FlightRecorder::enabled(RING_CAPACITY)
             } else {
                 FlightRecorder::disabled()
             },
             profiler: PhaseProfiler::disabled(),
         }
-    }
-
-    pub fn disabled() -> Self {
-        Self::from_config(TelemetryConfig::disabled())
     }
 
     #[inline]
@@ -118,16 +80,6 @@ mod tests {
     fn default_config_is_disabled() {
         let c = TelemetryConfig::default();
         assert!(!c.enabled);
-        assert!(c.validate().is_ok());
         assert!(!Telemetry::from_config(c).is_enabled());
-    }
-
-    #[test]
-    fn zero_capacity_rejected_only_when_enabled() {
-        let mut c = TelemetryConfig::enabled();
-        c.capacity = 0;
-        assert!(c.validate().is_err());
-        c.enabled = false;
-        assert!(c.validate().is_ok());
     }
 }
