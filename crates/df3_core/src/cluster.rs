@@ -505,19 +505,6 @@ impl ClusterSim {
         )
     }
 
-    /// Run the full control loop on this cluster alone: stage, sweep,
-    /// complete. Returns (mean room temp, usable cores, mean demand).
-    pub fn control_tick(
-        &mut self,
-        now: SimTime,
-        outdoor_c: f64,
-        rooms: &mut ThermalBatch,
-    ) -> (f64, usize, f64) {
-        self.stage_thermal(now, rooms);
-        rooms.step_staged(outdoor_c);
-        self.finish_control_tick(now, rooms)
-    }
-
     /// Remove a finished job from `worker`.
     pub fn finish(&mut self, worker: usize, id: JobId) {
         self.update_worker(worker, |w| w.remove(id));
@@ -624,13 +611,22 @@ mod tests {
         }
     }
 
+    /// One control period on this cluster alone, through the staged
+    /// calls the platform makes for the whole fleet: stage, sweep,
+    /// complete.
+    fn tick(c: &mut ClusterSim, now: SimTime, outdoor_c: f64, rooms: &mut ThermalBatch) {
+        c.stage_thermal(now, rooms);
+        rooms.step_staged(outdoor_c);
+        c.finish_control_tick(now, rooms);
+    }
+
     /// Chill every room so thermostats demand full heat: dispatching
     /// then goes through the wake path with a full power budget.
     fn chill(c: &mut ClusterSim, rooms: &mut ThermalBatch) {
         for w in 0..c.n_workers() {
             rooms.set_temperature_c(c.room_slot(w), 10.0);
         }
-        c.control_tick(SimTime::ZERO, 0.0, rooms);
+        tick(c, SimTime::ZERO, 0.0, rooms);
     }
 
     fn cluster_a() -> (ClusterSim, ThermalBatch) {
@@ -764,14 +760,14 @@ mod tests {
         for i in 0..4 {
             c.dcc_queue.push(dcc(100 + i, 16, 1e6));
         }
-        c.control_tick(SimTime::ZERO, 0.0, &mut rooms);
+        tick(&mut c, SimTime::ZERO, 0.0, &mut rooms);
         let cold_cores = c.usable_cores();
         assert!(cold_cores >= 48, "cold cluster budget {cold_cores}");
         // Warm every room far above the setpoint.
         for w in 0..c.n_workers() {
             rooms.set_temperature_c(c.room_slot(w), 26.0);
         }
-        c.control_tick(SimTime::from_secs(600), 20.0, &mut rooms);
+        tick(&mut c, SimTime::from_secs(600), 20.0, &mut rooms);
         let warm_cores = c.usable_cores();
         assert_eq!(warm_cores, 0, "no heat demand, no capacity");
     }

@@ -100,8 +100,8 @@ fn placement_outcomes_are_pinned() {
         ("vertical_first", (0xd43b_b2b8_323a_9f9f, 55120)),
         ("horizontal_first", (0xb6be_1c8b_f70b_b690, 49177)),
         ("hybrid", (0x72a3_1217_7ac0_f074, 55131)),
-        ("hybrid_faulted", (0xe1eb_8ea2_c313_04a4, 54733)),
-        ("horizontal_faulted", (0xd198_dc2c_7b55_0d0c, 47241)),
+        ("hybrid_faulted", (0x6f76_bdd5_eb17_134d, 54733)),
+        ("horizontal_faulted", (0xb7b4_c796_9dbe_bf51, 47241)),
         ("arch_b", (0xad20_f7c8_64ec_4269, 54868)),
     ];
     assert_eq!(runs, expected.to_vec());
