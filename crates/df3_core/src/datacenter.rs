@@ -94,6 +94,18 @@ impl Datacenter {
         (edge, dcc)
     }
 
+    /// Jobs running right now.
+    pub fn n_running(&self) -> usize {
+        self.running.len()
+    }
+
+    /// Whether `job` runs here and finishes at `finish`.
+    pub fn runs(&self, job: &Job, finish: SimTime) -> bool {
+        self.running
+            .iter()
+            .any(|(j, _, f)| j == job && *f == finish)
+    }
+
     fn accrue_energy(&mut self, now: SimTime) {
         let dt = now.saturating_since(self.last_energy_update).as_secs_f64();
         self.it_energy_j += self.busy_cores as f64 * self.watts_per_core * dt;

@@ -33,6 +33,7 @@
 //!   timeline, Prometheus text snapshot — over one run's stats, flight
 //!   recorder, and phase profiler.
 
+mod arrivals;
 pub mod boiler;
 pub mod cluster;
 pub mod config;

@@ -6,9 +6,11 @@
 //! — to pausing at the snapshot point, serialising, restoring into a
 //! freshly built platform, and continuing. Separately, no truncation or
 //! single-bit corruption of a snapshot may ever panic the decoder: it
-//! must surface a typed [`SnapshotError`]. Finally, the per-section
-//! fingerprints of two fixed snapshots are pinned, so a refactor of any
-//! codec or platform layer must keep every byte it writes.
+//! must surface a typed [`SnapshotError`], and a bit flipped behind a
+//! recomputed CRC must be refused or run to the horizon with both job
+//! ledgers closed. Finally, the per-section fingerprints of two fixed
+//! snapshots are pinned, so a refactor of any codec or platform layer
+//! must keep every byte it writes.
 
 use df3_core::report::{ExportOptions, RunReport};
 use df3_core::{
@@ -16,6 +18,7 @@ use df3_core::{
     Window,
 };
 use proptest::prelude::*;
+use sched::PeakPolicy;
 use simcore::snapshot::{
     fingerprint, Snapshot, SnapshotError, SnapshotFile, SnapshotWriter, VERSION,
 };
@@ -158,6 +161,141 @@ proptest! {
     }
 }
 
+/// The snapshot the resealed-CRC fuzz flips bits in: two two-worker
+/// buildings and a datacenter under edge and finance load, 65 min long,
+/// with worker churn, a building outage and a master outage in
+/// progress at the pause. It pauses 10 ms after an edge request the
+/// master outage turned away, so the queue holds every kind of pending
+/// event: local and datacenter finishes, a failure, a retry, the
+/// building's restoration and the control tick. Small, so that
+/// thousands of restores stay quick in a debug build.
+fn fuzz_snapshot() -> &'static (PlatformConfig, Vec<u8>) {
+    static SNAP: OnceLock<(PlatformConfig, Vec<u8>)> = OnceLock::new();
+    SNAP.get_or_init(|| {
+        let minutes = |m: i64| SimDuration::from_secs(60 * m);
+        let plan = FaultPlan::none()
+            .with_churn(minutes(25), minutes(5))
+            .with_cluster_outage(0, Window::new(minutes(40), minutes(63)))
+            .with_master_outage(Window::new(minutes(50), minutes(64)))
+            .with_recovery(RecoveryPolicy::standard());
+        let mut cfg = config(0xF022, 2, plan);
+        cfg.workers_per_cluster = 2;
+        cfg.datacenter_cores = 64;
+        cfg.setpoint_c = 24.0;
+        cfg.peak_policy = PeakPolicy::VerticalFirst;
+        cfg.horizon = minutes(65);
+        let streams = RngStreams::new(cfg.seed);
+        let mut edge = LocationServiceConfig::traffic_estimation(Flow::EdgeIndirect);
+        edge.peak_rate_per_s = 1.0;
+        let mut finance = FinanceConfig::bank();
+        finance.batches_per_day = 400.0;
+        finance.mean_work_gops = 20_000.0;
+        finance.cores = 32;
+        let js = location_service_jobs(edge, cfg.horizon, &streams, 0).merge(finance_jobs(
+            finance,
+            cfg.horizon,
+            &streams,
+            1 << 32,
+        ));
+        let rejected = js
+            .iter()
+            .find(|j| j.is_edge() && j.arrival >= SimTime::ZERO + minutes(60))
+            .expect("an edge request during the master outage");
+        let at = rejected.arrival.saturating_since(SimTime::ZERO) + SimDuration::from_millis(10);
+        let bytes = snapshot_at(&cfg, &js, at);
+        (cfg, bytes)
+    })
+}
+
+/// `bytes` with bit `bit` of section `name`'s payload flipped and that
+/// section's CRC-32 recomputed, so the flip gets past the container and
+/// reaches the section's decoder.
+fn resealed(bytes: &[u8], name: &str, bit: usize) -> Vec<u8> {
+    let file = SnapshotFile::from_bytes(bytes).expect("own snapshot parses");
+    let mut out = SnapshotFile::new();
+    for n in file.names() {
+        let mut r = file.section(n).unwrap();
+        let mut payload = r.take_bytes(r.remaining()).unwrap().to_vec();
+        if n == name {
+            payload[bit / 8] ^= 1 << (bit % 8);
+        }
+        let mut w = SnapshotWriter::new();
+        w.put_bytes(&payload);
+        out.add(n, w);
+    }
+    out.to_bytes()
+}
+
+/// Restore `bytes` and resume the run. Either restore refuses them, or
+/// the run reaches the config's horizon with both job ledgers closed.
+/// Returns what went wrong otherwise, a panic included.
+fn restore_or_finish(cfg: &PlatformConfig, bytes: &[u8]) -> Option<String> {
+    let run =
+        std::panic::catch_unwind(|| Platform::restore(cfg.clone(), bytes).map(|p| p.resume()));
+    let out = match run {
+        Err(_) => return Some("panicked".into()),
+        Ok(Err(_)) => return None,
+        Ok(Ok(out)) => out,
+    };
+    let s = &out.stats;
+    if out.end != SimTime::ZERO + cfg.horizon {
+        return Some(format!("ended at {} before the horizon", out.end));
+    }
+    let edge = s.edge_arrived.get() == s.edge_terminal() + s.edge_in_flight_end;
+    let dcc =
+        s.dcc_arrived.get() == s.dcc_completed.get() + s.dcc_rejected.get() + s.dcc_in_flight_end;
+    (!(edge && dcc)).then(|| "a job ledger is open".into())
+}
+
+/// The payload length of section `name` in `bytes`.
+fn section_len(bytes: &[u8], name: &str) -> usize {
+    SnapshotFile::from_bytes(bytes)
+        .unwrap()
+        .section(name)
+        .unwrap()
+        .remaining()
+}
+
+/// A bit flip that gets past the CRC, because the CRC was recomputed,
+/// must still be refused by the decoders or the checks behind them, or
+/// else resume to the horizon with both ledgers closed. Never a panic
+/// or a runaway. Every bit of the small sections (`meta`, `engine`,
+/// `rng`) is flipped, and 256 seeded bits each of `thermal` and
+/// `arrivals`. `platform` and `telemetry` are not covered yet.
+#[test]
+fn resealed_bit_flips_are_refused_or_run_to_the_horizon() {
+    let (cfg, bytes) = fuzz_snapshot();
+    assert!(
+        restore_or_finish(cfg, bytes).is_none(),
+        "the unflipped snapshot runs"
+    );
+    let mut rng = proptest::TestRng::deterministic("resealed bit flips");
+    let mut failures = Vec::new();
+    let mut flips = 0;
+    for name in ["meta", "engine", "rng", "thermal", "arrivals"] {
+        let bits = 8 * section_len(bytes, name);
+        let picks: Vec<usize> = if matches!(name, "thermal" | "arrivals") {
+            (0..256)
+                .map(|_| (rng.next_u64() % bits as u64) as usize)
+                .collect()
+        } else {
+            (0..bits).collect()
+        };
+        for bit in picks {
+            flips += 1;
+            if let Some(why) = restore_or_finish(cfg, &resealed(bytes, name, bit)) {
+                failures.push(format!("{name} bit {bit}: {why}"));
+            }
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "{} of {flips} resealed flips failed: {:#?}",
+        failures.len(),
+        &failures[..failures.len().min(20)]
+    );
+}
+
 /// FNV-1a fingerprint of every section payload except `meta`, in
 /// container order. `meta` holds the config fingerprint, which changes
 /// whenever a config field does, so it is left out on purpose.
@@ -183,7 +321,8 @@ fn section_fingerprints(bytes: &[u8]) -> Vec<(String, u64)> {
 /// `arrivals` section, which changed `engine` and `platform` (the
 /// platform holds event ids, which are queue slot numbers). Dropping the
 /// always-empty `registry` section removed its entry and changed no
-/// other.
+/// other. Version 5 wrote `arrivals` as columns and dropped the horizon
+/// and the stop flag from `engine`, which changed those two.
 #[test]
 fn golden_section_fingerprints_are_pinned() {
     let sections = |plan: FaultPlan, telemetry: bool| {
@@ -227,23 +366,23 @@ fn golden_section_fingerprints_are_pinned() {
     assert_eq!(
         quiet,
         pinned([
-            ("engine", 0x808b_50aa_5e1d_6ece),
+            ("engine", 0x2c9f_c6e4_80fe_adfb),
             ("rng", 0x77b2_3878_df4e_2fb5),
             ("telemetry", 0x3971_0fdd_7ec0_790c),
             ("thermal", 0x28d7_13e3_6a60_5539),
             ("platform", 0x924e_5320_46ee_dff9),
-            ("arrivals", 0x65be_ac6b_a73a_6c11),
+            ("arrivals", 0xe607_a9be_e027_ee04),
         ])
     );
     assert_eq!(
         faulted,
         pinned([
-            ("engine", 0x2668_d15e_ea2a_702f),
+            ("engine", 0x030d_0e44_b346_eb9e),
             ("rng", 0x77b2_3878_df4e_2fb5),
             ("telemetry", 0xf505_3b2b_8db7_4074),
             ("thermal", 0x41b1_13b4_f987_d8e4),
             ("platform", 0xb272_96e3_e271_1349),
-            ("arrivals", 0x65be_ac6b_a73a_6c11),
+            ("arrivals", 0xe607_a9be_e027_ee04),
         ])
     );
 }
@@ -259,62 +398,15 @@ fn fixture_config() -> PlatformConfig {
     cfg
 }
 
-/// The checked-in version-3 snapshot. It still carries the `registry`
-/// section that later writers dropped, and its `meta` fingerprints hash
-/// the config's and plan's `Debug` text.
-const V3_FIXTURE: &[u8] = include_bytes!("fixtures/small_winter_v3.df3snap");
-
-/// A v3 snapshot, written by the version that first pinned it, must
-/// keep restoring and continue to the exact result it gave then. Its
-/// arrivals travel in its `arrivals` section, so it matches a cold run
-/// on all three exports, JSONL meta line included. The pinned values
-/// must never be edited to make a change pass.
-#[test]
-fn v3_fixture_restores_to_its_pinned_outcome() {
-    let bytes = V3_FIXTURE;
-    let file = SnapshotFile::from_bytes(bytes).unwrap();
-    assert_eq!(file.version(), 3);
-    assert!(file.names().any(|name| name == "registry"));
-    let cfg = fixture_config();
-    let warm = Platform::restore(cfg.clone(), bytes)
-        .expect("the v3 fixture restores")
-        .resume();
-    let (stats, jsonl, trace, prom) = observable(&cfg, &warm);
-    assert_eq!(
-        (fingerprint(&stats), warm.events),
-        (0x80bf_9b0a_b564_e221, 5190)
-    );
-
-    let cold = Platform::new(cfg.clone()).run(&jobs(&cfg));
-    let (cs, cj, ct, cp) = observable(&cfg, &cold);
-    assert_eq!(warm.events, cold.events);
-    assert!(stats == cs, "stats block diverged from a cold run");
-    assert!(jsonl == cj, "JSONL report diverged from a cold run");
-    assert!(trace == ct, "Chrome trace diverged from a cold run");
-    assert!(prom == cp, "Prometheus snapshot diverged from a cold run");
-}
-
-/// The v3 verifier rejects as well as accepts: the v3 fixture under a
-/// config that differs in one field is refused.
-#[test]
-fn v3_fixture_refuses_a_different_config() {
-    let mut cfg = fixture_config();
-    cfg.setpoint_c += 1.0;
-    assert!(matches!(
-        Platform::restore(cfg, V3_FIXTURE),
-        Err(SnapshotError::Corrupt(why)) if why.contains("platform config")
-    ));
-}
-
-/// The checked-in version-4 snapshot, written by the same command as
-/// the v3 fixture. Its `meta` fingerprints hash explicit encodings of
-/// the config and plan, so any drift in those encodings fails this
-/// fixture's restore.
+/// The checked-in version-4 snapshot. Its `meta` fingerprints hash
+/// explicit encodings of the config and plan, so any drift in those
+/// encodings fails this fixture's restore. Its `arrivals` section is a
+/// `Vec<Job>` and its `engine` section carries a copy of the horizon.
 const V4_FIXTURE: &[u8] = include_bytes!("fixtures/small_winter_v4.df3snap");
 
-/// A v4 snapshot continues to the v3 fixture's pinned outcome and
-/// matches a cold run on all three exports. The pinned values must
-/// never be edited to make a change pass.
+/// A v4 snapshot continues to the outcome first pinned for the v3
+/// fixture and matches a cold run on all three exports. The pinned
+/// values must never be edited to make a change pass.
 #[test]
 fn v4_fixture_restores_to_its_pinned_outcome() {
     let bytes = V4_FIXTURE;
@@ -338,6 +430,51 @@ fn v4_fixture_restores_to_its_pinned_outcome() {
     assert!(prom == cp, "Prometheus snapshot diverged from a cold run");
 }
 
+/// The checked-in version-5 snapshot, written by the same command as
+/// the v4 fixture: columnar `arrivals`, and no horizon in `engine`.
+const V5_FIXTURE: &[u8] = include_bytes!("fixtures/small_winter_v5.df3snap");
+
+/// A v5 snapshot continues to the same pinned outcome as the v4
+/// fixture and matches a cold run on all three exports. The pinned
+/// values must never be edited to make a change pass.
+#[test]
+fn v5_fixture_restores_to_its_pinned_outcome() {
+    let bytes = V5_FIXTURE;
+    assert_eq!(SnapshotFile::from_bytes(bytes).unwrap().version(), 5);
+    let cfg = fixture_config();
+    let warm = Platform::restore(cfg.clone(), bytes)
+        .expect("the v5 fixture restores")
+        .resume();
+    let (stats, jsonl, trace, prom) = observable(&cfg, &warm);
+    assert_eq!(
+        (fingerprint(&stats), warm.events),
+        (0x80bf_9b0a_b564_e221, 5190)
+    );
+
+    let cold = Platform::new(cfg.clone()).run(&jobs(&cfg));
+    let (cs, cj, ct, cp) = observable(&cfg, &cold);
+    assert_eq!(warm.events, cold.events);
+    assert!(stats == cs, "stats block diverged from a cold run");
+    assert!(jsonl == cj, "JSONL report diverged from a cold run");
+    assert!(trace == ct, "Chrome trace diverged from a cold run");
+    assert!(prom == cp, "Prometheus snapshot diverged from a cold run");
+}
+
+/// The fixtures refuse a config that differs in one field, and one
+/// whose horizon differs: the horizon of a run comes from its config
+/// alone, and a v4 `engine` section's copy of it must agree.
+#[test]
+fn fixtures_refuse_a_different_config() {
+    for fixture in [V4_FIXTURE, V5_FIXTURE] {
+        let mut cfg = fixture_config();
+        cfg.setpoint_c += 1.0;
+        assert!(matches!(
+            Platform::restore(cfg, fixture),
+            Err(SnapshotError::Corrupt(why)) if why.contains("platform config")
+        ));
+    }
+}
+
 /// `bytes` with its container version word replaced. The version has no
 /// checksum of its own.
 fn with_version(bytes: &[u8], version: u32) -> Vec<u8> {
@@ -346,20 +483,19 @@ fn with_version(bytes: &[u8], version: u32) -> Vec<u8> {
     out
 }
 
-/// A version word that disagrees with the file is caught: versions 3
-/// and 4 pin the config with different kinds of fingerprint, so a v3
-/// word over a v4 file and a v4 word over the v3 fixture both fail the
-/// config check.
+/// A version word that disagrees with the file is caught: versions 4
+/// and 5 lay out `engine` and `arrivals` differently, so a v4 word over
+/// a v5 file and a v5 word over the v4 fixture both fail to decode.
 #[test]
-fn version_word_must_match_the_arrivals_section() {
-    let (cfg, v4) = shared_snapshot();
-    assert_eq!(SnapshotFile::from_bytes(v4).unwrap().version(), VERSION);
+fn version_word_must_match_the_sections() {
+    let (cfg, v5) = shared_snapshot();
+    assert_eq!(SnapshotFile::from_bytes(v5).unwrap().version(), VERSION);
     assert!(matches!(
-        Platform::restore(cfg.clone(), &with_version(v4, VERSION - 1)),
-        Err(SnapshotError::Corrupt(why)) if why.contains("platform config")
+        Platform::restore(cfg.clone(), &with_version(v5, VERSION - 1)),
+        Err(SnapshotError::Corrupt(_) | SnapshotError::Truncated)
     ));
     assert!(matches!(
-        Platform::restore(fixture_config(), &with_version(V3_FIXTURE, VERSION)),
-        Err(SnapshotError::Corrupt(why)) if why.contains("platform config")
+        Platform::restore(fixture_config(), &with_version(V4_FIXTURE, VERSION)),
+        Err(SnapshotError::Corrupt(_) | SnapshotError::Truncated)
     ));
 }

@@ -145,8 +145,8 @@ fn faulted() -> PlatformConfig {
 
 #[test]
 fn work_counters_are_pinned() {
-    assert_eq!(counters(quiet()), (5920, 146, 11770, 244_551));
-    assert_eq!(counters(faulted()), (5920, 188, 13631, 493_046));
+    assert_eq!(counters(quiet()), (5920, 146, 11770, 133_188));
+    assert_eq!(counters(faulted()), (5920, 188, 13631, 381_683));
 }
 
 #[test]

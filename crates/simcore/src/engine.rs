@@ -127,30 +127,67 @@ impl<E> Scheduler<E> {
     }
 }
 
-/// The scheduler checkpoints its clock, horizon, stop flag, and the
-/// event queue **verbatim** (payloads included). The phase profiler is
-/// deliberately excluded: it measures wall-clock time of this process,
-/// which is not simulation state — a restored run starts a fresh one.
-impl<E: Snapshot> Snapshot for Scheduler<E> {
-    fn encode(&self, w: &mut SnapshotWriter) {
+/// The scheduler checkpoints its clock and the event queue
+/// **verbatim** (payloads included). The horizon is not state: it comes
+/// from the caller's config on restore, so a snapshot cannot carry a
+/// different one. Neither is the stop flag, which is always clear when
+/// a run pauses (the engine checks it before it pauses). The phase
+/// profiler is deliberately excluded: it measures wall-clock time of
+/// this process, which is not simulation state — a restored run starts
+/// a fresh one.
+impl<E: Snapshot> Scheduler<E> {
+    /// Checkpoint the clock and the queue.
+    pub fn encode_state(&self, w: &mut SnapshotWriter) {
         self.now.encode(w);
-        self.horizon.encode(w);
-        w.put_bool(self.stopped);
         self.queue.encode(w);
     }
 
-    fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+    /// Rebuild a scheduler that runs to `horizon` from a container of
+    /// `version`. Version 4 also wrote the horizon and the stop flag
+    /// after the clock; its horizon must equal `horizon` and its flag
+    /// must be clear. The clock may not lie past the horizon, and no
+    /// queued event before the clock.
+    pub fn decode_state(
+        r: &mut SnapshotReader<'_>,
+        horizon: SimTime,
+        version: u32,
+    ) -> Result<Self, SnapshotError> {
         let now = SimTime::decode(r)?;
-        let horizon = SimTime::decode(r)?;
-        let stopped = r.take_bool()?;
+        if version < 5 {
+            let written = SimTime::decode(r)?;
+            if written != horizon {
+                return Err(SnapshotError::Corrupt(format!(
+                    "engine horizon {written} disagrees with the config's {horizon}"
+                )));
+            }
+            if r.take_bool()? {
+                return Err(SnapshotError::Corrupt("a paused engine was stopped".into()));
+            }
+        }
+        if now > horizon {
+            return Err(SnapshotError::Corrupt(format!(
+                "engine clock {now} is past the horizon {horizon}"
+            )));
+        }
         let queue = EventQueue::decode(r)?;
+        if queue.live().any(|(_, t, _)| t < now) {
+            return Err(SnapshotError::Corrupt(format!(
+                "event queue holds an event before the clock {now}"
+            )));
+        }
         Ok(Scheduler {
             now,
             horizon,
-            stopped,
+            stopped: false,
             queue,
             profiler: PhaseProfiler::disabled(),
         })
+    }
+
+    /// Every pending event as `(id, time, payload)`, in no particular
+    /// order: what a restore cross-checks against the model's state.
+    pub fn pending_events(&self) -> impl Iterator<Item = (EventId, SimTime, &E)> {
+        self.queue.live()
     }
 }
 
@@ -609,7 +646,7 @@ mod tests {
             EngineRun::Finished(..) => panic!("should pause"),
         };
         let mut w = SnapshotWriter::new();
-        paused.scheduler().encode(&mut w);
+        paused.scheduler().encode_state(&mut w);
         let events = paused.events();
         let fired_so_far = paused.model().fired_at.clone();
         let remaining = paused.model().remaining;
@@ -617,7 +654,7 @@ mod tests {
 
         let bytes = w.into_bytes();
         let mut r = SnapshotReader::new(&bytes);
-        let sched = Scheduler::decode(&mut r).unwrap();
+        let sched = Scheduler::decode_state(&mut r, SimTime::from_secs(100), 5).unwrap();
         r.expect_end().unwrap();
         let restored = Engine::restored(
             Countdown {
@@ -630,6 +667,51 @@ mod tests {
         let (m, s) = restored.run();
         assert_eq!(m.fired_at, ref_model.fired_at);
         assert_eq!(s, ref_summary);
+    }
+
+    /// The horizon comes from the caller. A version-4 section's copy of
+    /// it must agree and its stop flag must be clear; the clock may not
+    /// pass the horizon, and no event may wait before the clock.
+    #[test]
+    fn decode_state_checks_the_clock_and_the_horizon() {
+        use crate::snapshot::{SnapshotReader, SnapshotWriter};
+        let h = SimTime::from_secs(100);
+        let decode = |bytes: &[u8], version| {
+            Scheduler::<u64>::decode_state(&mut SnapshotReader::new(bytes), h, version)
+                .map(|s| (s.now(), s.horizon(), s.pending()))
+        };
+        let section = |now: i64, horizon: Option<(i64, bool)>, at: i64| {
+            let mut q = EventQueue::new();
+            q.schedule(SimTime::from_secs(at), 7u64);
+            let mut w = SnapshotWriter::new();
+            SimTime::from_secs(now).encode(&mut w);
+            if let Some((horizon, stopped)) = horizon {
+                SimTime::from_secs(horizon).encode(&mut w);
+                w.put_bool(stopped);
+            }
+            q.encode(&mut w);
+            w.into_bytes()
+        };
+        let ok = Ok((SimTime::from_secs(10), h, 1));
+        assert_eq!(decode(&section(10, None, 20), 5), ok);
+        assert_eq!(decode(&section(10, Some((100, false)), 20), 4), ok);
+        let corrupt = |what: &str| Err(SnapshotError::Corrupt(what.into()));
+        assert_eq!(
+            decode(&section(10, Some((9_999, false)), 20), 4),
+            corrupt("engine horizon d0+02:46:39 disagrees with the config's d0+00:01:40")
+        );
+        assert_eq!(
+            decode(&section(10, Some((100, true)), 20), 4),
+            corrupt("a paused engine was stopped")
+        );
+        assert_eq!(
+            decode(&section(101, None, 120), 5),
+            corrupt("engine clock d0+00:01:41 is past the horizon d0+00:01:40")
+        );
+        assert_eq!(
+            decode(&section(10, None, 5), 5),
+            corrupt("event queue holds an event before the clock d0+00:00:10")
+        );
     }
 
     #[test]

@@ -315,6 +315,15 @@ impl<E> SlabEventQueue<E> {
         }
     }
 
+    /// Every live event as `(id, time, payload)`, in heap-array order.
+    pub fn live(&self) -> impl Iterator<Item = (EventId, SimTime, &E)> {
+        self.heap.v.iter().filter_map(|e| {
+            let slot = &self.slots[e.slot as usize];
+            let payload = slot.payload.as_ref().filter(|_| slot.gen == e.gen)?;
+            Some((EventId::pack(e.slot, e.gen), e.time, payload))
+        })
+    }
+
     /// Drop stale heap entries at the top so `peek` sees a live event.
     fn skip_stale(&mut self) {
         while let Some(top) = self.heap.peek() {
@@ -407,6 +416,37 @@ impl<E: Snapshot> Snapshot for SlabEventQueue<E> {
             return Err(SnapshotError::Corrupt(
                 "event queue: slot index out of range".into(),
             ));
+        }
+        let corrupt = |what: &str| Err(SnapshotError::Corrupt(format!("event queue: {what}")));
+        let v = &heap.v;
+        if (1..v.len()).any(|i| v[i].before(&v[(i - 1) / MinHeap4::ARITY])) {
+            return corrupt("heap order broken");
+        }
+        if v.iter().any(|e| e.seq >= next_seq) {
+            return corrupt("sequence counter behind a queued event");
+        }
+        // Each occupied slot is the target of exactly one heap entry of
+        // its generation, and every other slot is on the free list once.
+        let mut seen = vec![false; slots.len()];
+        for e in v {
+            let slot = &slots[e.slot as usize];
+            if slot.gen != e.gen {
+                continue; // stale: cancelled or fired since it was queued
+            }
+            if slot.payload.is_none() || std::mem::replace(&mut seen[e.slot as usize], true) {
+                return corrupt("heap entry does not match its slot");
+            }
+        }
+        if seen.iter().filter(|&&s| s).count() != occupied {
+            return corrupt("an occupied slot has no heap entry");
+        }
+        for &f in &free {
+            if std::mem::replace(&mut seen[f as usize], true) {
+                return corrupt("free list names a slot in use or twice");
+            }
+        }
+        if seen.contains(&false) {
+            return corrupt("a vacant slot is missing from the free list");
         }
         Ok(SlabEventQueue {
             heap,
@@ -754,6 +794,69 @@ mod tests {
     }
 
     queue_snapshot_suite!(slab_snapshot_roundtrip, SlabEventQueue);
+
+    /// `live` lists exactly the pending events, with their handles.
+    #[test]
+    fn live_lists_pending_events_with_their_ids() {
+        let mut q = SlabEventQueue::new();
+        let a = q.schedule(t(5), 'a');
+        let b = q.schedule(t(3), 'b');
+        let c = q.schedule(t(9), 'c');
+        q.cancel(b);
+        let mut live: Vec<_> = q.live().map(|(id, at, &e)| (id, at, e)).collect();
+        live.sort_by_key(|&(_, at, _)| at);
+        assert_eq!(live, vec![(a, t(5), 'a'), (c, t(9), 'c')]);
+    }
+
+    /// A decoded queue must be one the queue's own operations could have
+    /// built: heap order, one heap entry per occupied slot, every
+    /// vacant slot on the free list once, and a sequence counter past
+    /// every queued event.
+    #[test]
+    fn decode_refuses_an_inconsistent_queue() {
+        use crate::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
+        let build = || {
+            let mut q = SlabEventQueue::new();
+            for (i, at) in [40, 10, 30, 20, 50].into_iter().enumerate() {
+                q.schedule(t(at), i as u64);
+            }
+            let doomed = q.schedule(t(60), 9);
+            q.cancel(doomed);
+            q
+        };
+        let decode = |q: &SlabEventQueue<u64>| {
+            let mut w = SnapshotWriter::new();
+            q.encode(&mut w);
+            SlabEventQueue::<u64>::decode(&mut SnapshotReader::new(&w.into_bytes()))
+                .map(|q| q.len())
+        };
+        let corrupt = |what: &str| Err(SnapshotError::Corrupt(format!("event queue: {what}")));
+        assert_eq!(decode(&build()), Ok(5));
+        let mut q = build();
+        q.heap.v.swap(0, 1);
+        assert_eq!(decode(&q), corrupt("heap order broken"));
+        let mut q = build();
+        q.next_seq = 3;
+        assert_eq!(
+            decode(&q),
+            corrupt("sequence counter behind a queued event")
+        );
+        let mut q = build();
+        q.slots[0].gen += 1;
+        assert_eq!(decode(&q), corrupt("an occupied slot has no heap entry"));
+        let mut q = build();
+        q.free.push(q.free[0]);
+        assert_eq!(
+            decode(&q),
+            corrupt("free list names a slot in use or twice")
+        );
+        let mut q = build();
+        q.free.clear();
+        assert_eq!(
+            decode(&q),
+            corrupt("a vacant slot is missing from the free list")
+        );
+    }
 
     /// Drive both implementations through an identical randomized
     /// schedule/cancel/pop trace and require identical observable

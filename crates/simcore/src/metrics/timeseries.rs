@@ -50,6 +50,11 @@ impl TimeSeries {
         self.times.is_empty()
     }
 
+    /// Time of the latest sample.
+    pub fn last_time(&self) -> Option<SimTime> {
+        self.times.last().copied()
+    }
+
     pub fn iter(&self) -> impl Iterator<Item = (SimTime, f64)> + '_ {
         self.times.iter().copied().zip(self.values.iter().copied())
     }
@@ -138,6 +143,15 @@ impl crate::snapshot::Snapshot for TimeSeries {
                 values.len()
             )));
         }
+        // What `push` would have refused can never have been recorded.
+        if times.windows(2).any(|w| w[1] < w[0]) {
+            return Err(SnapshotError::Corrupt(
+                "time series: out-of-order samples".into(),
+            ));
+        }
+        if values.iter().any(|v| v.is_nan()) {
+            return Err(SnapshotError::Corrupt("time series: NaN sample".into()));
+        }
         Ok(TimeSeries { times, values })
     }
 }
@@ -146,6 +160,29 @@ impl crate::snapshot::Snapshot for TimeSeries {
 mod tests {
     use super::*;
     use crate::time::SimDuration;
+
+    #[test]
+    fn decode_refuses_what_push_refuses() {
+        use crate::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
+        let decode = |times: Vec<SimTime>, values: Vec<f64>| {
+            let mut w = SnapshotWriter::new();
+            times.encode(&mut w);
+            values.encode(&mut w);
+            TimeSeries::decode(&mut SnapshotReader::new(&w.into_bytes())).map(|s| s.len())
+        };
+        let (t1, t2) = (SimTime::from_secs(1), SimTime::from_secs(2));
+        assert_eq!(decode(vec![t1, t2], vec![1.0, 2.0]), Ok(2));
+        assert_eq!(
+            decode(vec![t2, t1], vec![1.0, 2.0]),
+            Err(SnapshotError::Corrupt(
+                "time series: out-of-order samples".into()
+            ))
+        );
+        assert_eq!(
+            decode(vec![t1, t2], vec![1.0, f64::NAN]),
+            Err(SnapshotError::Corrupt("time series: NaN sample".into()))
+        );
+    }
 
     #[test]
     fn monthly_grouping_november_epoch() {

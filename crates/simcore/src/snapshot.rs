@@ -18,12 +18,15 @@
 //! ```
 //!
 //! all little-endian. Each section payload is an independent
-//! [`SnapshotWriter`] byte stream; integers are fixed-width LE, `f64`s
-//! are raw IEEE bits (NaN payloads survive — the thermal decay cache
-//! uses NaN as a sentinel), strings and vectors are length-prefixed.
-//! Decoding **never panics**: every read is bounds-checked and returns
-//! [`SnapshotError`] on truncated, corrupt, or version-skewed input, and
-//! every section's CRC is verified before its payload is parsed.
+//! [`SnapshotWriter`] byte stream; integers are fixed-width LE unless a
+//! section writes them as LEB128 varints
+//! ([`SnapshotWriter::put_uvarint`]), `f64`s are raw IEEE bits (NaN
+//! payloads survive — the thermal decay cache uses NaN as a sentinel),
+//! strings and vectors are length-prefixed. Decoding **never panics**:
+//! every read is bounds-checked and returns [`SnapshotError`] on
+//! truncated, corrupt, or version-skewed input, and every section's
+//! CRC-32 (slicing-by-8, eight bytes per step) is verified before its
+//! payload is parsed.
 //!
 //! What a type must do to participate: implement [`Snapshot`]. Encoding
 //! is infallible (it only appends to a buffer); decoding is validated.
@@ -48,7 +51,9 @@ pub const MAGIC: [u8; 8] = *b"DF3SNAP\0";
 /// Container format version. Bump on any layout change. Decoders accept
 /// this version and the one before it ([`SnapshotFile::version`] says
 /// which was read) and reject every other instead of misparsing.
-pub const VERSION: u32 = 4;
+/// Version 5 writes the `arrivals` section as columns and drops the
+/// horizon from the `engine` section.
+pub const VERSION: u32 = 5;
 
 /// Upper bound on declared collection lengths, as a corruption guard:
 /// a flipped length byte must produce [`SnapshotError::Corrupt`], not an
@@ -101,10 +106,14 @@ impl fmt::Display for SnapshotError {
 impl std::error::Error for SnapshotError {}
 
 // ---------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3, polynomial 0xEDB88320), table-driven.
+// CRC-32 (IEEE 802.3, polynomial 0xEDB88320), slicing-by-8.
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Eight 256-entry tables. `T[0]` is the classic bytewise table;
+/// `T[k][b]` is the CRC contribution of byte `b` followed by `k` zero
+/// bytes, so one step can fold eight input bytes with eight lookups
+/// instead of eight dependent shift-and-lookup rounds.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -117,19 +126,56 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
-static CRC32_TABLE: [u32; 256] = crc32_table();
+static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
 
-/// CRC-32 (IEEE) of `bytes`.
+/// CRC-32 (IEEE) of `bytes`: eight bytes per step, then the tail
+/// bytewise. Equal, for every input, to the one-byte-at-a-time form
+/// (the test oracle below).
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
+    let mut c = !0u32;
+    let mut chunks = bytes.chunks_exact(8);
+    for ch in &mut chunks {
+        let lo = c ^ u32::from_le_bytes([ch[0], ch[1], ch[2], ch[3]]);
+        let hi = u32::from_le_bytes([ch[4], ch[5], ch[6], ch[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    }
+    !c
+}
+
+/// CRC-32 one table lookup per byte: the oracle [`crc32`] is tested
+/// against.
+#[cfg(test)]
+fn crc32_bytewise(bytes: &[u8]) -> u32 {
     let mut c = !0u32;
     for &b in bytes {
-        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        c = CRC32_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -197,6 +243,24 @@ impl SnapshotWriter {
 
     pub fn put_bytes(&mut self, b: &[u8]) {
         self.buf.extend_from_slice(b);
+    }
+
+    /// `v` as an unsigned LEB128 varint: seven bits per byte, low group
+    /// first, the high bit set on every byte but the last. One byte
+    /// below 128, at most ten.
+    pub fn put_uvarint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
+    }
+
+    /// `v` zigzag-mapped (0, −1, 1, −2, … → 0, 1, 2, 3, …) then as a
+    /// [`put_uvarint`](Self::put_uvarint): small magnitudes of either
+    /// sign stay short.
+    pub fn put_ivarint(&mut self, v: i64) {
+        self.put_uvarint(((v << 1) ^ (v >> 63)) as u64);
     }
 }
 
@@ -285,6 +349,42 @@ impl<'a> SnapshotReader<'a> {
 
     pub fn take_bytes(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
         self.take(n)
+    }
+
+    /// An unsigned LEB128 varint, as [`SnapshotWriter::put_uvarint`]
+    /// writes it. Only the canonical form decodes: a trailing zero
+    /// group (overlong) or bits past 64 (overflow) are
+    /// [`SnapshotError::Corrupt`], so every value has exactly one
+    /// encoding. Input ending mid-varint is [`SnapshotError::Truncated`].
+    #[inline]
+    pub fn take_uvarint(&mut self) -> Result<u64, SnapshotError> {
+        let rest = &self.buf[self.pos..];
+        let mut v = 0u64;
+        for (i, &b) in rest.iter().take(10).enumerate() {
+            v |= u64::from(b & 0x7F) << (7 * i);
+            if b < 0x80 {
+                if b == 0 && i > 0 {
+                    return Err(SnapshotError::Corrupt("overlong varint".into()));
+                }
+                if i == 9 && b > 1 {
+                    break;
+                }
+                self.pos += i + 1;
+                return Ok(v);
+            }
+        }
+        // Every byte read carried the continuation bit, or the tenth
+        // carried more than bit 63.
+        if rest.len() < 10 {
+            return Err(SnapshotError::Truncated);
+        }
+        Err(SnapshotError::Corrupt("varint overflows u64".into()))
+    }
+
+    /// A zigzag varint, as [`SnapshotWriter::put_ivarint`] writes it.
+    pub fn take_ivarint(&mut self) -> Result<i64, SnapshotError> {
+        let z = self.take_uvarint()?;
+        Ok((z >> 1) as i64 ^ -((z & 1) as i64))
     }
 
     /// Assert the stream is fully consumed — a section with trailing
@@ -902,7 +1002,7 @@ mod tests {
             // Writing it back keeps the version it was read with.
             assert_eq!(f.to_bytes(), bytes);
         }
-        for version in [1, 2, VERSION as u8 + 1, 99] {
+        for version in [1, VERSION as u8 - 2, VERSION as u8 + 1, 99] {
             let mut bytes = sample_file().to_bytes();
             bytes[8] = version; // version field
             assert_eq!(
@@ -944,6 +1044,78 @@ mod tests {
         // The classic IEEE test vector.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
+    }
+
+    proptest::proptest! {
+        /// Slicing-by-8 equals the bytewise CRC on every length from 0
+        /// to 4096, starting at any offset into the buffer (so the
+        /// eight-byte steps meet every alignment and tail length).
+        #[test]
+        fn crc32_equals_the_bytewise_oracle(
+            bytes in proptest::collection::vec(0u32..256, 4_104..4_105),
+            offset in 0usize..8,
+            len in 0usize..4_097,
+        ) {
+            let bytes: Vec<u8> = bytes.iter().map(|&b| b as u8).collect();
+            let s = &bytes[offset..offset + len];
+            proptest::prop_assert_eq!(crc32(s), crc32_bytewise(s));
+        }
+    }
+
+    #[test]
+    fn varints_roundtrip_at_every_width() {
+        let mut values = vec![0u64, 1, 127, 128, 300, u64::MAX, u64::MAX - 1];
+        values.extend((0..64).map(|k| 1u64 << k));
+        values.extend((1..64).map(|k| (1u64 << k) - 1));
+        let signed = [0i64, 1, -1, 63, -64, 64, -65, i64::MAX, i64::MIN];
+        let mut w = SnapshotWriter::new();
+        for &v in &values {
+            w.put_uvarint(v);
+        }
+        for &v in &signed {
+            w.put_ivarint(v);
+        }
+        let bytes = w.into_bytes();
+        let mut r = SnapshotReader::new(&bytes);
+        for &v in &values {
+            assert_eq!(r.take_uvarint().unwrap(), v);
+        }
+        for &v in &signed {
+            assert_eq!(r.take_ivarint().unwrap(), v);
+        }
+        r.expect_end().unwrap();
+        // Widths: one byte below 2^7, ten at 2^63; zigzag keeps −1 short.
+        let width = |v: u64| {
+            let mut w = SnapshotWriter::new();
+            w.put_uvarint(v);
+            w.len()
+        };
+        assert_eq!((width(127), width(128), width(u64::MAX)), (1, 2, 10));
+        let mut w = SnapshotWriter::new();
+        w.put_ivarint(-1);
+        assert_eq!(w.into_bytes(), [1]);
+    }
+
+    #[test]
+    fn bad_varints_are_corrupt_or_truncated() {
+        let take = |bytes: &[u8]| SnapshotReader::new(bytes).take_uvarint();
+        let corrupt = |what: &str| Err(SnapshotError::Corrupt(what.into()));
+        // Input ending while the continuation bit says more follows.
+        assert_eq!(take(&[]), Err(SnapshotError::Truncated));
+        assert_eq!(take(&[0x80]), Err(SnapshotError::Truncated));
+        assert_eq!(take(&[0xFF; 9]), Err(SnapshotError::Truncated));
+        // A trailing zero group: 0 and 1 written in two bytes.
+        assert_eq!(take(&[0x80, 0x00]), corrupt("overlong varint"));
+        assert_eq!(take(&[0x81, 0x80, 0x00]), corrupt("overlong varint"));
+        // Bits past 64: the tenth byte may only carry bit 63.
+        let mut max = vec![0xFF; 9];
+        max.push(0x01);
+        assert_eq!(take(&max), Ok(u64::MAX));
+        max[9] = 0x02;
+        assert_eq!(take(&max), corrupt("varint overflows u64"));
+        max[9] = 0x81;
+        assert_eq!(take(&max), corrupt("varint overflows u64"));
     }
 
     #[test]

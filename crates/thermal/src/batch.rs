@@ -114,6 +114,17 @@ impl ThermalBatch {
         self.decay_dt_s[i] = f64::NAN;
     }
 
+    /// Whether `self` and `other` hold the same rooms with the same
+    /// thermal parameters, bit for bit (temperatures and caches aside).
+    pub fn same_rooms(&self, other: &ThermalBatch) -> bool {
+        let same = |a: &[f64], b: &[f64]| {
+            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+        };
+        same(&self.resistance, &other.resistance)
+            && same(&self.gains_w, &other.gains_w)
+            && same(&self.tau_s, &other.tau_s)
+    }
+
     /// Mean temperature across the fleet.
     pub fn mean_temperature_c(&self) -> f64 {
         assert!(!self.is_empty(), "batch has no rooms");
@@ -235,6 +246,35 @@ impl simcore::snapshot::Snapshot for ThermalBatch {
                 "thermal batch: column lengths disagree".into(),
             ));
         }
+        // What `push`, `stage` and the sweep can produce, and nothing
+        // else: finite temperatures, positive parameters, non-negative
+        // staged steps, and a decay cache that is dirty (NaN) or exact.
+        let corrupt = |what: &str| {
+            Err(simcore::snapshot::SnapshotError::Corrupt(format!(
+                "thermal batch: {what}"
+            )))
+        };
+        let positive = |v: &f64| v.is_finite() && *v > 0.0;
+        let staged = |v: &f64| v.is_finite() && *v >= 0.0;
+        if !temp_c.iter().all(|t| t.is_finite()) {
+            return corrupt("non-finite room temperature");
+        }
+        if !(resistance.iter().all(positive)
+            && tau_s.iter().all(positive)
+            && gains_w.iter().all(|g| g.is_finite()))
+        {
+            return corrupt("bad room parameters");
+        }
+        if !(dt_s.iter().all(staged) && heater_w.iter().all(staged)) {
+            return corrupt("bad staged step");
+        }
+        let cache_ok = (0..n).all(|i| {
+            decay_dt_s[i].is_nan()
+                || decay[i].to_bits() == (-decay_dt_s[i] / tau_s[i]).exp().to_bits()
+        });
+        if !cache_ok {
+            return corrupt("decay cache disagrees with its interval");
+        }
         Ok(ThermalBatch {
             temp_c,
             resistance,
@@ -300,6 +340,36 @@ mod tests {
         for cut in 0..bytes.len() {
             assert!(ThermalBatch::decode(&mut SnapshotReader::new(&bytes[..cut])).is_err());
         }
+    }
+
+    #[test]
+    fn decode_refuses_states_the_batch_cannot_reach() {
+        use simcore::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
+        let decode = |b: &ThermalBatch| {
+            let mut w = SnapshotWriter::new();
+            b.encode(&mut w);
+            ThermalBatch::decode(&mut SnapshotReader::new(&w.into_bytes())).map(|b| b.len())
+        };
+        let corrupt = |what: &str| Err(SnapshotError::Corrupt(format!("thermal batch: {what}")));
+        let mut b = ThermalBatch::default();
+        b.push(params(0.005, 4.0e6, 100.0), 18.0);
+        b.stage(0, SimDuration::from_secs(600), 500.0);
+        b.step_staged(-5.0);
+        assert_eq!(decode(&b), Ok(1));
+        let mut hot = ThermalBatch::default();
+        hot.push(params(0.005, 4.0e6, 100.0), f64::INFINITY);
+        assert_eq!(decode(&hot), corrupt("non-finite room temperature"));
+        let mut stale = ThermalBatch::default();
+        stale.push(params(0.005, 4.0e6, 100.0), 18.0);
+        stale.decay_dt_s[0] = 600.0; // cache claims an interval it never saw
+        assert_eq!(
+            decode(&stale),
+            corrupt("decay cache disagrees with its interval")
+        );
+        assert!(b.same_rooms(&stale), "same parameters, other state");
+        let mut other = ThermalBatch::default();
+        other.push(params(0.006, 4.0e6, 100.0), 18.0);
+        assert!(!b.same_rooms(&other));
     }
 
     #[test]

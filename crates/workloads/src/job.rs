@@ -24,7 +24,7 @@ pub enum Flow {
 }
 
 /// One computing request.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Job {
     pub id: JobId,
     pub flow: Flow,
