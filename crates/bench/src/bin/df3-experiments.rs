@@ -19,12 +19,13 @@ use std::time::Instant;
 /// argument (exit 2, as the suite's), the inner one a failed run
 /// (exit 1).
 fn subcommand(sub: &str, rest: &[String]) -> Result<Result<Table, String>, String> {
-    use bench::{run_report as report, snapshot_cli as snap};
+    use bench::snapshot_cli as snap;
+    let args = bench::cli::parse_subcommand_args(sub, rest)?;
     Ok(match sub {
-        "report" => report::run(&report::parse_args(rest)?),
-        "snapshot" => snap::run_snapshot(&snap::parse_snapshot_args(rest)?),
-        "resume" => snap::run_resume(&snap::parse_resume_args(rest)?),
-        _ => snap::run_branch(&snap::parse_branch_args(rest)?),
+        "report" => bench::run_report::run(&args),
+        "snapshot" => snap::run_snapshot(&args),
+        "resume" => snap::run_resume(&args),
+        _ => snap::run_branch(&args),
     })
 }
 

@@ -7,7 +7,7 @@
 //! integration tests assert the paper-shape claims on.
 //!
 //! `scale` ∈ (0, 1] shrinks horizons/fleets proportionally so the same
-//! code serves Criterion micro-runs, CI tests, and full regenerations.
+//! code serves `--fast` CI runs, tests, and full regenerations.
 
 pub mod cli;
 pub mod experiments;

@@ -12,6 +12,7 @@
 //! validators and fails loudly if any document is malformed — the CI
 //! telemetry leg runs in this mode.
 
+use crate::cli::SubcommandArgs;
 use df3_core::report::{ExportOptions, RunReport};
 use df3_core::{Platform, PlatformConfig};
 use simcore::report::Table;
@@ -22,53 +23,6 @@ use std::time::Instant;
 use workloads::edge::{location_service_jobs, LocationServiceConfig};
 use workloads::job::JobStream;
 use workloads::Flow;
-
-/// Parsed `report` subcommand arguments.
-#[derive(Debug, Clone)]
-pub struct ReportArgs {
-    pub preset: String,
-    pub hours: i64,
-    pub out_dir: String,
-    pub check: bool,
-}
-
-impl Default for ReportArgs {
-    fn default() -> Self {
-        ReportArgs {
-            preset: "district_winter".into(),
-            hours: 24,
-            out_dir: ".".into(),
-            check: false,
-        }
-    }
-}
-
-/// Parse everything after the `report` token. Unknown flags are errors
-/// so typos fail loudly instead of silently running the default.
-pub fn parse_args(rest: &[String]) -> Result<ReportArgs, String> {
-    let mut args = ReportArgs::default();
-    let mut it = rest.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--preset" => {
-                args.preset = it.next().ok_or("--preset needs a value")?.clone();
-            }
-            "--hours" => {
-                let v = it.next().ok_or("--hours needs a value")?;
-                args.hours = v
-                    .parse()
-                    .map_err(|_| format!("--hours: not an integer: {v}"))?;
-            }
-            "--out" => {
-                args.out_dir = it.next().ok_or("--out needs a value")?.clone();
-            }
-            "--check" => args.check = true,
-            other => return Err(format!("unknown report flag: {other}")),
-        }
-    }
-    warm_config(&args.preset, args.hours)?;
-    Ok(args)
-}
 
 /// Resolve a preset name to its config (telemetry not yet enabled).
 pub fn preset_config(name: &str) -> Result<PlatformConfig, String> {
@@ -83,8 +37,8 @@ pub fn preset_config(name: &str) -> Result<PlatformConfig, String> {
 }
 
 /// The preset's config over `hours` with telemetry on (so the flight
-/// recorder has content to export and rides through snapshots). Every
-/// subcommand's parser calls it to reject a bad preset or horizon.
+/// recorder has content to export and rides through snapshots). The
+/// subcommand parser calls it to reject a bad preset or horizon.
 pub(crate) fn warm_config(preset: &str, hours: i64) -> Result<PlatformConfig, String> {
     if hours <= 0 {
         return Err("--hours must be positive".into());
@@ -110,7 +64,7 @@ pub(crate) fn canonical_jobs(cfg: &PlatformConfig) -> JobStream {
 
 /// Run the preset with telemetry enabled and write the three documents.
 /// Returns the rendered summary table.
-pub fn run(args: &ReportArgs) -> Result<Table, String> {
+pub fn run(args: &SubcommandArgs) -> Result<Table, String> {
     let cfg = warm_config(&args.preset, args.hours)?;
     let jobs = canonical_jobs(&cfg);
     let t0 = Instant::now();
@@ -146,9 +100,9 @@ pub fn run(args: &ReportArgs) -> Result<Table, String> {
         }
     }
 
-    std::fs::create_dir_all(&args.out_dir).map_err(|e| format!("create {}: {e}", args.out_dir))?;
+    std::fs::create_dir_all(&args.out).map_err(|e| format!("create {}: {e}", args.out))?;
     let write = |suffix: &str, body: &str| -> Result<String, String> {
-        let path = format!("{}/{}.{suffix}", args.out_dir, args.preset);
+        let path = format!("{}/{}.{suffix}", args.out, args.preset);
         std::fs::write(&path, body).map_err(|e| format!("write {path}: {e}"))?;
         Ok(path)
     };
@@ -198,6 +152,7 @@ pub fn run(args: &ReportArgs) -> Result<Table, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cli::parse_subcommand_args;
 
     #[test]
     fn parses_full_flag_set() {
@@ -213,19 +168,27 @@ mod tests {
         .iter()
         .map(|s| s.to_string())
         .collect();
-        let a = parse_args(&rest).unwrap();
+        let a = parse_subcommand_args("report", &rest).unwrap();
         assert_eq!(a.preset, "small_winter");
         assert_eq!(a.hours, 6);
-        assert_eq!(a.out_dir, "/tmp/x");
+        assert_eq!(a.out, "/tmp/x");
         assert!(a.check);
     }
 
     #[test]
     fn rejects_unknown_flags_and_bad_hours() {
-        assert!(parse_args(&["--bogus".to_string()]).is_err());
-        assert!(parse_args(&["--hours".to_string(), "0".to_string()]).is_err());
-        assert!(parse_args(&["--preset".to_string()]).is_err());
-        assert!(parse_args(&["--preset".to_string(), "mars_colony".to_string()]).is_err());
+        let parse = |xs: &[&str]| {
+            let rest: Vec<String> = xs.iter().map(|s| s.to_string()).collect();
+            parse_subcommand_args("report", &rest)
+        };
+        assert_eq!(
+            parse(&["--bogus"]).unwrap_err(),
+            "unknown report flag: --bogus"
+        );
+        assert!(parse(&["--hours", "0"]).is_err());
+        assert!(parse(&["--preset"]).is_err());
+        assert!(parse(&["--preset", "mars_colony"]).is_err());
+        assert!(parse(&["-o", "/tmp/x"]).is_err(), "-o is snapshot's flag");
     }
 
     #[test]
@@ -237,11 +200,12 @@ mod tests {
     #[test]
     fn small_preset_report_round_trips_with_check() {
         let dir = std::env::temp_dir().join("df3_report_test");
-        let args = ReportArgs {
+        let args = SubcommandArgs {
             preset: "small_winter".into(),
             hours: 2,
-            out_dir: dir.to_string_lossy().into_owned(),
+            out: dir.to_string_lossy().into_owned(),
             check: true,
+            ..SubcommandArgs::default()
         };
         let table = run(&args).expect("report run failed");
         let rendered = table.render();

@@ -18,6 +18,7 @@
 //! re-derived per branch index, so a sweep is reproducible from the
 //! preset seed alone).
 
+use crate::cli::SubcommandArgs;
 use crate::run_report::{canonical_jobs, warm_config};
 use df3_core::report::{ExportOptions, RunReport};
 use df3_core::{FaultPlan, PausedRun, Platform, PlatformConfig, PlatformOutcome, Window};
@@ -105,50 +106,8 @@ pub fn exports_diverge(
     None
 }
 
-/// Parsed `snapshot` subcommand arguments.
-#[derive(Debug, Clone)]
-pub struct SnapshotArgs {
-    pub preset: String,
-    pub hours: i64,
-    pub at: SimDuration,
-    pub out: String,
-}
-
-pub fn parse_snapshot_args(rest: &[String]) -> Result<SnapshotArgs, String> {
-    let mut a = SnapshotArgs {
-        preset: "district_winter".into(),
-        hours: 96,
-        at: SimDuration::from_hours(72),
-        out: "warm.df3snap".into(),
-    };
-    let mut it = rest.iter();
-    while let Some(f) = it.next() {
-        match f.as_str() {
-            "--preset" => a.preset = it.next().ok_or("--preset needs a value")?.clone(),
-            "--hours" => {
-                let v = it.next().ok_or("--hours needs a value")?;
-                a.hours = v
-                    .parse()
-                    .map_err(|_| format!("--hours: not an integer: {v}"))?;
-            }
-            "--at" => a.at = parse_sim_duration(it.next().ok_or("--at needs a value")?)?,
-            "-o" | "--out" => a.out = it.next().ok_or("-o needs a value")?.clone(),
-            other => return Err(format!("unknown snapshot flag: {other}")),
-        }
-    }
-    let horizon = warm_config(&a.preset, a.hours)?.horizon;
-    if a.at >= horizon {
-        return Err(format!(
-            "--at ({:.0} h) must fall inside the {:.0}-hour horizon",
-            a.at.as_hours_f64(),
-            horizon.as_hours_f64()
-        ));
-    }
-    Ok(a)
-}
-
 /// Warm a preset up to `--at` and write the checkpoint file.
-pub fn run_snapshot(a: &SnapshotArgs) -> Result<Table, String> {
+pub fn run_snapshot(a: &SubcommandArgs) -> Result<Table, String> {
     let cfg = warm_config(&a.preset, a.hours)?;
     let jobs = canonical_jobs(&cfg);
     let t0 = Instant::now();
@@ -178,44 +137,9 @@ pub fn run_snapshot(a: &SnapshotArgs) -> Result<Table, String> {
     Ok(table)
 }
 
-/// Parsed `resume` subcommand arguments.
-#[derive(Debug, Clone)]
-pub struct ResumeArgs {
-    pub preset: String,
-    pub hours: i64,
-    pub snapshot: String,
-    pub check: bool,
-}
-
-pub fn parse_resume_args(rest: &[String]) -> Result<ResumeArgs, String> {
-    let mut a = ResumeArgs {
-        preset: "district_winter".into(),
-        hours: 96,
-        snapshot: "warm.df3snap".into(),
-        check: false,
-    };
-    let mut it = rest.iter();
-    while let Some(f) = it.next() {
-        match f.as_str() {
-            "--preset" => a.preset = it.next().ok_or("--preset needs a value")?.clone(),
-            "--hours" => {
-                let v = it.next().ok_or("--hours needs a value")?;
-                a.hours = v
-                    .parse()
-                    .map_err(|_| format!("--hours: not an integer: {v}"))?;
-            }
-            "--snapshot" => a.snapshot = it.next().ok_or("--snapshot needs a value")?.clone(),
-            "--check" => a.check = true,
-            other => return Err(format!("unknown resume flag: {other}")),
-        }
-    }
-    warm_config(&a.preset, a.hours)?;
-    Ok(a)
-}
-
 /// Restore a checkpoint and run it to the horizon. With `--check`,
 /// replay the run cold and demand byte-identical deterministic exports.
-pub fn run_resume(a: &ResumeArgs) -> Result<Table, String> {
+pub fn run_resume(a: &SubcommandArgs) -> Result<Table, String> {
     let cfg = warm_config(&a.preset, a.hours)?;
     let bytes = std::fs::read(&a.snapshot).map_err(|e| format!("read {}: {e}", a.snapshot))?;
     let t0 = Instant::now();
@@ -251,52 +175,9 @@ pub fn run_resume(a: &ResumeArgs) -> Result<Table, String> {
     Ok(table)
 }
 
-/// Parsed `branch` subcommand arguments.
-#[derive(Debug, Clone)]
-pub struct BranchArgs {
-    pub preset: String,
-    pub hours: i64,
-    pub snapshot: String,
-    pub sweep: usize,
-}
-
-pub fn parse_branch_args(rest: &[String]) -> Result<BranchArgs, String> {
-    let mut a = BranchArgs {
-        preset: "district_winter".into(),
-        hours: 96,
-        snapshot: "warm.df3snap".into(),
-        sweep: 8,
-    };
-    let mut it = rest.iter();
-    while let Some(f) = it.next() {
-        match f.as_str() {
-            "--preset" => a.preset = it.next().ok_or("--preset needs a value")?.clone(),
-            "--hours" => {
-                let v = it.next().ok_or("--hours needs a value")?;
-                a.hours = v
-                    .parse()
-                    .map_err(|_| format!("--hours: not an integer: {v}"))?;
-            }
-            "--snapshot" => a.snapshot = it.next().ok_or("--snapshot needs a value")?.clone(),
-            "--sweep" => {
-                let v = it.next().ok_or("--sweep needs a value")?;
-                a.sweep = v
-                    .parse()
-                    .map_err(|_| format!("--sweep: not an integer: {v}"))?;
-            }
-            other => return Err(format!("unknown branch flag: {other}")),
-        }
-    }
-    if a.sweep == 0 {
-        return Err("--sweep must be at least 1".into());
-    }
-    warm_config(&a.preset, a.hours)?;
-    Ok(a)
-}
-
 /// Fan `--sweep` fault branches out of one shared warm-up: each branch
 /// restores the same snapshot and appends one derived cluster outage.
-pub fn run_branch(a: &BranchArgs) -> Result<Table, String> {
+pub fn run_branch(a: &SubcommandArgs) -> Result<Table, String> {
     let cfg = warm_config(&a.preset, a.hours)?;
     let base = cfg.faults.clone();
     let bytes = std::fs::read(&a.snapshot).map_err(|e| format!("read {}: {e}", a.snapshot))?;
@@ -378,25 +259,33 @@ mod tests {
 
     #[test]
     fn arg_parsers_cover_flags_and_reject_unknowns() {
+        use crate::cli::parse_subcommand_args as parse;
         let v = |xs: &[&str]| xs.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        let s = parse_snapshot_args(&v(&[
-            "--preset",
-            "small_winter",
-            "--hours",
-            "6",
-            "--at",
-            "2h",
-            "-o",
-            "/tmp/x.df3snap",
-        ]))
+        let s = parse(
+            "snapshot",
+            &v(&[
+                "--preset",
+                "small_winter",
+                "--hours",
+                "6",
+                "--at",
+                "2h",
+                "-o",
+                "/tmp/x.df3snap",
+            ]),
+        )
         .unwrap();
         assert_eq!(s.preset, "small_winter");
         assert_eq!(s.at, SimDuration::from_hours(2));
         assert_eq!(s.out, "/tmp/x.df3snap");
-        let b = parse_branch_args(&v(&["--sweep", "4", "--snapshot", "w.df3snap"])).unwrap();
+        let b = parse("branch", &v(&["--sweep", "4", "--snapshot", "w.df3snap"])).unwrap();
         assert_eq!(b.sweep, 4);
-        assert!(parse_resume_args(&v(&["--bogus"])).is_err());
-        assert!(parse_branch_args(&v(&["--sweep", "0"])).is_err());
+        assert_eq!(
+            parse("resume", &v(&["--bogus"])).unwrap_err(),
+            "unknown resume flag: --bogus"
+        );
+        assert!(parse("branch", &v(&["--sweep", "0"])).is_err());
+        assert!(parse("snapshot", &v(&["--hours", "3", "--at", "3h"])).is_err());
     }
 
     #[test]
@@ -424,27 +313,18 @@ mod tests {
         let dir = std::env::temp_dir().join("df3_snapshot_cli_test");
         std::fs::create_dir_all(&dir).unwrap();
         let snap = dir.join("warm.df3snap").to_string_lossy().into_owned();
-        let sa = SnapshotArgs {
+        let args = SubcommandArgs {
             preset: "small_winter".into(),
             hours: 4,
             at: SimDuration::from_hours(2),
             out: snap.clone(),
-        };
-        run_snapshot(&sa).expect("snapshot failed");
-        let ra = ResumeArgs {
-            preset: "small_winter".into(),
-            hours: 4,
-            snapshot: snap.clone(),
-            check: true,
-        };
-        run_resume(&ra).expect("resume --check failed");
-        let ba = BranchArgs {
-            preset: "small_winter".into(),
-            hours: 4,
             snapshot: snap,
+            check: true,
             sweep: 2,
         };
-        let rendered = run_branch(&ba).expect("branch sweep failed").render();
+        run_snapshot(&args).expect("snapshot failed");
+        run_resume(&args).expect("resume --check failed");
+        let rendered = run_branch(&args).expect("branch sweep failed").render();
         assert!(rendered.contains("cluster "));
     }
 }

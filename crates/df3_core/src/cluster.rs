@@ -533,10 +533,12 @@ impl ClusterSim {
         self.dcc_queue.encode(w);
     }
 
-    /// Overlay a checkpointed dynamic state onto a freshly built cluster.
+    /// Overlay a checkpointed dynamic state, taken at `now`, onto a
+    /// freshly built cluster.
     pub fn restore_state(
         &mut self,
         r: &mut simcore::snapshot::SnapshotReader<'_>,
+        now: SimTime,
     ) -> Result<(), simcore::snapshot::SnapshotError> {
         use simcore::snapshot::{Snapshot, SnapshotError};
         let n = r.take_usize()?;
@@ -548,7 +550,7 @@ impl ClusterSim {
             )));
         }
         for worker in &mut self.workers {
-            worker.restore_state(r)?;
+            worker.restore_state(r, now)?;
         }
         // The core sums are derived state: rebuilt, never checkpointed.
         self.sums = self.recount();
@@ -879,7 +881,7 @@ mod tests {
                         let bytes = wr.into_bytes();
                         let mut fresh = if arch_b { cluster_b().0 } else { cluster_a().0 };
                         fresh
-                            .restore_state(&mut simcore::snapshot::SnapshotReader::new(&bytes))
+                            .restore_state(&mut simcore::snapshot::SnapshotReader::new(&bytes), now)
                             .expect("own snapshot restores");
                         assert_eq!(fresh.load(), c.load(), "restore changed the load");
                         c = fresh;

@@ -80,11 +80,7 @@ impl Datacenter {
     pub fn in_flight_by_flow(&self) -> (u64, u64) {
         let mut edge = 0u64;
         let mut dcc = 0u64;
-        for j in self
-            .queue
-            .iter()
-            .chain(self.running.iter().map(|(j, _, _)| j))
-        {
+        for j in self.jobs() {
             if j.is_edge() {
                 edge += 1;
             } else {
@@ -92,6 +88,13 @@ impl Datacenter {
             }
         }
         (edge, dcc)
+    }
+
+    /// Every job queued or running here.
+    pub fn jobs(&self) -> impl Iterator<Item = &Job> {
+        self.queue
+            .iter()
+            .chain(self.running.iter().map(|(j, _, _)| j))
     }
 
     /// Jobs running right now.
@@ -183,10 +186,13 @@ impl Datacenter {
         w.put_u64(self.completed);
     }
 
-    /// Overlay a checkpointed dynamic state onto a fresh pool.
+    /// Overlay a checkpointed dynamic state, taken at `now`, onto a
+    /// fresh pool. The energy clock must lie in `[0, now]` and the busy
+    /// count must be the running jobs' sum.
     pub fn restore_state(
         &mut self,
         r: &mut simcore::snapshot::SnapshotReader<'_>,
+        now: SimTime,
     ) -> Result<(), simcore::snapshot::SnapshotError> {
         use simcore::snapshot::{Snapshot, SnapshotError};
         self.busy_cores = r.take_usize()?;
@@ -195,6 +201,12 @@ impl Datacenter {
         self.it_energy_j = r.take_f64()?;
         self.last_energy_update = SimTime::decode(r)?;
         self.completed = r.take_u64()?;
+        if !(SimTime::ZERO..=now).contains(&self.last_energy_update) {
+            return Err(SnapshotError::Corrupt(format!(
+                "datacenter energy clock {} lies outside [0, {now}]",
+                self.last_energy_update
+            )));
+        }
         let occupied: usize = self.running.iter().map(|(_, c, _)| *c).sum();
         if occupied != self.busy_cores || self.busy_cores > self.config.cores {
             return Err(SnapshotError::Corrupt(format!(

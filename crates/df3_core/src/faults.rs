@@ -554,16 +554,23 @@ impl FaultRuntime {
         self.outage_scheduled.encode(w);
     }
 
-    /// Overlay checkpointed state onto a fresh runtime. A branch plan
-    /// may have *more* outages than the snapshot knew about; the
-    /// scheduled-flags vector grows with `false` for the additions.
+    /// Overlay checkpointed state, taken at `now`, onto a fresh
+    /// runtime. A branch plan may have *more* outages than the snapshot
+    /// knew about; the scheduled-flags vector grows with `false` for
+    /// the additions.
     pub fn restore_state(
         &mut self,
         r: &mut simcore::snapshot::SnapshotReader<'_>,
+        now: SimTime,
     ) -> Result<(), simcore::snapshot::SnapshotError> {
         use simcore::snapshot::{Snapshot, SnapshotError};
         self.retry_book = workloads::RetryBook::decode(r)?;
         self.flap = sched::retry::FlapTracker::decode(r)?;
+        if !self.flap.recorded_by(now) {
+            return Err(SnapshotError::Corrupt(format!(
+                "a recorded worker failure lies outside [0, {now}]"
+            )));
+        }
         let dark = Vec::<bool>::decode(r)?;
         if dark.len() != self.cluster_dark.len() {
             return Err(SnapshotError::Corrupt(format!(

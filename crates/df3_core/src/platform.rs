@@ -528,7 +528,7 @@ impl Platform {
         }
         p.rooms = rooms;
         let mut r = file.section("platform")?;
-        p.restore_state(&mut r)?;
+        p.restore_state(&mut r, now)?;
         r.expect_end()?;
         p.check_restored(&sched)?;
         let arrivals = restore_arrivals(&file, now, horizon)?;
@@ -1244,9 +1244,14 @@ impl Platform {
         }
     }
 
-    /// Overlay a checkpointed dynamic state onto a freshly built
-    /// platform, validating every fleet-shape invariant on the way.
-    fn restore_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
+    /// Overlay a checkpointed dynamic state, taken at `now`, onto a
+    /// freshly built platform, validating every fleet-shape invariant
+    /// and every job it carries (see [`check_job`]) on the way.
+    fn restore_state(
+        &mut self,
+        r: &mut SnapshotReader<'_>,
+        now: SimTime,
+    ) -> Result<(), SnapshotError> {
         self.stats = PlatformStats::decode(r)?;
         let n = r.take_usize()?;
         if n != self.clusters.len() {
@@ -1256,7 +1261,7 @@ impl Platform {
             )));
         }
         for c in &mut self.clusters {
-            c.restore_state(r)?;
+            c.restore_state(r, now)?;
         }
         let has_dc = r.take_bool()?;
         if has_dc != self.datacenter.is_some() {
@@ -1265,12 +1270,30 @@ impl Platform {
             ));
         }
         if let Some(dc) = self.datacenter.as_mut() {
-            dc.restore_state(r)?;
+            dc.restore_state(r, now)?;
         }
+        let queued = self
+            .clusters
+            .iter()
+            .flat_map(|c| c.edge_queue.iter().chain(c.dcc_queue.iter()));
+        let running = self.clusters.iter().flat_map(|c| {
+            (0..c.n_workers()).flat_map(move |w| c.worker(w).running().iter().map(|s| &s.job))
+        });
+        let dc = self.datacenter.iter().flat_map(Datacenter::jobs);
+        queued.chain(running).chain(dc).try_for_each(check_job)?;
         let slots = Vec::decode(r)?;
-        let down_since = Vec::decode(r)?;
+        let down_since: Vec<Option<SimTime>> = Vec::decode(r)?;
         let fail_events = Vec::decode(r)?;
         let repair_events = Vec::decode(r)?;
+        if down_since
+            .iter()
+            .flatten()
+            .any(|t| !(SimTime::ZERO..=now).contains(t))
+        {
+            return Err(SnapshotError::Corrupt(format!(
+                "a worker went down outside [0, {now}]"
+            )));
+        }
         let n_slots = self.running_events.slots.len();
         if slots.len() != n_slots
             || down_since.len() != n_slots
@@ -1289,7 +1312,7 @@ impl Platform {
         self.last_energy_sample = SimTime::decode(r)?;
         let has_faults = r.take_bool()?;
         match (has_faults, self.faults.as_mut()) {
-            (true, Some(rt)) => rt.restore_state(r)?,
+            (true, Some(rt)) => rt.restore_state(r, now)?,
             (true, None) => {
                 return Err(SnapshotError::Corrupt(
                     "snapshot carries fault state but the fault plan is empty".into(),

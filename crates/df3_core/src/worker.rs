@@ -451,10 +451,20 @@ impl WorkerSim {
         self.last_flow_was_edge.encode(w);
     }
 
-    /// Overlay a checkpointed dynamic state onto a freshly built worker.
+    /// Overlay a checkpointed dynamic state, taken at `now`, onto a
+    /// freshly built worker. The state must be one the worker can
+    /// reach: every slice runs at a ladder level on at most the board's
+    /// cores and starts before it finishes, the decision is one the
+    /// regulator or a failure sets, with room for the running slices,
+    /// and the last tick lies in `[0, now]`. Anything else is
+    /// [`SnapshotError::Corrupt`]. (That each slice finishes at or
+    /// after `now` is checked against its pending finish event.)
+    ///
+    /// [`SnapshotError::Corrupt`]: simcore::snapshot::SnapshotError::Corrupt
     pub fn restore_state(
         &mut self,
         r: &mut simcore::snapshot::SnapshotReader<'_>,
+        now: SimTime,
     ) -> Result<(), simcore::snapshot::SnapshotError> {
         use simcore::snapshot::{Snapshot, SnapshotError};
         self.decision = RegulatorDecision::decode(r)?;
@@ -467,13 +477,33 @@ impl WorkerSim {
         self.sensor = SensorState::decode(r)?;
         self.last_good_c = Option::decode(r)?;
         self.last_flow_was_edge = Option::decode(r)?;
-        (self.busy, self.preemptible) = self.recount();
-        if self.busy_cores() > self.regulator.n_cores {
+        let (levels, n_cores) = (self.ladder.n_states(), self.regulator.n_cores);
+        let slice_ok = |s: &RunningSlice| {
+            s.level < levels
+                && (1..=n_cores).contains(&s.cores)
+                && SimTime::ZERO <= s.started
+                && s.started <= s.finish
+        };
+        if !self.running.iter().all(slice_ok) {
             return Err(SnapshotError::Corrupt(format!(
-                "worker {}: {} busy cores exceed the {}-core board",
-                self.id,
-                self.busy_cores(),
-                self.regulator.n_cores
+                "worker {}: a running slice no dispatch on a {n_cores}-core, \
+                 {levels}-level board makes",
+                self.id
+            )));
+        }
+        (self.busy, self.preemptible) = self.recount();
+        let d = &self.decision;
+        let reachable = d.level < levels
+            && self.busy <= d.usable_cores
+            && d.usable_cores <= n_cores
+            && (d.powered || d.usable_cores == 0)
+            && !(self.failed && d.powered)
+            && (SimTime::ZERO..=now).contains(&self.last_tick);
+        if !reachable {
+            return Err(SnapshotError::Corrupt(format!(
+                "worker {}: decision {d:?} (failed: {}, {} busy cores, last tick {}) \
+                 is not one a run reaches",
+                self.id, self.failed, self.busy, self.last_tick
             )));
         }
         Ok(())

@@ -260,8 +260,7 @@ fn section_len(bytes: &[u8], name: &str) -> usize {
 /// must still be refused by the decoders or the checks behind them, or
 /// else resume to the horizon with both ledgers closed. Never a panic
 /// or a runaway. Every bit of the small sections (`meta`, `engine`,
-/// `rng`) is flipped, and 256 seeded bits each of `thermal` and
-/// `arrivals`. `platform` and `telemetry` are not covered yet.
+/// `rng`) is flipped, and 256 seeded bits each of the others.
 #[test]
 fn resealed_bit_flips_are_refused_or_run_to_the_horizon() {
     let (cfg, bytes) = fuzz_snapshot();
@@ -272,14 +271,22 @@ fn resealed_bit_flips_are_refused_or_run_to_the_horizon() {
     let mut rng = proptest::TestRng::deterministic("resealed bit flips");
     let mut failures = Vec::new();
     let mut flips = 0;
-    for name in ["meta", "engine", "rng", "thermal", "arrivals"] {
+    for name in [
+        "meta",
+        "engine",
+        "rng",
+        "thermal",
+        "arrivals",
+        "platform",
+        "telemetry",
+    ] {
         let bits = 8 * section_len(bytes, name);
-        let picks: Vec<usize> = if matches!(name, "thermal" | "arrivals") {
+        let picks: Vec<usize> = if matches!(name, "meta" | "engine" | "rng") {
+            (0..bits).collect()
+        } else {
             (0..256)
                 .map(|_| (rng.next_u64() % bits as u64) as usize)
                 .collect()
-        } else {
-            (0..bits).collect()
         };
         for bit in picks {
             flips += 1;
@@ -294,6 +301,51 @@ fn resealed_bit_flips_are_refused_or_run_to_the_horizon() {
         failures.len(),
         &failures[..failures.len().min(20)]
     );
+}
+
+/// Restore `bytes` with bit `bit` of the fuzz snapshot's `platform`
+/// section flipped behind a recomputed CRC, and require a refusal. The
+/// section length is pinned, so a change to the fuzz snapshot, which
+/// moves every field, fails here first instead of flipping some other
+/// field.
+fn assert_platform_flip_is_refused(bit: usize) {
+    let (cfg, bytes) = fuzz_snapshot();
+    assert_eq!(
+        section_len(bytes, "platform"),
+        26_467,
+        "the fuzz snapshot changed: find this site's bit again"
+    );
+    let restored = Platform::restore(cfg.clone(), &resealed(bytes, "platform", bit));
+    assert!(
+        matches!(restored, Err(SnapshotError::Corrupt(_))),
+        "platform bit {bit} must be refused as corrupt"
+    );
+}
+
+/// An unpowered worker given usable cores: dispatch picked it and then
+/// hit `expect("free_cores checked")` in `ClusterSim::try_dispatch`.
+/// The flip sets bit 0 of the worker's `usable_cores`.
+#[test]
+fn an_unpowered_worker_with_usable_cores_is_refused() {
+    assert_platform_flip_is_refused(204_344);
+}
+
+/// A decision level past the 7-level DVFS ladder (6 → 7): the next
+/// dispatch indexed the ladder out of bounds in `DvfsLadder`.
+#[test]
+fn a_decision_level_past_the_dvfs_ladder_is_refused() {
+    assert_platform_flip_is_refused(206_120);
+}
+
+/// A time far before the run starts: the sign bit of a worker's last
+/// tick, of a failed worker's down-since time and of a flap-history
+/// failure time. Debug builds overflowed in `SimTime::saturating_since`
+/// when the run next measured an interval from it.
+#[test]
+fn times_before_the_run_are_refused() {
+    for bit in [204_791, 209_983, 211_391] {
+        assert_platform_flip_is_refused(bit);
+    }
 }
 
 /// FNV-1a fingerprint of every section payload except `meta`, in

@@ -6,8 +6,7 @@
 //! horizontally (to a sibling cluster), and how to keep cooperation
 //! between organisations fair (ref \[16\]). Each is a module here:
 //!
-//! - [`queue`]: ready-queue disciplines — FIFO, EDF (edge deadlines),
-//!   SJF.
+//! - [`queue`]: ready-queue disciplines — FIFO, EDF (edge deadlines).
 //! - [`preempt`]: victim selection for preempting moldable DCC work
 //!   when an edge request finds the cluster full.
 //! - [`offload`]: the peak-management policy of §III-B — preempt /

@@ -13,8 +13,6 @@ pub enum Discipline {
     /// Earliest (absolute) deadline first; deadline-free jobs go last,
     /// FIFO among themselves.
     Edf,
-    /// Shortest job first (by remaining work).
-    Sjf,
 }
 
 /// A ready queue of jobs under a discipline.
@@ -69,8 +67,8 @@ impl ReadyQueue {
         self.cores
     }
 
-    /// Whether an EDF queue is sorted by deadline (always true for the
-    /// other disciplines). Checked in debug builds after each change.
+    /// Whether an EDF queue is sorted by deadline (always true for
+    /// FIFO). Checked in debug builds after each change.
     fn edf_sorted(&self) -> bool {
         self.discipline != Discipline::Edf
             || self
@@ -90,11 +88,6 @@ impl ReadyQueue {
                 let key = edf_key(&job);
                 self.jobs.partition_point(|j| edf_key(j) <= key)
             }
-            Discipline::Sjf => self
-                .jobs
-                .iter()
-                .position(|j| j.work_gops > job.work_gops)
-                .unwrap_or(self.jobs.len()),
         };
         self.jobs.insert(pos, job);
         self.cores += job.cores;
@@ -121,20 +114,10 @@ impl ReadyQueue {
         Some(job)
     }
 
-    /// Pop the first job that fits `free_cores` (head-of-line blocking
-    /// avoidance for rigid parallel jobs — backfilling in its simplest
-    /// form).
-    pub fn pop_fitting(&mut self, free_cores: usize) -> Option<Job> {
-        let idx = self.jobs.iter().position(|j| j.cores <= free_cores)?;
-        let job = self.jobs.remove(idx)?;
-        self.cores -= job.cores;
-        Some(job)
-    }
-
     /// Drop and return jobs whose deadline has already passed at `now`
     /// (they can no longer be served usefully), in queue order. Under
     /// EDF the expired jobs are a prefix of the queue and are popped
-    /// off the front; the other disciplines scan the whole queue.
+    /// off the front; FIFO scans the whole queue.
     pub fn drop_expired(&mut self, now: SimTime) -> Vec<Job> {
         let due = |j: &Job| j.absolute_deadline().is_some_and(|d| d <= now);
         let mut expired = Vec::new();
@@ -162,7 +145,7 @@ impl ReadyQueue {
 }
 
 simcore::impl_snapshot! {
-    enum Discipline { 0 => Fifo, 1 => Edf, 2 => Sjf }
+    enum Discipline { 0 => Fifo, 1 => Edf }
 }
 
 /// The deque order *is* the discipline-defined service order, so it
@@ -228,31 +211,6 @@ mod tests {
         q.push(job(1, 1.0, Some(10)));
         assert_eq!(q.pop().unwrap().id.0, 0);
         assert_eq!(q.pop().unwrap().id.0, 1);
-    }
-
-    #[test]
-    fn sjf_orders_by_work() {
-        let mut q = ReadyQueue::new(Discipline::Sjf);
-        q.push(job(0, 30.0, None));
-        q.push(job(1, 10.0, None));
-        q.push(job(2, 20.0, None));
-        let order: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|j| j.id.0).collect();
-        assert_eq!(order, vec![1, 2, 0]);
-    }
-
-    #[test]
-    fn pop_fitting_skips_wide_jobs() {
-        let mut q = ReadyQueue::new(Discipline::Fifo);
-        let mut wide = job(0, 1.0, None);
-        wide.cores = 8;
-        let narrow = job(1, 1.0, None);
-        q.push(wide);
-        q.push(narrow);
-        let got = q.pop_fitting(4).unwrap();
-        assert_eq!(got.id.0, 1);
-        assert_eq!(q.len(), 1);
-        assert!(q.pop_fitting(4).is_none());
-        assert!(q.pop_fitting(8).is_some());
     }
 
     #[test]
@@ -332,7 +290,7 @@ mod tests {
 
     #[test]
     fn queued_cores_survive_every_mutator_and_a_snapshot() {
-        let mut q = ReadyQueue::new(Discipline::Sjf);
+        let mut q = ReadyQueue::new(Discipline::Fifo);
         for (i, cores) in [3, 1, 4, 1, 5].into_iter().enumerate() {
             let mut j = job(i as u64, 10.0 - i as f64, Some(10 * i as i64));
             j.cores = cores;
@@ -342,11 +300,10 @@ mod tests {
         let head = q.pop().unwrap();
         assert_eq!(q.queued_cores(), 14 - head.cores);
         q.push_front(head);
-        assert_eq!(q.pop_fitting(1).map(|j| j.cores), Some(1));
-        assert_eq!(q.queued_cores(), 13);
+        assert_eq!(q.queued_cores(), 14);
         let expired = q.drop_expired(SimTime::from_secs(25));
         let left: usize = expired.iter().map(|j| j.cores).sum();
-        assert_eq!(q.queued_cores(), 13 - left);
+        assert_eq!(q.queued_cores(), 14 - left);
         let mut w = SnapshotWriter::new();
         q.encode(&mut w);
         let bytes = w.into_bytes();

@@ -143,6 +143,17 @@ impl FlapTracker {
 
 simcore::impl_snapshot!(FlapTracker { history });
 
+impl FlapTracker {
+    /// Whether every recorded failure lies in `[0, now]`, as in any
+    /// run paused at `now`.
+    pub fn recorded_by(&self, now: SimTime) -> bool {
+        self.history
+            .iter()
+            .flatten()
+            .all(|t| (SimTime::ZERO..=now).contains(t))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

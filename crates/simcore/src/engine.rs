@@ -287,10 +287,6 @@ impl<M: Model> Engine<M> {
         &self.model
     }
 
-    pub fn model_mut(&mut self) -> &mut M {
-        &mut self.model
-    }
-
     pub fn scheduler(&self) -> &Scheduler<M::Event> {
         &self.sched
     }

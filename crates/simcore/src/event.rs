@@ -38,8 +38,8 @@
 //! implementation survives only in the tests, as the oracle the
 //! order-equivalence test compares the slab queue against.
 //!
-//! [`pop`]: SlabEventQueue::pop
-//! [`peek_time`]: SlabEventQueue::peek_time
+//! [`pop`]: EventQueue::pop
+//! [`peek_time`]: EventQueue::peek_time
 
 use crate::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use crate::time::SimTime;
@@ -180,8 +180,9 @@ struct Slot<E> {
     payload: Option<E>,
 }
 
-/// A deterministic future-event list (slab-backed; see module docs).
-pub struct SlabEventQueue<E> {
+/// The engine's deterministic future-event list (slab-backed; see
+/// module docs).
+pub struct EventQueue<E> {
     heap: MinHeap4,
     slots: Vec<Slot<E>>,
     /// Indices of vacant slots, reused LIFO for cache warmth.
@@ -193,15 +194,15 @@ pub struct SlabEventQueue<E> {
     peak_live: usize,
 }
 
-impl<E> Default for SlabEventQueue<E> {
+impl<E> Default for EventQueue<E> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<E> SlabEventQueue<E> {
+impl<E> EventQueue<E> {
     pub fn new() -> Self {
-        SlabEventQueue {
+        EventQueue {
             heap: MinHeap4::with_capacity(0),
             slots: Vec::new(),
             free: Vec::new(),
@@ -213,7 +214,7 @@ impl<E> SlabEventQueue<E> {
 
     /// Pre-size for `n` concurrent events (heap and slab).
     pub fn with_capacity(n: usize) -> Self {
-        SlabEventQueue {
+        EventQueue {
             heap: MinHeap4::with_capacity(n),
             slots: Vec::with_capacity(n),
             free: Vec::new(),
@@ -358,7 +359,7 @@ impl<E> SlabEventQueue<E> {
 /// keeps every outstanding [`EventId`] live with its exact generation
 /// while future slot assignments (hence future ids) match the
 /// uninterrupted run.
-impl<E: Snapshot> Snapshot for SlabEventQueue<E> {
+impl<E: Snapshot> Snapshot for EventQueue<E> {
     fn encode(&self, w: &mut SnapshotWriter) {
         w.put_u64(self.heap.v.len() as u64);
         for e in &self.heap.v {
@@ -448,7 +449,7 @@ impl<E: Snapshot> Snapshot for SlabEventQueue<E> {
         if seen.contains(&false) {
             return corrupt("a vacant slot is missing from the free list");
         }
-        Ok(SlabEventQueue {
+        Ok(EventQueue {
             heap,
             slots,
             free,
@@ -464,7 +465,7 @@ mod legacy {
     //! The pre-slab future-event list: `BinaryHeap` of full entries plus
     //! `cancelled`/`pending` `HashSet<u64>` side tables. Test-only: the
     //! shared queue suite and the order-equivalence test use it as the
-    //! oracle for [`SlabEventQueue`](super::SlabEventQueue).
+    //! oracle for [`EventQueue`](super::EventQueue).
 
     use super::EventId;
     use crate::time::SimTime;
@@ -588,9 +589,6 @@ mod legacy {
         }
     }
 }
-
-/// The engine's future-event list.
-pub type EventQueue<E> = SlabEventQueue<E>;
 
 #[cfg(test)]
 mod tests {
@@ -721,12 +719,12 @@ mod tests {
         };
     }
 
-    queue_suite!(slab, SlabEventQueue);
+    queue_suite!(slab, EventQueue);
     queue_suite!(legacy_impl, LegacyEventQueue);
 
     #[test]
     fn cancel_then_reschedule_never_resurrects_stale_id() {
-        let mut q = SlabEventQueue::new();
+        let mut q = EventQueue::new();
         let a = q.schedule(t(5), "doomed");
         assert!(q.cancel(a));
         // The freed slot is reused immediately (LIFO free list) — the
@@ -741,7 +739,7 @@ mod tests {
 
     #[test]
     fn fired_event_id_cannot_cancel_successor_in_same_slot() {
-        let mut q = SlabEventQueue::new();
+        let mut q = EventQueue::new();
         let a = q.schedule(t(1), 1);
         assert_eq!(q.pop(), Some((t(1), 1)));
         let _b = q.schedule(t(2), 2); // reuses slot 0
@@ -793,12 +791,12 @@ mod tests {
         };
     }
 
-    queue_snapshot_suite!(slab_snapshot_roundtrip, SlabEventQueue);
+    queue_snapshot_suite!(slab_snapshot_roundtrip, EventQueue);
 
     /// `live` lists exactly the pending events, with their handles.
     #[test]
     fn live_lists_pending_events_with_their_ids() {
-        let mut q = SlabEventQueue::new();
+        let mut q = EventQueue::new();
         let a = q.schedule(t(5), 'a');
         let b = q.schedule(t(3), 'b');
         let c = q.schedule(t(9), 'c');
@@ -816,7 +814,7 @@ mod tests {
     fn decode_refuses_an_inconsistent_queue() {
         use crate::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
         let build = || {
-            let mut q = SlabEventQueue::new();
+            let mut q = EventQueue::new();
             for (i, at) in [40, 10, 30, 20, 50].into_iter().enumerate() {
                 q.schedule(t(at), i as u64);
             }
@@ -824,11 +822,10 @@ mod tests {
             q.cancel(doomed);
             q
         };
-        let decode = |q: &SlabEventQueue<u64>| {
+        let decode = |q: &EventQueue<u64>| {
             let mut w = SnapshotWriter::new();
             q.encode(&mut w);
-            SlabEventQueue::<u64>::decode(&mut SnapshotReader::new(&w.into_bytes()))
-                .map(|q| q.len())
+            EventQueue::<u64>::decode(&mut SnapshotReader::new(&w.into_bytes())).map(|q| q.len())
         };
         let corrupt = |what: &str| Err(SnapshotError::Corrupt(format!("event queue: {what}")));
         assert_eq!(decode(&build()), Ok(5));
@@ -863,7 +860,7 @@ mod tests {
     /// behaviour — the determinism guarantee behind the queue swap.
     #[test]
     fn slab_and_legacy_produce_identical_event_order() {
-        let mut slab = SlabEventQueue::new();
+        let mut slab = EventQueue::new();
         let mut leg = LegacyEventQueue::new();
         let mut slab_ids = Vec::new();
         let mut leg_ids = Vec::new();

@@ -42,7 +42,7 @@ pub mod telemetry;
 pub mod time;
 
 pub use engine::{Engine, Model, Scheduler};
-pub use event::{EventQueue, SlabEventQueue};
+pub use event::EventQueue;
 pub use rng::RngStreams;
 pub use snapshot::{Snapshot, SnapshotError, SnapshotFile, SnapshotReader, SnapshotWriter};
 pub use telemetry::{Telemetry, TelemetryConfig};

@@ -29,11 +29,6 @@ impl Histogram {
         }
     }
 
-    /// A histogram suited to latencies in milliseconds: 0..`max_ms`.
-    pub fn latency_ms(max_ms: f64) -> Self {
-        Histogram::new(0.0, max_ms, 1_000)
-    }
-
     pub fn observe(&mut self, x: f64) {
         assert!(!x.is_nan(), "Histogram::observe(NaN)");
         self.summary.observe(x);
@@ -269,7 +264,7 @@ mod tests {
 
     #[test]
     fn empty_histogram_is_sane() {
-        let h = Histogram::latency_ms(1000.0);
+        let h = Histogram::new(0.0, 1_000.0, 1_000);
         assert_eq!(h.count(), 0);
         assert_eq!(h.p99(), 0.0);
         assert_eq!(h.outlier_fraction(), 0.0);

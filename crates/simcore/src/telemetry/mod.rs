@@ -26,7 +26,7 @@ pub mod export;
 pub mod profiler;
 pub mod recorder;
 
-pub use profiler::{Phase, PhaseAcc, PhaseGuard, PhaseProfiler, PhaseTimer, HOT_PHASE_STRIDE};
+pub use profiler::{Phase, PhaseAcc, PhaseProfiler, PhaseTimer, HOT_PHASE_STRIDE};
 pub use recorder::{FieldSet, FlightRecorder, TagId, TelemetryEvent, Track, Value, MAX_FIELDS};
 
 /// Ring-buffer capacity of an enabled flight recorder: the last N

@@ -27,12 +27,10 @@ pub enum Phase {
     FaultRuntime,
     /// Peak-policy offload decisions and their carry-out.
     Offload,
-    /// Telemetry export (report generation, outside the sim loop).
-    Export,
 }
 
 impl Phase {
-    pub const ALL: [Phase; 8] = [
+    pub const ALL: [Phase; 7] = [
         Phase::EventPop,
         Phase::Dispatch,
         Phase::ControlTick,
@@ -40,7 +38,6 @@ impl Phase {
         Phase::StepStaged,
         Phase::FaultRuntime,
         Phase::Offload,
-        Phase::Export,
     ];
 
     pub fn name(self) -> &'static str {
@@ -52,7 +49,6 @@ impl Phase {
             Phase::StepStaged => "step_staged",
             Phase::FaultRuntime => "fault_runtime",
             Phase::Offload => "offload",
-            Phase::Export => "export",
         }
     }
 
@@ -175,10 +171,7 @@ impl PhaseProfiler {
         self.enabled
     }
 
-    /// Start a timing interval. The token form exists for call sites
-    /// that must keep using `&mut self` between start and stop (the
-    /// engine loop); use [`PhaseProfiler::scope`] where a plain RAII
-    /// guard suffices.
+    /// Start a timing interval, closed by [`PhaseProfiler::stop`].
     #[inline]
     pub fn start(&self) -> PhaseTimer {
         PhaseTimer(if self.enabled {
@@ -209,17 +202,6 @@ impl PhaseProfiler {
         }
     }
 
-    /// RAII guard: times from creation to drop.
-    #[inline]
-    pub fn scope(&mut self, phase: Phase) -> PhaseGuard<'_> {
-        let timer = self.start();
-        PhaseGuard {
-            prof: self,
-            phase,
-            timer,
-        }
-    }
-
     /// Record a pre-measured duration (tests, external merges).
     pub fn record_ns(&mut self, phase: Phase, ns: u64) {
         if self.enabled {
@@ -246,26 +228,6 @@ impl PhaseProfiler {
             .map(|&p| (p, &self.acc[p.index()]))
             .filter(|(_, a)| a.count > 0)
     }
-
-    /// Total wall clock across all phases, seconds. Phases nest
-    /// (dispatch contains the control-tick phases), so this is an
-    /// attribution aid, not an exclusive-time sum.
-    pub fn total_wall_s(&self) -> f64 {
-        self.acc.iter().map(|a| a.total_ns as f64).sum::<f64>() / 1e9
-    }
-}
-
-/// RAII phase timer returned by [`PhaseProfiler::scope`].
-pub struct PhaseGuard<'a> {
-    prof: &'a mut PhaseProfiler,
-    phase: Phase,
-    timer: PhaseTimer,
-}
-
-impl Drop for PhaseGuard<'_> {
-    fn drop(&mut self) {
-        self.prof.stop(self.phase, self.timer);
-    }
 }
 
 #[cfg(test)]
@@ -284,14 +246,13 @@ mod tests {
     }
 
     #[test]
-    fn guard_and_token_both_accumulate() {
+    fn timer_tokens_accumulate() {
         let mut p = PhaseProfiler::enabled();
-        {
-            let _g = p.scope(Phase::ControlTick);
+        for _ in 0..2 {
+            let t = p.start();
             std::hint::black_box(2 + 2);
+            p.stop(Phase::ControlTick, t);
         }
-        let t = p.start();
-        p.stop(Phase::ControlTick, t);
         let a = p.acc(Phase::ControlTick);
         assert_eq!(a.count, 2);
         assert!(a.total_ns >= a.min_ns);
@@ -325,16 +286,16 @@ mod tests {
         assert_eq!(acc.count, 3);
         assert_eq!(acc.min_ns, 10);
         assert_eq!(acc.max_ns, 1_000);
-        assert!((a.total_wall_s() - 1_110.0 / 1e9).abs() < 1e-15);
+        assert_eq!(acc.total_ns, 1_110);
     }
 
     #[test]
     fn merging_an_enabled_profiler_enables_the_sink() {
         let mut sink = PhaseProfiler::disabled();
         let mut src = PhaseProfiler::enabled();
-        src.record_ns(Phase::Export, 5);
+        src.record_ns(Phase::Offload, 5);
         sink.merge(&src);
         assert!(sink.is_enabled());
-        assert_eq!(sink.acc(Phase::Export).count, 1);
+        assert_eq!(sink.acc(Phase::Offload).count, 1);
     }
 }

@@ -168,24 +168,6 @@ impl ThermalBatch {
         self.temp_c[i]
     }
 
-    /// Step *all* rooms by a uniform Δ with per-room heater powers —
-    /// the microbench/property-test entry point, and the tightest form
-    /// of the kernel: one fused pass, no staging-buffer traffic. The
-    /// arithmetic and decay cache are exactly those of the staged
-    /// sweep, so the two paths stay bit-identical.
-    pub fn step_uniform(&mut self, dt: SimDuration, outdoor_c: f64, powers: &[f64]) {
-        assert_eq!(powers.len(), self.len(), "power vector size mismatch");
-        assert!(!dt.is_negative());
-        let dt_s = dt.as_secs_f64();
-        if dt_s <= 0.0 {
-            return;
-        }
-        for (i, &p) in powers.iter().enumerate() {
-            assert!(p >= 0.0, "heater power cannot be negative");
-            self.advance(i, dt_s, outdoor_c, p);
-        }
-    }
-
     /// The kernel every entry point shares: advance room `i` by
     /// `dt_s > 0` seconds at `heater_w`, mul-add only while Δ matches the
     /// cached decay.
@@ -413,32 +395,6 @@ mod tests {
         }
         for i in 0..64 {
             assert_eq!(a.temperature_c(i).to_bits(), b.temperature_c(i).to_bits());
-        }
-    }
-
-    #[test]
-    fn step_uniform_matches_room_step() {
-        let mut batch = ThermalBatch::new();
-        let mut rooms = Vec::new();
-        for i in 0..32 {
-            let p = params(0.02 + i as f64 * 0.002, 2e6, 50.0);
-            batch.push(p, 16.0);
-            rooms.push(Room::new(p, 16.0));
-        }
-        let powers: Vec<f64> = (0..32).map(|i| (i * 37 % 500) as f64).collect();
-        for k in 0..200 {
-            // Alternate Δ to force cache invalidation on the batch.
-            let dt = SimDuration::from_secs(if k % 3 == 0 { 300 } else { 600 });
-            batch.step_uniform(dt, 4.0, &powers);
-            for (room, &p) in rooms.iter_mut().zip(&powers) {
-                room.step(dt, 4.0, p);
-            }
-        }
-        for (i, room) in rooms.iter().enumerate() {
-            assert_eq!(
-                batch.temperature_c(i).to_bits(),
-                room.temperature_c().to_bits()
-            );
         }
     }
 
