@@ -79,6 +79,7 @@ impl ClusterSim {
     ) -> Self {
         assert!(n_workers > 0);
         let ladder = Arc::new(DvfsLadder::desktop_i7());
+        let regulator = HeatRegulator::for_qrad();
         let room_base = rooms.len();
         let workers = (0..n_workers)
             .map(|w| {
@@ -87,7 +88,7 @@ impl ClusterSim {
                 let mut ws = WorkerSim::new(
                     w,
                     ladder.clone(),
-                    HeatRegulator::for_qrad(),
+                    regulator.clone(),
                     ModulatingThermostat::new(
                         SetpointSchedule {
                             day_c: setpoint_c,
@@ -345,18 +346,13 @@ impl ClusterSim {
             .map(|s| sched::preempt::RunningTask {
                 id: s.job.id,
                 cores: s.cores,
-                started: s.started,
                 progress_gops: (now.saturating_since(s.started)).as_secs_f64()
                     * s.cores as f64
                     * s.gops_per_core,
                 total_gops: s.job.work_gops,
             })
             .collect();
-        let victims = sched::preempt::select_victims(
-            &running,
-            need,
-            sched::preempt::VictimOrder::LeastProgressFirst,
-        )?;
+        let victims = sched::preempt::select_victims(&running, need)?;
         let jobs = self.update_worker(target, |w| {
             victims.iter().map(|&id| w.preempt(id, now)).collect()
         });

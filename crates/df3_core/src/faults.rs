@@ -36,6 +36,7 @@
 
 use dfnet::link::{Degradation, Link, LinkClass};
 use sched::retry::{QuarantinePolicy, RetryPolicy};
+use simcore::snapshot::{Snapshot, SnapshotError, SnapshotReader};
 use simcore::time::{SimDuration, SimTime};
 
 /// A half-open activity window `[start, end)`, as offsets from t = 0.
@@ -250,7 +251,7 @@ impl FaultPlan {
         }
     }
 
-    /// No injectors at all → the platform skips the fault runtime.
+    /// No injectors at all: nothing breaks, and recovery is moot.
     pub fn is_empty(&self) -> bool {
         self.worker_churn.is_none()
             && self.cluster_outages.is_empty()
@@ -320,9 +321,10 @@ impl FaultPlan {
     /// Rules:
     /// - worker churn identical (its RNG draws start at t = 0);
     /// - recovery identical when `base` has injectors; when `base` is
-    ///   empty the warm-up ran with no fault runtime at all, so the
-    ///   branch recovery must keep retries off (a retry layer changes
-    ///   rejection handling from the first event);
+    ///   empty its recovery never acted during the warm-up (see
+    ///   [`FaultPlan::active_recovery`]), so the branch recovery must
+    ///   keep retries off (a retry layer changes rejection handling
+    ///   from the first event);
     /// - each injector list extends `base`'s as an exact prefix, and
     ///   every added window starts at or after `at` — cluster outages
     ///   need an extra `control_period` of slack because outage
@@ -398,6 +400,38 @@ impl FaultPlan {
             |s| s.window,
         )?;
         Ok(())
+    }
+
+    /// The recovery policy, while the plan has an injector to recover
+    /// from. An empty plan's recovery is moot: it neither retries nor
+    /// backfills.
+    pub fn active_recovery(&self) -> Option<RecoveryPolicy> {
+        (!self.is_empty()).then_some(self.recovery)
+    }
+
+    /// Whether any master-outage window covers `now`.
+    pub fn master_down(&self, now: SimTime) -> bool {
+        self.master_outages.iter().any(|w| w.contains(now))
+    }
+
+    /// Whether `class` is fully partitioned at `now`.
+    pub fn partitioned(&self, class: LinkClass, now: SimTime) -> bool {
+        self.link_faults
+            .iter()
+            .any(|f| f.partition && f.link == class && f.window.contains(now))
+    }
+
+    /// `base` with every active degradation of `class` folded in
+    /// (a partitioned link is the caller's concern — transfer times on
+    /// a severed link are meaningless).
+    pub fn effective_link(&self, class: LinkClass, now: SimTime, base: Link) -> Link {
+        let mut link = base;
+        for f in &self.link_faults {
+            if f.link == class && f.window.contains(now) {
+                link = link.degraded(f.degradation);
+            }
+        }
+        link
     }
 
     /// Validate against a fleet shape.
@@ -508,11 +542,11 @@ simcore::impl_snapshot! {
     FaultEvent { t, kind, cluster, worker }
 }
 
-/// Live per-run fault state, built by the platform only when the plan
-/// has at least one injector (so fault-free runs pay nothing).
-#[derive(Debug, Clone)]
-pub struct FaultRuntime {
-    plan: FaultPlan,
+/// Live per-run fault state: the books the plan's injectors and
+/// recovery fill in. Every run builds one; an empty plan leaves its
+/// books empty. The plan itself stays on the config.
+#[derive(Debug)]
+pub(crate) struct FaultRuntime {
     /// Retry attempt counts for edge jobs in an open retry chain.
     pub retry_book: workloads::RetryBook,
     /// Failure history for quarantine decisions.
@@ -524,112 +558,55 @@ pub struct FaultRuntime {
     /// control tick ahead, so a restored run can pick up outages added
     /// by a branch plan).
     pub outage_scheduled: Vec<bool>,
-    has_link_faults: bool,
-    has_sensor_faults: bool,
+}
+
+// The books' snapshot codec (the plan itself is config, rebuilt on
+// restore).
+simcore::impl_snapshot! {
+    FaultRuntime { retry_book, flap, cluster_dark, outage_scheduled }
 }
 
 impl FaultRuntime {
-    pub fn new(plan: FaultPlan, n_clusters: usize, n_worker_slots: usize) -> Self {
-        let has_link_faults = !plan.link_faults.is_empty();
-        let has_sensor_faults = !plan.sensor_faults.is_empty();
-        let outage_scheduled = vec![false; plan.cluster_outages.len()];
+    pub fn new(plan: &FaultPlan, n_clusters: usize, n_worker_slots: usize) -> Self {
         FaultRuntime {
-            plan,
             retry_book: workloads::RetryBook::new(),
             flap: sched::retry::FlapTracker::new(n_worker_slots),
             cluster_dark: vec![false; n_clusters],
-            outage_scheduled,
-            has_link_faults,
-            has_sensor_faults,
+            outage_scheduled: vec![false; plan.cluster_outages.len()],
         }
     }
 
-    /// Checkpoint the runtime's mutable state (the plan itself is
-    /// config, rebuilt on restore).
-    pub fn snapshot_state(&self, w: &mut simcore::snapshot::SnapshotWriter) {
-        use simcore::snapshot::Snapshot;
-        self.retry_book.encode(w);
-        self.flap.encode(w);
-        self.cluster_dark.encode(w);
-        self.outage_scheduled.encode(w);
-    }
-
-    /// Overlay checkpointed state, taken at `now`, onto a fresh
-    /// runtime. A branch plan may have *more* outages than the snapshot
-    /// knew about; the scheduled-flags vector grows with `false` for
-    /// the additions.
+    /// Replace the books with ones checkpointed at `now` under `plan`.
+    /// A branch plan may have *more* outages than the snapshot knew
+    /// about; the scheduled-flags vector grows with `false` for the
+    /// additions.
     pub fn restore_state(
         &mut self,
-        r: &mut simcore::snapshot::SnapshotReader<'_>,
+        r: &mut SnapshotReader<'_>,
         now: SimTime,
-    ) -> Result<(), simcore::snapshot::SnapshotError> {
-        use simcore::snapshot::{Snapshot, SnapshotError};
-        self.retry_book = workloads::RetryBook::decode(r)?;
-        self.flap = sched::retry::FlapTracker::decode(r)?;
-        if !self.flap.recorded_by(now) {
+        plan: &FaultPlan,
+    ) -> Result<(), SnapshotError> {
+        let mut books = FaultRuntime::decode(r)?;
+        if !books.flap.recorded_by(now) {
             return Err(SnapshotError::Corrupt(format!(
                 "a recorded worker failure lies outside [0, {now}]"
             )));
         }
-        let dark = Vec::<bool>::decode(r)?;
-        if dark.len() != self.cluster_dark.len() {
+        let (n, want) = (books.cluster_dark.len(), self.cluster_dark.len());
+        if n != want {
             return Err(SnapshotError::Corrupt(format!(
-                "snapshot tracks {} clusters, config built {}",
-                dark.len(),
-                self.cluster_dark.len()
+                "snapshot tracks {n} clusters, config built {want}"
             )));
         }
-        self.cluster_dark = dark;
-        let mut scheduled = Vec::<bool>::decode(r)?;
-        if scheduled.len() > self.plan.cluster_outages.len() {
+        let (n, want) = (books.outage_scheduled.len(), plan.cluster_outages.len());
+        if n > want {
             return Err(SnapshotError::Corrupt(format!(
-                "snapshot tracks {} cluster outages, plan has {}",
-                scheduled.len(),
-                self.plan.cluster_outages.len()
+                "snapshot tracks {n} cluster outages, plan has {want}"
             )));
         }
-        scheduled.resize(self.plan.cluster_outages.len(), false);
-        self.outage_scheduled = scheduled;
+        books.outage_scheduled.resize(want, false);
+        *self = books;
         Ok(())
-    }
-
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
-    pub fn has_sensor_faults(&self) -> bool {
-        self.has_sensor_faults
-    }
-
-    /// Whether any plan master-outage window covers `now`.
-    pub fn master_down(&self, now: SimTime) -> bool {
-        self.plan.master_outages.iter().any(|w| w.contains(now))
-    }
-
-    /// Whether `class` is fully partitioned at `now`.
-    pub fn partitioned(&self, class: LinkClass, now: SimTime) -> bool {
-        self.has_link_faults
-            && self
-                .plan
-                .link_faults
-                .iter()
-                .any(|f| f.partition && f.link == class && f.window.contains(now))
-    }
-
-    /// `base` with every active degradation of `class` folded in
-    /// (a partitioned link is the caller's concern — transfer times on
-    /// a severed link are meaningless).
-    pub fn effective_link(&self, class: LinkClass, now: SimTime, base: Link) -> Link {
-        if !self.has_link_faults {
-            return base;
-        }
-        let mut link = base;
-        for f in &self.plan.link_faults {
-            if f.link == class && f.window.contains(now) {
-                link = link.degraded(f.degradation);
-            }
-        }
-        link
     }
 }
 
@@ -698,7 +675,7 @@ mod tests {
     }
 
     #[test]
-    fn runtime_reports_masters_partitions_and_degradations() {
+    fn plan_reports_masters_partitions_and_degradations() {
         let plan = FaultPlan::none()
             .with_master_outage(Window::from_hours(1, 2))
             .with_link_fault(
@@ -713,20 +690,22 @@ mod tests {
                 Degradation::brownout(),
                 false,
             );
-        let rt = FaultRuntime::new(plan, 2, 8);
         let t0 = SimTime::ZERO;
         let t90 = SimTime::ZERO + SimDuration::from_secs(90 * 60);
-        assert!(!rt.master_down(t0));
-        assert!(rt.master_down(t90));
-        assert!(!rt.partitioned(LinkClass::Wan, t0));
-        assert!(rt.partitioned(LinkClass::Wan, t90));
-        assert!(!rt.partitioned(LinkClass::Fiber, t90), "degraded ≠ severed");
+        assert!(!plan.master_down(t0));
+        assert!(plan.master_down(t90));
+        assert!(!plan.partitioned(LinkClass::Wan, t0));
+        assert!(plan.partitioned(LinkClass::Wan, t90));
+        assert!(
+            !plan.partitioned(LinkClass::Fiber, t90),
+            "degraded ≠ severed"
+        );
         let base = Link::new(Protocol::Fiber);
-        let eff = rt.effective_link(LinkClass::Fiber, t90, base);
+        let eff = plan.effective_link(LinkClass::Fiber, t90, base);
         assert!(eff.transfer_time(1_000_000) > base.transfer_time(1_000_000));
         // Outside the window the link is pristine.
         let late = SimTime::ZERO + SimDuration::from_hours(5);
-        let eff = rt.effective_link(LinkClass::Fiber, late, base);
+        let eff = plan.effective_link(LinkClass::Fiber, late, base);
         assert_eq!(
             eff.transfer_time(1_000_000).as_micros(),
             base.transfer_time(1_000_000).as_micros()

@@ -16,15 +16,15 @@
 //!
 //! ## Faults and recovery
 //!
-//! A [`crate::faults::FaultPlan`] on the config turns on the fault
-//! runtime: worker churn, correlated cluster power outages,
-//! master-outage windows, link degradation/partition, and sensor
-//! faults. The recovery layer re-dispatches orphans through the normal
-//! offload decision, retries rejected edge requests while their
-//! deadline allows, quarantines flapping workers, and stages boiler
-//! heat into dark rooms. An empty plan skips the runtime entirely:
-//! fault-free runs are bit-identical to a build without the fault
-//! layer.
+//! A [`crate::faults::FaultPlan`] on the config declares the faults:
+//! worker churn, correlated cluster power outages, master-outage
+//! windows, link degradation/partition, and sensor faults. The recovery
+//! layer re-dispatches orphans through the normal offload decision,
+//! retries rejected edge requests while their deadline allows,
+//! quarantines flapping workers, and stages boiler heat into dark
+//! rooms. Every run keeps the fault books; an empty plan never writes
+//! to them and never recovers, so fault-free runs are bit-identical to
+//! a build without the fault layer.
 
 use crate::arrivals;
 use crate::cluster::{ClusterSim, Dispatch};
@@ -309,12 +309,10 @@ pub struct Platform {
     tags: Tags,
     /// The links before any plan degradation.
     links: Links,
-    last_energy_sample: SimTime,
     /// Seed-derived streams (worker-failure processes).
     streams: RngStreams,
-    /// Fault runtime — `None` when the plan is empty, so fault-free
-    /// runs pay nothing and stay bit-identical.
-    faults: Option<FaultRuntime>,
+    /// The fault books; the plan they serve is `config.faults`.
+    faults: FaultRuntime,
     /// When each worker slot went dark (for MTTR accounting).
     down_since: Vec<Option<SimTime>>,
     /// Pending churn-failure event per worker slot (cancelled when a
@@ -370,14 +368,10 @@ impl Platform {
             .collect();
         let datacenter = (config.datacenter_cores > 0)
             .then(|| Datacenter::new(DatacenterConfig::standard(config.datacenter_cores)));
-        let faults = (!config.faults.is_empty())
-            .then(|| FaultRuntime::new(config.faults.clone(), config.n_clusters, n_worker_slots));
-        if let Some(rt) = &faults {
-            if rt.has_sensor_faults() {
-                let bias = rt.plan().recovery.sensor_bias_c;
-                for c in &mut clusters {
-                    c.set_sensor_bias(bias);
-                }
+        let faults = FaultRuntime::new(&config.faults, config.n_clusters, n_worker_slots);
+        if !config.faults.sensor_faults.is_empty() {
+            for c in &mut clusters {
+                c.set_sensor_bias(config.faults.recovery.sensor_bias_c);
             }
         }
         let mut telemetry = Telemetry::from_config(config.telemetry);
@@ -393,7 +387,6 @@ impl Platform {
             telemetry,
             tags,
             links: Links::standard(),
-            last_energy_sample: SimTime::ZERO,
             streams,
             faults,
             down_since: vec![None; n_worker_slots],
@@ -588,29 +581,15 @@ impl Platform {
         }
     }
 
-    /// Whether the master nodes are inside a plan outage window.
-    fn master_down(&self, now: SimTime) -> bool {
-        self.faults.as_ref().is_some_and(|rt| rt.master_down(now))
-    }
-
-    /// Whether `class` is severed right now by a plan partition.
-    fn partitioned(&self, class: LinkClass, now: SimTime) -> bool {
-        self.faults
-            .as_ref()
-            .is_some_and(|rt| rt.partitioned(class, now))
-    }
-
     /// Network penalty at `now`: the links with any active plan
-    /// degradations folded in (the fault-free path uses them untouched).
+    /// degradations folded in.
     fn net_penalty(&self, now: SimTime, job: &Job, venue: Venue) -> SimDuration {
-        let links = match &self.faults {
-            Some(rt) => Links {
-                device: rt.effective_link(LinkClass::Device, now, self.links.device),
-                lan: rt.effective_link(LinkClass::Lan, now, self.links.lan),
-                fiber: rt.effective_link(LinkClass::Fiber, now, self.links.fiber),
-                wan: rt.effective_link(LinkClass::Wan, now, self.links.wan),
-            },
-            None => self.links,
+        let plan = &self.config.faults;
+        let links = Links {
+            device: plan.effective_link(LinkClass::Device, now, self.links.device),
+            lan: plan.effective_link(LinkClass::Lan, now, self.links.lan),
+            fiber: plan.effective_link(LinkClass::Fiber, now, self.links.fiber),
+            wan: plan.effective_link(LinkClass::Wan, now, self.links.wan),
         };
         links.penalty(self.config.arch, job, venue)
     }
@@ -656,9 +635,7 @@ impl Platform {
 
     /// Close `job`'s retry chain, if it has one.
     fn forget_retry(&mut self, id: JobId) {
-        if let Some(rt) = self.faults.as_mut() {
-            rt.retry_book.forget(id);
-        }
+        self.faults.retry_book.forget(id);
     }
 
     /// An edge request whose deadline passed before it could start.
@@ -724,7 +701,7 @@ impl Platform {
     }
 
     fn submit_to_dc(&mut self, now: SimTime, job: Job, sched: &mut Scheduler<Ev>) -> bool {
-        if self.partitioned(LinkClass::Wan, now) {
+        if self.config.faults.partitioned(LinkClass::Wan, now) {
             return false; // the WAN is severed; no vertical offloading
         }
         let Some(dc) = self.datacenter.as_mut() else {
@@ -783,23 +760,16 @@ impl Platform {
     /// with an enabled retry policy, re-submission is scheduled with
     /// exponential backoff while the budget and the deadline both
     /// allow; the request is abandoned (counted, never silent) once a
-    /// started chain runs dry. Without a retry layer, or before a chain
-    /// has started, this is the plain legacy rejection.
+    /// started chain runs dry. Without an active retry layer (see
+    /// [`FaultPlan::active_recovery`]), or before a chain has started,
+    /// this is the plain legacy rejection.
     fn reject_edge(&mut self, now: SimTime, job: Job, sched: &mut Scheduler<Ev>) {
-        let retry = self.faults.as_ref().and_then(|rt| {
-            let policy = rt.plan().recovery.retry;
-            policy
-                .enabled()
-                .then(|| (policy, rt.retry_book.attempts(job.id)))
-        });
-        if let Some((policy, attempts)) = retry {
+        let retry = self.config.faults.active_recovery().map(|r| r.retry);
+        if let Some(policy) = retry.filter(|p| p.enabled()) {
+            let attempts = self.faults.retry_book.attempts(job.id);
             let due = now + policy.backoff(attempts + 1);
             if attempts < policy.max_attempts && job.absolute_deadline().is_none_or(|d| due < d) {
-                self.faults
-                    .as_mut()
-                    .expect("retry policy implies runtime")
-                    .retry_book
-                    .record_attempt(job.id);
+                self.faults.retry_book.record_attempt(job.id);
                 self.stats.jobs_retried.inc();
                 self.record_job_instant(now, self.tags.job_retry, &job, Some(attempts + 1));
                 self.retries_pending += 1;
@@ -822,7 +792,7 @@ impl Platform {
         // Master outage (§IV): indirect edge requests need the master;
         // they fail — or degrade to direct under the resource-oriented
         // fallback.
-        if job.flow == Flow::EdgeIndirect && self.master_down(now) {
+        if job.flow == Flow::EdgeIndirect && self.config.faults.master_down(now) {
             if self.config.roc_fallback_direct {
                 job.flow = Flow::EdgeDirect;
             } else {
@@ -857,7 +827,7 @@ impl Platform {
         // load is computed only if the policy walks the siblings. A
         // severed inter-cluster fiber hides every sibling: horizontal
         // offloading is impossible during the partition.
-        let action = if self.partitioned(LinkClass::Fiber, now) {
+        let action = if self.config.faults.partitioned(LinkClass::Fiber, now) {
             policy.decide(&job, &local, std::iter::empty::<sched::ClusterLoad>())
         } else {
             let siblings = self.clusters.iter().filter(|c| c.id != home);
@@ -1009,19 +979,16 @@ impl Platform {
     /// while letting a branch-restored run schedule outages its warm-up
     /// never knew about.
     fn schedule_due_outages(&mut self, now: SimTime, sched: &mut Scheduler<Ev>) {
-        let Some(rt) = self.faults.as_mut() else {
-            return;
-        };
-        for i in 0..rt.outage_scheduled.len() {
-            if rt.outage_scheduled[i] {
+        let scheduled = &mut self.faults.outage_scheduled;
+        for (i, o) in self.config.faults.cluster_outages.iter().enumerate() {
+            if scheduled[i] {
                 continue;
             }
-            let o = rt.plan().cluster_outages[i];
             let start = SimTime::ZERO + o.window.start;
             if start > now + self.config.control_period {
                 continue;
             }
-            rt.outage_scheduled[i] = true;
+            scheduled[i] = true;
             if start < sched.horizon() {
                 sched.at(start.max(now), Ev::ClusterDown { outage: i });
                 let end = SimTime::ZERO + o.window.end;
@@ -1036,8 +1003,8 @@ impl Platform {
     /// at each control tick; cheap because it only walks the plan's
     /// fault list, not the fleet).
     fn apply_sensor_states(&mut self, now: SimTime) {
-        let Some(rt) = &self.faults else { return };
-        if !rt.has_sensor_faults() {
+        let faults = &self.config.faults.sensor_faults;
+        if faults.is_empty() {
             return;
         }
         let wpc = self.config.workers_per_cluster;
@@ -1053,7 +1020,6 @@ impl Platform {
         };
         // Reset every targeted sensor, then overlay the active windows
         // (a later fault in the plan wins on overlap).
-        let faults = &rt.plan().sensor_faults;
         for f in faults {
             set(f, SensorState::Healthy);
         }
@@ -1115,9 +1081,9 @@ impl Platform {
         // 0 W; restage them with boiler heat so the §IV comfort
         // guarantee holds while boards are dark.
         let backfill = self
+            .config
             .faults
-            .as_ref()
-            .map(|rt| rt.plan().recovery)
+            .active_recovery()
             .filter(|r| r.boiler_backfill);
         if let Some(r) = backfill {
             let mut kwh = 0.0;
@@ -1155,7 +1121,6 @@ impl Platform {
             self.stats.dc_it_kwh = dc.it_kwh(end);
             self.stats.dc_facility_kwh = dc.facility_kwh(end);
         }
-        self.last_energy_sample = end;
     }
 
     /// The work-conservation ledgers, `(arrived, accounted)` for edge
@@ -1237,10 +1202,14 @@ impl Platform {
         self.fail_events.encode(w);
         self.repair_events.encode(w);
         w.put_u64(self.retries_pending);
-        self.last_energy_sample.encode(w);
-        w.put_bool(self.faults.is_some());
-        if let Some(rt) = &self.faults {
-            rt.snapshot_state(w);
+        // A retired energy-sample time, zero in every snapshot: the end
+        // of the run, which set it, comes after the last pause.
+        SimTime::ZERO.encode(w);
+        // An empty plan never writes to its books, so they are left out.
+        let has_faults = !self.config.faults.is_empty();
+        w.put_bool(has_faults);
+        if has_faults {
+            self.faults.encode(w);
         }
     }
 
@@ -1309,19 +1278,21 @@ impl Platform {
         self.fail_events = fail_events;
         self.repair_events = repair_events;
         self.retries_pending = r.take_u64()?;
-        self.last_energy_sample = SimTime::decode(r)?;
-        let has_faults = r.take_bool()?;
-        match (has_faults, self.faults.as_mut()) {
-            (true, Some(rt)) => rt.restore_state(r, now)?,
-            (true, None) => {
+        if SimTime::decode(r)? != SimTime::ZERO {
+            return Err(SnapshotError::Corrupt(
+                "the retired energy-sample time is not zero".into(),
+            ));
+        }
+        // Without the flag, as after a fault-free warm-up a branch plan
+        // extends, the fresh books (empty, nothing dark) are the state
+        // the warm-up left.
+        if r.take_bool()? {
+            if self.config.faults.is_empty() {
                 return Err(SnapshotError::Corrupt(
                     "snapshot carries fault state but the fault plan is empty".into(),
-                ))
+                ));
             }
-            // Branching a fault plan onto a fault-free warm-up: the
-            // freshly built runtime (empty books, nothing dark) IS the
-            // state the warm-up would have had, had the runtime existed.
-            (false, _) => {}
+            self.faults.restore_state(r, now, &self.config.faults)?;
         }
         Ok(())
     }
@@ -1356,10 +1327,7 @@ impl Platform {
             ));
         }
         let (n, wpc) = (self.config.n_clusters, self.config.workers_per_cluster);
-        let outages = self
-            .faults
-            .as_ref()
-            .map_or(0, |rt| rt.plan().cluster_outages.len());
+        let outages = self.config.faults.cluster_outages.len();
         let (mut ticks, mut retries, mut fails, mut repairs) = (0, 0, 0, 0);
         let (mut local, mut dc) = (Vec::new(), Vec::new());
         let slot = |c: usize, w: usize| (c < n && w < wpc).then(|| self.wslot(c, w));
@@ -1816,11 +1784,12 @@ impl Platform {
         self.fail_worker(now, cluster, worker, sched);
         let mut delay = churn.repair_time;
         let quarantine = self
+            .config
             .faults
-            .as_ref()
-            .and_then(|rt| rt.plan().recovery.quarantine);
-        if let (Some(q), Some(rt)) = (quarantine, self.faults.as_mut()) {
-            if rt.flap.record(slot, now, &q) {
+            .active_recovery()
+            .and_then(|r| r.quarantine);
+        if let Some(q) = quarantine {
+            if self.faults.flap.record(slot, now, &q) {
                 self.stats.quarantines.inc();
                 self.record_fault_event(now, FaultEventKind::Quarantine, cluster, Some(worker));
                 delay += q.extra_downtime;
@@ -1842,11 +1811,7 @@ impl Platform {
     ) {
         let slot = self.wslot(cluster, worker);
         self.repair_events[slot] = None;
-        if self
-            .faults
-            .as_ref()
-            .is_some_and(|rt| rt.cluster_dark[cluster])
-        {
+        if self.faults.cluster_dark[cluster] {
             return; // the outage owns this board; ClusterUp restores it
         }
         if !self.clusters[cluster].worker(worker).is_failed() {
@@ -1861,9 +1826,8 @@ impl Platform {
 
     fn on_cluster_down(&mut self, now: SimTime, outage: usize, sched: &mut Scheduler<Ev>) {
         let t_fault = sched.profiler.start();
-        let rt = self.faults.as_mut().expect("outage implies runtime");
-        let c = rt.plan().cluster_outages[outage].cluster;
-        rt.cluster_dark[c] = true;
+        let c = self.config.faults.cluster_outages[outage].cluster;
+        self.faults.cluster_dark[c] = true;
         self.stats.cluster_outages.inc();
         self.record_fault_event(now, FaultEventKind::ClusterDown, c, None);
         for w in 0..self.config.workers_per_cluster {
@@ -1880,8 +1844,7 @@ impl Platform {
     }
 
     fn on_cluster_up(&mut self, now: SimTime, outage: usize, sched: &mut Scheduler<Ev>) {
-        let rt = self.faults.as_mut().expect("outage implies runtime");
-        let outages = &rt.plan().cluster_outages;
+        let outages = &self.config.faults.cluster_outages;
         let c = outages[outage].cluster;
         let still_dark = outages
             .iter()
@@ -1891,7 +1854,7 @@ impl Platform {
             return; // an overlapping outage keeps the building down
         }
         let t_fault = sched.profiler.start();
-        rt.cluster_dark[c] = false;
+        self.faults.cluster_dark[c] = false;
         self.record_fault_event(now, FaultEventKind::ClusterUp, c, None);
         for w in 0..self.config.workers_per_cluster {
             if self.clusters[c].worker(w).is_failed() {
@@ -2116,16 +2079,32 @@ mod tests {
         let _ = JobStream::new(vec![]);
     }
 
-    /// An inert plan — all windows beyond the horizon, recovery off —
-    /// builds the fault runtime but must not perturb a single bit:
-    /// every fault draw lives on its own RNG stream and every fault
-    /// code path is gated on active state.
+    /// Run `jobs` under `cfg` with no plan and under `plan`; the two
+    /// runs must agree bit for bit. Returns the plan-free run.
+    fn assert_unperturbed(
+        cfg: PlatformConfig,
+        plan: FaultPlan,
+        jobs: &JobStream,
+    ) -> PlatformOutcome {
+        let base = Platform::new(cfg.clone()).run(jobs);
+        let planned = Platform::new(PlatformConfig {
+            faults: plan,
+            ..cfg
+        })
+        .run(jobs);
+        assert_eq!(base.events, planned.events);
+        assert_eq!(stats_bytes(&base.stats), stats_bytes(&planned.stats));
+        base
+    }
+
+    /// A plan with no injector acting inside the horizon must not
+    /// perturb a single bit: every fault draw lives on its own RNG
+    /// stream, every fault code path is gated on active state, and
+    /// recovery acts only while the plan has an injector.
     #[test]
     fn inert_plan_never_perturbs_the_simulation() {
-        let jobs = edge_stream(6);
-        let base = Platform::new(tiny_config()).run(&jobs);
-        let mut cfg = tiny_config();
-        cfg.faults = FaultPlan::none()
+        // Every window beyond the horizon, recovery off.
+        let inert = FaultPlan::none()
             .with_master_outage(Window::from_hours(1_000, 1_001))
             .with_cluster_outage(0, Window::from_hours(1_000, 1_001))
             .with_link_fault(
@@ -2135,21 +2114,19 @@ mod tests {
                 true,
             )
             .with_recovery(RecoveryPolicy::disabled());
-        let faulty = Platform::new(cfg).run(&jobs);
-        assert_eq!(base.events, faulty.events);
-        assert_eq!(base.stats.df_total_kwh, faulty.stats.df_total_kwh);
-        assert_eq!(
-            base.stats.edge_response_ms.p99(),
-            faulty.stats.edge_response_ms.p99()
-        );
-        assert_eq!(
-            base.stats.room_temp_c.summary().mean(),
-            faulty.stats.room_temp_c.summary().mean()
-        );
-        assert_eq!(
-            base.stats.edge_completed.get(),
-            faulty.stats.edge_completed.get()
-        );
+        assert_unperturbed(tiny_config(), inert, &edge_stream(6));
+        // Recovery alone, on a building too small for its edge load: it
+        // rejects requests without any fault, and must not retry them.
+        let cfg = PlatformConfig {
+            n_clusters: 1,
+            workers_per_cluster: 3,
+            horizon: SimDuration::from_hours(24),
+            seed: 7,
+            ..PlatformConfig::small_winter()
+        };
+        let recovery_only = FaultPlan::none().with_recovery(RecoveryPolicy::standard());
+        let base = assert_unperturbed(cfg, recovery_only, &edge_stream(24));
+        assert!(base.stats.edge_rejected.get() > 0, "the run rejects");
     }
 
     #[test]

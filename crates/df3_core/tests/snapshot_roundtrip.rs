@@ -348,6 +348,13 @@ fn times_before_the_run_are_refused() {
     }
 }
 
+/// The retired energy-sample word, zero in every snapshot, set to 1 µs
+/// (bit 0 of byte 26,323).
+#[test]
+fn a_nonzero_retired_energy_word_is_refused() {
+    assert_platform_flip_is_refused(210_584);
+}
+
 /// FNV-1a fingerprint of every section payload except `meta`, in
 /// container order. `meta` holds the config fingerprint, which changes
 /// whenever a config field does, so it is left out on purpose.
