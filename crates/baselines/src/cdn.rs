@@ -65,31 +65,6 @@ impl CdnPop {
             RequestKind::Compute => first_mile + pop_rt + origin_rt + origin_compute,
         }
     }
-
-    /// Mean response over a mix with `cacheable_fraction` of cacheable
-    /// requests.
-    pub fn mix_response(
-        &self,
-        cacheable_fraction: f64,
-        input_bytes: usize,
-        output_bytes: usize,
-        origin_compute: SimDuration,
-    ) -> SimDuration {
-        assert!((0.0..=1.0).contains(&cacheable_fraction));
-        let c = self.expected_response(
-            RequestKind::Cacheable,
-            input_bytes,
-            output_bytes,
-            origin_compute,
-        );
-        let x = self.expected_response(
-            RequestKind::Compute,
-            input_bytes,
-            output_bytes,
-            origin_compute,
-        );
-        c.mul_f64(cacheable_fraction) + x.mul_f64(1.0 - cacheable_fraction)
-    }
 }
 
 #[cfg(test)]
@@ -113,14 +88,6 @@ mod tests {
             SimDuration::from_millis(50),
         );
         assert!(x.as_millis_f64() > 120.0, "compute via CDN ≈ {x}");
-    }
-
-    #[test]
-    fn mostly_compute_mixes_approach_cloud_latency() {
-        let pop = CdnPop::metro_pop();
-        let tiles = pop.mix_response(0.95, 600, 30_000, SimDuration::from_millis(50));
-        let sensors = pop.mix_response(0.05, 600, 30_000, SimDuration::from_millis(50));
-        assert!(sensors.as_millis_f64() > 2.0 * tiles.as_millis_f64());
     }
 
     #[test]

@@ -96,33 +96,6 @@ impl HostSchedule {
     pub fn is_on(&self, t: SimTime) -> bool {
         self.intervals.iter().any(|&(a, b)| a <= t && t < b)
     }
-
-    /// The next time at or after `t` the host becomes exploitable
-    /// (`None` if never again within the schedule).
-    pub fn next_on(&self, t: SimTime) -> Option<SimTime> {
-        if self.is_on(t) {
-            return Some(t);
-        }
-        self.intervals
-            .iter()
-            .filter(|&&(a, _)| a >= t)
-            .map(|&(a, _)| a)
-            .min()
-    }
-
-    /// Exploitable fraction of `[0, span)`.
-    pub fn measured_availability(&self, span: SimDuration) -> f64 {
-        let total: f64 = self
-            .intervals
-            .iter()
-            .map(|&(a, b)| {
-                (b.min(SimTime::ZERO + span))
-                    .saturating_since(a)
-                    .as_secs_f64()
-            })
-            .sum();
-        total / span.as_secs_f64()
-    }
 }
 
 /// The grid: many scheduled hosts.
@@ -148,19 +121,6 @@ impl DesktopGrid {
     /// Hosts exploitable at `t`.
     pub fn hosts_on(&self, t: SimTime) -> usize {
         self.schedules.iter().filter(|s| s.is_on(t)).count()
-    }
-
-    /// Expected wait until *some* host is exploitable for a request
-    /// arriving at `t` (0 if any host is on).
-    pub fn wait_for_capacity(&self, t: SimTime) -> Option<SimDuration> {
-        if self.hosts_on(t) > 0 {
-            return Some(SimDuration::ZERO);
-        }
-        self.schedules
-            .iter()
-            .filter_map(|s| s.next_on(t))
-            .min()
-            .map(|next| next - t)
     }
 
     /// Probability (measured over hourly samples of `span`) that an
@@ -189,8 +149,9 @@ mod tests {
     fn availability_matches_profile() {
         let p = HostProfile::home_desktop();
         assert!((p.availability() - 0.4).abs() < 1e-12);
-        let s = HostSchedule::generate(p, SimDuration::from_days(60), &RngStreams::new(1), 0);
-        let a = s.measured_availability(SimDuration::from_days(60));
+        let span = SimDuration::from_days(60);
+        let one = DesktopGrid::generate(p, 1, span, &RngStreams::new(1));
+        let a = 1.0 - one.outage_fraction(span);
         assert!((a - 0.4).abs() < 0.08, "measured {a}");
     }
 
@@ -226,41 +187,6 @@ mod tests {
         let min = *counts.iter().min().unwrap();
         let max = *counts.iter().max().unwrap();
         assert!(max >= min + 5, "capacity should swing widely: {min}..{max}");
-    }
-
-    #[test]
-    fn wait_for_capacity_is_zero_when_someone_is_on() {
-        let grid = DesktopGrid::generate(
-            HostProfile::home_desktop(),
-            50,
-            SimDuration::from_days(2),
-            &RngStreams::new(4),
-        );
-        let w = grid.wait_for_capacity(SimTime::ZERO + SimDuration::HOUR);
-        assert_eq!(w, Some(SimDuration::ZERO));
-    }
-
-    #[test]
-    fn next_on_finds_future_interval() {
-        let s = HostSchedule {
-            intervals: vec![
-                (SimTime::from_secs(100), SimTime::from_secs(200)),
-                (SimTime::from_secs(400), SimTime::from_secs(500)),
-            ],
-        };
-        assert_eq!(
-            s.next_on(SimTime::from_secs(0)),
-            Some(SimTime::from_secs(100))
-        );
-        assert_eq!(
-            s.next_on(SimTime::from_secs(150)),
-            Some(SimTime::from_secs(150))
-        );
-        assert_eq!(
-            s.next_on(SimTime::from_secs(250)),
-            Some(SimTime::from_secs(400))
-        );
-        assert_eq!(s.next_on(SimTime::from_secs(600)), None);
     }
 
     #[test]

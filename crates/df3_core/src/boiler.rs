@@ -64,18 +64,6 @@ impl BoilerSim {
         Self::new(spec, 1_000.0, n_dwellings, mode, streams, site)
     }
 
-    /// An Asperitas-class boiler (20 kW) on a 4 000 l tank for a large
-    /// building.
-    pub fn asperitas(
-        n_dwellings: usize,
-        mode: BoilerMode,
-        streams: &RngStreams,
-        site: u64,
-    ) -> Self {
-        let spec = ServerSpec::asperitas_boiler();
-        Self::new(spec, 4_000.0, n_dwellings, mode, streams, site)
-    }
-
     fn new(
         spec: ServerSpec,
         tank_l: f64,

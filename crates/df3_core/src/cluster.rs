@@ -261,11 +261,10 @@ impl ClusterSim {
             }
         }
         if let Some((_, _, i)) = best {
-            let mut placed = job;
-            placed.cores =
+            let width =
                 Self::moldable_width(&job, self.workers[i].free_cores()).expect("width checked");
             let finish = self
-                .update_worker(i, |w| w.dispatch(now, placed, cost))
+                .update_worker(i, |w| w.dispatch(now, job, width, cost))
                 .expect("free_cores checked");
             return Dispatch::Started { worker: i, finish };
         }
@@ -280,10 +279,8 @@ impl ClusterSim {
             let backlog = job.cores + self.workers[i].busy_cores();
             self.tick_worker(i, now, outdoor_c, backlog, rooms);
             if let Some(width) = Self::moldable_width(&job, self.workers[i].free_cores()) {
-                let mut placed = job;
-                placed.cores = width;
                 let finish = self
-                    .update_worker(i, |w| w.dispatch(now, placed, cost))
+                    .update_worker(i, |w| w.dispatch(now, job, width, cost))
                     .expect("woken with room");
                 return Dispatch::Started { worker: i, finish };
             }
@@ -346,9 +343,7 @@ impl ClusterSim {
             .map(|s| sched::preempt::RunningTask {
                 id: s.job.id,
                 cores: s.cores,
-                progress_gops: (now.saturating_since(s.started)).as_secs_f64()
-                    * s.cores as f64
-                    * s.gops_per_core,
+                progress_gops: s.done_gops(now),
                 total_gops: s.job.work_gops,
             })
             .collect();
@@ -364,7 +359,7 @@ impl ClusterSim {
     /// worker cannot take it.
     pub(crate) fn dispatch_on(&mut self, w: usize, now: SimTime, job: Job) -> Option<SimTime> {
         let cost = self.switch_cost();
-        self.update_worker(w, |worker| worker.dispatch(now, job, cost))
+        self.update_worker(w, |worker| worker.dispatch(now, job, job.cores, cost))
     }
 
     /// Break worker `w` at `now`; returns its preempted jobs with their
@@ -628,7 +623,7 @@ mod tests {
     }
 
     fn cluster_a() -> (ClusterSim, ThermalBatch) {
-        let mut rooms = ThermalBatch::new();
+        let mut rooms = ThermalBatch::default();
         let mut c = ClusterSim::new(
             0,
             4,
@@ -643,7 +638,7 @@ mod tests {
     }
 
     fn cluster_b() -> (ClusterSim, ThermalBatch) {
-        let mut rooms = ThermalBatch::new();
+        let mut rooms = ThermalBatch::default();
         let mut c = ClusterSim::new(
             0,
             4,

@@ -169,11 +169,6 @@ impl Datacenter {
         self.it_energy_j / 3.6e6
     }
 
-    /// Service speed, Gops per core.
-    pub fn gops_per_core(&self) -> f64 {
-        self.gops_per_core
-    }
-
     /// Checkpoint the pool's dynamic state. Config and the Xeon speed
     /// grades are rebuilt from the platform config on restore.
     pub fn snapshot_state(&self, w: &mut simcore::snapshot::SnapshotWriter) {

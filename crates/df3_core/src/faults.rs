@@ -38,6 +38,8 @@ use dfnet::link::{Degradation, Link, LinkClass};
 use sched::retry::{QuarantinePolicy, RetryPolicy};
 use simcore::snapshot::{Snapshot, SnapshotError, SnapshotReader};
 use simcore::time::{SimDuration, SimTime};
+use std::collections::BTreeMap;
+use workloads::JobId;
 
 /// A half-open activity window `[start, end)`, as offsets from t = 0.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -60,10 +62,6 @@ impl Window {
 
     pub fn contains(&self, now: SimTime) -> bool {
         now >= SimTime::ZERO + self.start && now < SimTime::ZERO + self.end
-    }
-
-    pub fn duration(&self) -> SimDuration {
-        self.end - self.start
     }
 
     pub fn validate(&self) -> Result<(), String> {
@@ -547,8 +545,10 @@ simcore::impl_snapshot! {
 /// books empty. The plan itself stays on the config.
 #[derive(Debug)]
 pub(crate) struct FaultRuntime {
-    /// Retry attempt counts for edge jobs in an open retry chain.
-    pub retry_book: workloads::RetryBook,
+    /// Retry attempt counts for edge jobs in an open retry chain. The
+    /// platform adds an attempt each time it re-submits a rejected edge
+    /// request and drops the entry at any terminal outcome.
+    pub retry_book: BTreeMap<JobId, u32>,
     /// Failure history for quarantine decisions.
     pub flap: sched::retry::FlapTracker,
     /// Whether each cluster is inside a power outage right now.
@@ -569,7 +569,7 @@ simcore::impl_snapshot! {
 impl FaultRuntime {
     pub fn new(plan: &FaultPlan, n_clusters: usize, n_worker_slots: usize) -> Self {
         FaultRuntime {
-            retry_book: workloads::RetryBook::new(),
+            retry_book: BTreeMap::new(),
             flap: sched::retry::FlapTracker::new(n_worker_slots),
             cluster_dark: vec![false; n_clusters],
             outage_scheduled: vec![false; plan.cluster_outages.len()],
@@ -671,7 +671,7 @@ mod tests {
         assert!(w.contains(SimTime::ZERO + SimDuration::from_hours(2)));
         assert!(w.contains(SimTime::ZERO + SimDuration::from_secs(4 * 3600 - 1)));
         assert!(!w.contains(SimTime::ZERO + SimDuration::from_hours(4)));
-        assert_eq!(w.duration(), SimDuration::from_hours(2));
+        assert_eq!(w.end - w.start, SimDuration::from_hours(2));
     }
 
     #[test]

@@ -635,7 +635,7 @@ impl Platform {
 
     /// Close `job`'s retry chain, if it has one.
     fn forget_retry(&mut self, id: JobId) {
-        self.faults.retry_book.forget(id);
+        self.faults.retry_book.remove(&id);
     }
 
     /// An edge request whose deadline passed before it could start.
@@ -766,10 +766,10 @@ impl Platform {
     fn reject_edge(&mut self, now: SimTime, job: Job, sched: &mut Scheduler<Ev>) {
         let retry = self.config.faults.active_recovery().map(|r| r.retry);
         if let Some(policy) = retry.filter(|p| p.enabled()) {
-            let attempts = self.faults.retry_book.attempts(job.id);
+            let attempts = self.faults.retry_book.get(&job.id).copied().unwrap_or(0);
             let due = now + policy.backoff(attempts + 1);
             if attempts < policy.max_attempts && job.absolute_deadline().is_none_or(|d| due < d) {
-                self.faults.retry_book.record_attempt(job.id);
+                *self.faults.retry_book.entry(job.id).or_insert(0) += 1;
                 self.stats.jobs_retried.inc();
                 self.record_job_instant(now, self.tags.job_retry, &job, Some(attempts + 1));
                 self.retries_pending += 1;
@@ -933,11 +933,21 @@ impl Platform {
         if self.down_since[slot].is_none() {
             self.down_since[slot] = Some(now);
         }
+        // Orphans restart at the width their slice held.
         let slices: Vec<(Job, usize, SimTime)> = self.clusters[cluster]
             .worker(worker)
             .running()
             .iter()
-            .map(|s| (s.job, s.cores, s.started))
+            .map(|s| {
+                (
+                    Job {
+                        cores: s.cores,
+                        ..s.job
+                    },
+                    s.cores,
+                    s.started,
+                )
+            })
             .collect();
         for &(_, cores, started) in &slices {
             self.stats.wasted_core_s += now.saturating_since(started).as_secs_f64() * cores as f64;

@@ -43,7 +43,10 @@ pub enum SensorState {
 /// A job slice running on a worker.
 #[derive(Debug, Clone, Copy)]
 pub struct RunningSlice {
+    /// The job as submitted.
     pub job: Job,
+    /// Cores the slice holds: `job.cores`, or fewer for a moldable DCC
+    /// job shrunk to the free width.
     pub cores: usize,
     /// Per-core speed, Gops/s, fixed at dispatch.
     pub gops_per_core: f64,
@@ -52,6 +55,13 @@ pub struct RunningSlice {
     pub level: usize,
     pub started: SimTime,
     pub finish: SimTime,
+}
+
+impl RunningSlice {
+    /// Work this slice has done by `now`, Gop.
+    pub fn done_gops(&self, now: SimTime) -> f64 {
+        now.saturating_since(self.started).as_secs_f64() * self.cores as f64 * self.gops_per_core
+    }
 }
 
 /// One DF server + room + regulator.
@@ -136,10 +146,6 @@ impl WorkerSim {
         self.sensor = s;
     }
 
-    pub fn sensor(&self) -> SensorState {
-        self.sensor
-    }
-
     /// What the control loop *measures* given the true `room_c`. A
     /// healthy sensor reads the truth (and refreshes last-known-good);
     /// a dropout degrades to last-known-good minus the conservative
@@ -218,13 +224,6 @@ impl WorkerSim {
         self.regulator.overhead_w + core_w
     }
 
-    /// Resistive-backup power right now: fills the gap between the heat
-    /// budget and the actual compute draw (§II-C decoupling — comfort
-    /// never depends on cloud demand).
-    pub fn resistive_w(&self) -> f64 {
-        self.resistive_from(self.compute_power_w())
-    }
-
     /// The resistive share given the compute draw `compute_w`, so a
     /// caller that holds it needn't sum the running slices again.
     fn resistive_from(&self, compute_w: f64) -> f64 {
@@ -246,7 +245,8 @@ impl WorkerSim {
         self.power_w()
     }
 
-    /// Dispatch `job` now. Returns the finish time, or `None` if the
+    /// Dispatch `job` now on `cores` cores (`job.cores`, or fewer for a
+    /// moldable DCC job). Returns the finish time, or `None` if the
     /// worker cannot take it (not powered, or not enough budgeted
     /// cores). `switch_cost` is added when the worker alternates
     /// between edge and DCC work (architecture A context switching).
@@ -254,9 +254,10 @@ impl WorkerSim {
         &mut self,
         now: SimTime,
         job: Job,
+        cores: usize,
         switch_cost: SimDuration,
     ) -> Option<SimTime> {
-        if self.failed || !self.decision.powered || self.free_cores() < job.cores {
+        if self.failed || !self.decision.powered || self.free_cores() < cores {
             return None;
         }
         let level = self.decision.level;
@@ -269,14 +270,14 @@ impl WorkerSim {
             }
         }
         self.last_flow_was_edge = Some(is_edge);
-        let finish = start + job.service_time(gops);
-        self.busy += job.cores;
+        let finish = start + Job { cores, ..job }.service_time(gops);
+        self.busy += cores;
         if !is_edge {
-            self.preemptible += job.cores;
+            self.preemptible += cores;
         }
         self.running.push(RunningSlice {
             job,
-            cores: job.cores,
+            cores,
             gops_per_core: gops,
             level,
             started: start,
@@ -301,17 +302,14 @@ impl WorkerSim {
         slice
     }
 
-    /// Preempt a job at `now`: remove it and return the job with its
-    /// work reduced by the completed fraction (it re-enters a queue).
+    /// Preempt a job at `now`: remove it and return the job, at the
+    /// slice's width, with its work reduced by the completed fraction
+    /// (it re-enters a queue).
     pub fn preempt(&mut self, id: JobId, now: SimTime) -> Job {
         let slice = self.remove(id);
-        let done = if now <= slice.started {
-            0.0
-        } else {
-            let ran = (now - slice.started).as_secs_f64();
-            ran * slice.cores as f64 * slice.gops_per_core
-        };
+        let done = slice.done_gops(now);
         let mut job = slice.job;
+        job.cores = slice.cores;
         job.work_gops = (job.work_gops - done).max(job.work_gops * 0.001);
         job
     }
@@ -453,8 +451,9 @@ impl WorkerSim {
 
     /// Overlay a checkpointed dynamic state, taken at `now`, onto a
     /// freshly built worker. The state must be one the worker can
-    /// reach: every slice runs at a ladder level on at most the board's
-    /// cores and starts before it finishes, the decision is one the
+    /// reach: every slice runs at a ladder level, at that level's speed,
+    /// on at most the board's cores and its job's, and starts before it
+    /// finishes, the decision is one the
     /// regulator or a failure sets, with room for the running slices,
     /// and the last tick lies in `[0, now]`. Anything else is
     /// [`SnapshotError::Corrupt`]. (That each slice finishes at or
@@ -480,7 +479,8 @@ impl WorkerSim {
         let (levels, n_cores) = (self.ladder.n_states(), self.regulator.n_cores);
         let slice_ok = |s: &RunningSlice| {
             s.level < levels
-                && (1..=n_cores).contains(&s.cores)
+                && s.gops_per_core.to_bits() == self.ladder.throughput(s.level).to_bits()
+                && (1..=n_cores.min(s.job.cores)).contains(&s.cores)
                 && SimTime::ZERO <= s.started
                 && s.started <= s.finish
         };
@@ -551,12 +551,37 @@ mod tests {
         }
     }
 
+    /// Restore refuses slices no dispatch makes: a speed that is not
+    /// the slice's DVFS level's (a NaN one used to restore, then panic
+    /// the next preemption) and a width past the job's.
+    #[test]
+    fn restore_refuses_a_nan_speed_and_an_overwide_slice() {
+        use simcore::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
+        let (mut w, mut room) = worker();
+        w.control_tick(SimTime::ZERO, 5.0, 100, &mut room);
+        w.dispatch(SimTime::ZERO, job(1, 4, 480.0, false), 2, SimDuration::ZERO)
+            .expect("cold room → full budget");
+        let restore = |w: &WorkerSim| {
+            let mut bytes = SnapshotWriter::new();
+            w.snapshot_state(&mut bytes);
+            let (mut fresh, _) = worker();
+            fresh.restore_state(&mut SnapshotReader::new(&bytes.into_bytes()), SimTime::ZERO)
+        };
+        assert_eq!(restore(&w), Ok(()), "a molded slice restores");
+        let mut nan = w.clone();
+        nan.running[0].gops_per_core = f64::NAN;
+        assert!(matches!(restore(&nan), Err(SnapshotError::Corrupt(_))));
+        let mut wide = w.clone();
+        wide.running[0].cores = 5;
+        assert!(matches!(restore(&wide), Err(SnapshotError::Corrupt(_))));
+    }
+
     #[test]
     fn dispatch_occupies_cores_until_finish() {
         let (mut w, mut room) = worker();
         w.control_tick(SimTime::ZERO, 5.0, 100, &mut room);
         let finish = w
-            .dispatch(SimTime::ZERO, job(1, 4, 480.0, false), SimDuration::ZERO)
+            .dispatch(SimTime::ZERO, job(1, 4, 480.0, false), 4, SimDuration::ZERO)
             .expect("cold room → full budget");
         assert_eq!(w.busy_cores(), 4);
         // 480 Gop / (4 cores × 3 Gops) = 40 s.
@@ -571,13 +596,18 @@ mod tests {
         let (mut w, mut room) = worker();
         w.control_tick(SimTime::ZERO, 5.0, 100, &mut room);
         assert!(w
-            .dispatch(SimTime::ZERO, job(1, 12, 100.0, false), SimDuration::ZERO)
+            .dispatch(
+                SimTime::ZERO,
+                job(1, 12, 100.0, false),
+                12,
+                SimDuration::ZERO
+            )
             .is_some());
         assert!(w
-            .dispatch(SimTime::ZERO, job(2, 8, 100.0, false), SimDuration::ZERO)
+            .dispatch(SimTime::ZERO, job(2, 8, 100.0, false), 8, SimDuration::ZERO)
             .is_none());
         assert!(w
-            .dispatch(SimTime::ZERO, job(3, 4, 100.0, false), SimDuration::ZERO)
+            .dispatch(SimTime::ZERO, job(3, 4, 100.0, false), 4, SimDuration::ZERO)
             .is_some());
     }
 
@@ -589,7 +619,7 @@ mod tests {
         w.control_tick(SimTime::ZERO, 15.0, 100, &mut room);
         assert!(!w.decision().powered, "no heat demand → board off");
         assert!(w
-            .dispatch(SimTime::ZERO, job(1, 1, 10.0, false), SimDuration::ZERO)
+            .dispatch(SimTime::ZERO, job(1, 1, 10.0, false), 1, SimDuration::ZERO)
             .is_none());
     }
 
@@ -609,15 +639,15 @@ mod tests {
         w.control_tick(SimTime::ZERO, 0.0, 100, &mut room);
         let cost = SimDuration::from_secs(2);
         let f1 = w
-            .dispatch(SimTime::ZERO, job(1, 1, 3.0, false), cost)
+            .dispatch(SimTime::ZERO, job(1, 1, 3.0, false), 1, cost)
             .unwrap();
         assert_eq!(f1, SimTime::from_secs(1)); // first job: no switch
         let f2 = w
-            .dispatch(SimTime::ZERO, job(2, 1, 3.0, true), cost)
+            .dispatch(SimTime::ZERO, job(2, 1, 3.0, true), 1, cost)
             .unwrap();
         assert_eq!(f2, SimTime::from_secs(3)); // switch DCC→edge: +2 s
         let f3 = w
-            .dispatch(SimTime::ZERO, job(3, 1, 3.0, true), cost)
+            .dispatch(SimTime::ZERO, job(3, 1, 3.0, true), 1, cost)
             .unwrap();
         assert_eq!(f3, SimTime::from_secs(1)); // edge→edge: no switch
     }
@@ -626,7 +656,7 @@ mod tests {
     fn preemption_returns_remaining_work() {
         let (mut w, mut room) = worker();
         w.control_tick(SimTime::ZERO, 0.0, 100, &mut room);
-        w.dispatch(SimTime::ZERO, job(1, 2, 600.0, false), SimDuration::ZERO);
+        w.dispatch(SimTime::ZERO, job(1, 2, 600.0, false), 2, SimDuration::ZERO);
         // After 50 s at 2×3 Gops, 300 Gop done.
         let back = w.preempt(JobId(1), SimTime::from_secs(50));
         assert!(
@@ -659,7 +689,7 @@ mod tests {
     fn running_jobs_keep_their_cores_across_throttling() {
         let (mut w, mut room) = worker();
         w.control_tick(SimTime::ZERO, 0.0, 100, &mut room);
-        w.dispatch(SimTime::ZERO, job(1, 8, 1e6, false), SimDuration::ZERO);
+        w.dispatch(SimTime::ZERO, job(1, 8, 1e6, false), 8, SimDuration::ZERO);
         // Room becomes warm: demand collapses, but the slice stays.
         room = Room::new(RoomParams::typical_apartment_room(), 25.0);
         w.control_tick(SimTime::from_secs(600), 15.0, 100, &mut room);
@@ -683,7 +713,7 @@ mod tests {
             w.regulator.has_resistive_backup = backup;
             let check_split = |w: &WorkerSim| {
                 let expect = if w.decision.powered {
-                    w.compute_power_w() + w.resistive_w()
+                    w.compute_power_w() + w.resistive_from(w.compute_power_w())
                 } else {
                     0.0
                 };
@@ -727,7 +757,7 @@ mod tests {
                 while w.free_cores() >= 2 {
                     next_id += 1;
                     let j = job(next_id, 2, 1e9, next_id % 2 == 0);
-                    w.dispatch(now, j, SimDuration::ZERO).unwrap();
+                    w.dispatch(now, j, j.cores, SimDuration::ZERO).unwrap();
                 }
                 levels.extend(w.running.iter().map(|s| s.level));
             }

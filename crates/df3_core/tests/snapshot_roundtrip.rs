@@ -265,8 +265,8 @@ fn section_len(bytes: &[u8], name: &str) -> usize {
 fn resealed_bit_flips_are_refused_or_run_to_the_horizon() {
     let (cfg, bytes) = fuzz_snapshot();
     assert!(
-        restore_or_finish(cfg, bytes).is_none(),
-        "the unflipped snapshot runs"
+        Platform::restore(cfg.clone(), bytes).is_ok() && restore_or_finish(cfg, bytes).is_none(),
+        "the unflipped snapshot restores and runs"
     );
     let mut rng = proptest::TestRng::deterministic("resealed bit flips");
     let mut failures = Vec::new();
@@ -370,6 +370,41 @@ fn section_fingerprints(bytes: &[u8]) -> Vec<(String, u64)> {
         .collect()
 }
 
+/// The golden corpus's run: `small_winter` for 6 h with map-serving
+/// edge, BOINC and finance load.
+fn golden_run(plan: FaultPlan, telemetry: bool) -> (PlatformConfig, JobStream) {
+    let mut cfg = PlatformConfig::small_winter();
+    cfg.horizon = SimDuration::from_hours(6);
+    cfg.telemetry.enabled = telemetry;
+    cfg.faults = plan;
+    let streams = RngStreams::new(cfg.seed);
+    let js = jobs(&cfg)
+        .merge(boinc_jobs(
+            BoincConfig::standard(),
+            cfg.horizon,
+            &streams,
+            1 << 32,
+        ))
+        .merge(finance_jobs(
+            FinanceConfig::bank(),
+            cfg.horizon,
+            &streams,
+            2 << 32,
+        ));
+    (cfg, js)
+}
+
+/// The golden corpus's fault plan, which exercises every fault path
+/// the snapshot carries.
+fn golden_faults() -> FaultPlan {
+    FaultPlan::none()
+        .with_churn(SimDuration::from_hours(4), SimDuration::from_secs(1_800))
+        .with_cluster_outage(1, Window::from_hours(1, 2))
+        .with_master_outage(Window::from_hours(2, 4))
+        .with_sensor_fault(2, None, Window::from_hours(1, 4), SensorFaultKind::Dropout)
+        .with_recovery(RecoveryPolicy::standard())
+}
+
 /// Golden corpus: the exact bytes of two `small_winter` snapshots (6 h
 /// horizon, paused at 3 h, edge plus finance and BOINC load), one
 /// fault-free with telemetry off and one with telemetry on under a plan
@@ -381,28 +416,14 @@ fn section_fingerprints(bytes: &[u8]) -> Vec<(String, u64)> {
 /// platform holds event ids, which are queue slot numbers). Dropping the
 /// always-empty `registry` section removed its entry and changed no
 /// other. Version 5 wrote `arrivals` as columns and dropped the horizon
-/// and the stop flag from `engine`, which changed those two.
+/// and the stop flag from `engine`, which changed those two. A running
+/// slice now keeps its job as submitted, with the molded width in the
+/// slice alone, which changed `platform`: both snapshots hold finance
+/// batches molded from 32 cores to a 16-core board.
 #[test]
 fn golden_section_fingerprints_are_pinned() {
     let sections = |plan: FaultPlan, telemetry: bool| {
-        let mut cfg = PlatformConfig::small_winter();
-        cfg.horizon = SimDuration::from_hours(6);
-        cfg.telemetry.enabled = telemetry;
-        cfg.faults = plan;
-        let streams = RngStreams::new(cfg.seed);
-        let js = jobs(&cfg)
-            .merge(boinc_jobs(
-                BoincConfig::standard(),
-                cfg.horizon,
-                &streams,
-                1 << 32,
-            ))
-            .merge(finance_jobs(
-                FinanceConfig::bank(),
-                cfg.horizon,
-                &streams,
-                2 << 32,
-            ));
+        let (cfg, js) = golden_run(plan, telemetry);
         section_fingerprints(&snapshot_at(&cfg, &js, SimDuration::from_hours(3)))
     };
     let pinned = |expected: [(&str, u64); 6]| {
@@ -413,15 +434,7 @@ fn golden_section_fingerprints_are_pinned() {
     };
 
     let quiet = sections(FaultPlan::none(), false);
-    let faulted = sections(
-        FaultPlan::none()
-            .with_churn(SimDuration::from_hours(4), SimDuration::from_secs(1_800))
-            .with_cluster_outage(1, Window::from_hours(1, 2))
-            .with_master_outage(Window::from_hours(2, 4))
-            .with_sensor_fault(2, None, Window::from_hours(1, 4), SensorFaultKind::Dropout)
-            .with_recovery(RecoveryPolicy::standard()),
-        true,
-    );
+    let faulted = sections(golden_faults(), true);
     assert_eq!(
         quiet,
         pinned([
@@ -429,7 +442,7 @@ fn golden_section_fingerprints_are_pinned() {
             ("rng", 0x77b2_3878_df4e_2fb5),
             ("telemetry", 0x3971_0fdd_7ec0_790c),
             ("thermal", 0x28d7_13e3_6a60_5539),
-            ("platform", 0x924e_5320_46ee_dff9),
+            ("platform", 0x6dbc_43d4_e5ac_6aae),
             ("arrivals", 0xe607_a9be_e027_ee04),
         ])
     );
@@ -440,9 +453,99 @@ fn golden_section_fingerprints_are_pinned() {
             ("rng", 0x77b2_3878_df4e_2fb5),
             ("telemetry", 0xf505_3b2b_8db7_4074),
             ("thermal", 0x41b1_13b4_f987_d8e4),
-            ("platform", 0xb272_96e3_e271_1349),
+            ("platform", 0x96cc_ca0b_9bd4_76a1),
             ("arrivals", 0xe607_a9be_e027_ee04),
         ])
+    );
+}
+
+/// Both golden snapshots restore and resume to their cold runs' stats
+/// and exports. Each holds a finance batch molded to fewer cores than
+/// it asked for, whose finish event carries the job as submitted.
+#[test]
+fn golden_snapshots_resume_to_their_cold_runs() {
+    for (plan, telemetry) in [(FaultPlan::none(), false), (golden_faults(), true)] {
+        let (cfg, js) = golden_run(plan, telemetry);
+        let cold = Platform::new(cfg.clone()).run(&js);
+        let bytes = snapshot_at(&cfg, &js, SimDuration::from_hours(3));
+        let warm = Platform::restore(cfg.clone(), &bytes)
+            .expect("golden snapshot restores")
+            .resume();
+        assert_eq!(cold.events, warm.events);
+        assert!(
+            observable(&cfg, &cold) == observable(&cfg, &warm),
+            "resumed run diverged (telemetry {telemetry})"
+        );
+    }
+}
+
+/// Pausing at every whole hour of a run with molded DCC slices gives a
+/// snapshot restore accepts. The mix is `perfbench`'s `mixed_flows`:
+/// map-serving edge plus BOINC and finance at ten times their rates,
+/// and every finance batch asks for more cores than a board has.
+#[test]
+fn a_dcc_pause_sweep_restores_every_pause() {
+    let mut cfg = PlatformConfig::small_winter();
+    cfg.horizon = SimDuration::from_hours(12);
+    let streams = RngStreams::new(cfg.seed);
+    let mut boinc = BoincConfig::standard();
+    boinc.tasks_per_hour *= 10.0;
+    let mut finance = FinanceConfig::bank();
+    finance.batches_per_day *= 10.0;
+    assert!(finance.cores > 16, "finance batches must be molded");
+    let js = jobs(&cfg)
+        .merge(boinc_jobs(boinc, cfg.horizon, &streams, 1 << 32))
+        .merge(finance_jobs(finance, cfg.horizon, &streams, 2 << 32));
+    let refused: Vec<String> = (1..12)
+        .filter_map(|h| {
+            let bytes = snapshot_at(&cfg, &js, SimDuration::from_hours(h));
+            Platform::restore(cfg.clone(), &bytes)
+                .err()
+                .map(|e| format!("{h} h: {e}"))
+        })
+        .collect();
+    assert!(refused.is_empty(), "refused pauses: {refused:#?}");
+}
+
+/// A snapshot of map-serving edge at 8× and BOINC at 10× under
+/// `PreemptFirst`, paused at 2 h while DCC slices run.
+fn speed_snapshot() -> (PlatformConfig, Vec<u8>) {
+    let mut cfg = PlatformConfig::small_winter();
+    cfg.horizon = SimDuration::from_hours(6);
+    cfg.peak_policy = PeakPolicy::PreemptFirst;
+    let streams = RngStreams::new(cfg.seed);
+    let mut edge = LocationServiceConfig::map_serving(Flow::EdgeIndirect);
+    edge.peak_rate_per_s *= 8.0;
+    let mut boinc = BoincConfig::standard();
+    boinc.tasks_per_hour *= 10.0;
+    let js = location_service_jobs(edge, cfg.horizon, &streams, 0).merge(boinc_jobs(
+        boinc,
+        cfg.horizon,
+        &streams,
+        1 << 32,
+    ));
+    let bytes = snapshot_at(&cfg, &js, SimDuration::from_hours(2));
+    (cfg, bytes)
+}
+
+/// A running slice whose speed is not its DVFS level's: dispatch only
+/// ever writes `ladder.throughput(level)` there. The flip sets the sign
+/// bit of the first slice's speed (byte 25,511 of `platform` starts
+/// it); a NaN speed there used to restore and panic the next
+/// preemption.
+#[test]
+fn a_slice_speed_off_its_dvfs_level_is_refused() {
+    let (cfg, bytes) = speed_snapshot();
+    assert_eq!(
+        section_len(&bytes, "platform"),
+        176_722,
+        "the speed snapshot changed: find the slice's speed again"
+    );
+    assert!(Platform::restore(cfg.clone(), &bytes).is_ok());
+    let restored = Platform::restore(cfg, &resealed(&bytes, "platform", 204_151));
+    assert!(
+        matches!(restored, Err(SnapshotError::Corrupt(_))),
+        "a negative slice speed must be refused as corrupt"
     );
 }
 

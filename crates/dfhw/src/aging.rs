@@ -109,10 +109,6 @@ impl WearState {
         self.wear_ref_years / self.budget_ref_years
     }
 
-    pub fn has_failed(&self) -> bool {
-        self.wear_ref_years >= self.budget_ref_years
-    }
-
     /// Remaining life at a constant junction temperature, years.
     pub fn remaining_life_years(&self, temp_c: f64) -> f64 {
         let remaining_ref = (self.budget_ref_years - self.wear_ref_years).max(0.0);
@@ -155,7 +151,6 @@ mod tests {
             w.accrue(SimDuration::YEAR, 65.0);
         }
         assert!((w.wear_fraction() - 1.0).abs() < 1e-9);
-        assert!(w.has_failed());
     }
 
     #[test]

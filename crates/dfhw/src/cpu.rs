@@ -11,9 +11,6 @@ pub struct CpuCore {
     ladder: Arc<DvfsLadder>,
     level: usize,
     util: f64,
-    /// Whether the core's motherboard is powered at all. The Qarnot
-    /// hybrid design (§III-A) turns boards off when no heat is wanted.
-    powered: bool,
 }
 
 impl CpuCore {
@@ -23,7 +20,6 @@ impl CpuCore {
             ladder,
             level,
             util: 0.0,
-            powered: true,
         }
     }
 
@@ -54,41 +50,9 @@ impl CpuCore {
         self.util = util;
     }
 
-    pub fn is_powered(&self) -> bool {
-        self.powered
-    }
-
-    /// Power the board off (or on). A powered-off core draws nothing,
-    /// computes nothing, and heats nothing.
-    pub fn set_powered(&mut self, on: bool) {
-        self.powered = on;
-        if !on {
-            self.util = 0.0;
-        }
-    }
-
     /// Electrical power drawn right now, W.
     pub fn power_w(&self) -> f64 {
-        if !self.powered {
-            return 0.0;
-        }
         self.ladder.power_w(self.level, self.util)
-    }
-
-    /// Compute throughput right now, Gops/s (scaled by utilisation).
-    pub fn throughput_gops(&self) -> f64 {
-        if !self.powered {
-            return 0.0;
-        }
-        self.ladder.throughput(self.level) * self.util
-    }
-
-    /// Maximum throughput at the current P-state.
-    pub fn max_throughput_gops(&self) -> f64 {
-        if !self.powered {
-            return 0.0;
-        }
-        self.ladder.throughput(self.level)
     }
 }
 
@@ -116,29 +80,6 @@ mod tests {
         c.set_util(0.5);
         let half = c.power_w();
         assert!(full > half && half > c.ladder().static_w);
-    }
-
-    #[test]
-    fn powered_off_core_is_dark() {
-        let mut c = core();
-        c.set_util(1.0);
-        c.set_powered(false);
-        assert_eq!(c.power_w(), 0.0);
-        assert_eq!(c.throughput_gops(), 0.0);
-        assert_eq!(c.util(), 0.0, "powering off clears utilisation");
-        c.set_powered(true);
-        assert_eq!(c.power_w(), c.ladder().static_w);
-    }
-
-    #[test]
-    fn throughput_follows_level_and_util() {
-        let mut c = core();
-        c.set_level(0);
-        c.set_util(1.0);
-        assert_eq!(c.throughput_gops(), 0.8);
-        c.set_util(0.25);
-        assert!((c.throughput_gops() - 0.2).abs() < 1e-12);
-        assert_eq!(c.max_throughput_gops(), 0.8);
     }
 
     #[test]

@@ -127,14 +127,6 @@ impl DvfsLadder {
         self.states.len()
     }
 
-    pub fn state(&self, level: usize) -> PState {
-        self.states[level]
-    }
-
-    pub fn min_state(&self) -> PState {
-        self.states[0]
-    }
-
     pub fn max_state(&self) -> PState {
         *self.states.last().expect("non-empty")
     }
@@ -160,24 +152,6 @@ impl DvfsLadder {
     /// whose convexity is the diminishing-returns law (E13).
     pub fn energy_per_op_nj(&self, level: usize) -> f64 {
         self.power_w(level, 1.0) / self.throughput(level)
-    }
-
-    /// Highest level whose full-utilisation power does not exceed
-    /// `budget_w` per core; `None` if even the lowest state exceeds it.
-    pub fn level_for_power(&self, budget_w: f64) -> Option<usize> {
-        let mut best = None;
-        for (i, _) in self.states.iter().enumerate() {
-            if self.power_w(i, 1.0) <= budget_w {
-                best = Some(i);
-            }
-        }
-        best
-    }
-
-    /// Lowest level whose throughput meets `min_gops`; `None` if even
-    /// the top state is too slow.
-    pub fn level_for_throughput(&self, min_gops: f64) -> Option<usize> {
-        self.states.iter().position(|s| s.freq_ghz >= min_gops)
     }
 }
 
@@ -217,30 +191,6 @@ mod tests {
             top > mid,
             "energy/op at top {top} should exceed mid {mid} (diminishing returns)"
         );
-    }
-
-    #[test]
-    fn level_for_power_selects_highest_feasible() {
-        let l = DvfsLadder::desktop_i7();
-        let full = l.power_w(l.n_states() - 1, 1.0);
-        assert_eq!(l.level_for_power(full + 0.1), Some(l.n_states() - 1));
-        let lowest = l.power_w(0, 1.0);
-        assert_eq!(l.level_for_power(lowest), Some(0));
-        assert_eq!(l.level_for_power(lowest - 0.1), None);
-        // A mid-range budget picks a mid level, and that level's power
-        // respects the budget.
-        let budget = (lowest + full) / 2.0;
-        let lvl = l.level_for_power(budget).unwrap();
-        assert!(l.power_w(lvl, 1.0) <= budget);
-        assert!(lvl > 0 && lvl < l.n_states() - 1);
-    }
-
-    #[test]
-    fn level_for_throughput() {
-        let l = DvfsLadder::desktop_i7();
-        assert_eq!(l.level_for_throughput(0.5), Some(0));
-        assert_eq!(l.level_for_throughput(2.9), Some(l.n_states() - 1));
-        assert_eq!(l.level_for_throughput(10.0), None);
     }
 
     #[test]

@@ -29,23 +29,9 @@ impl EnergyMeter {
         self.power.set(t, watts);
     }
 
-    pub fn current_w(&self) -> f64 {
-        self.power.current()
-    }
-
     /// Energy consumed so far, J.
     pub fn joules(&self, now: SimTime) -> f64 {
         self.power.integral(now)
-    }
-
-    /// Energy consumed so far, kWh.
-    pub fn kwh(&self, now: SimTime) -> f64 {
-        self.joules(now) / 3.6e6
-    }
-
-    /// Time-average power over the whole window, W.
-    pub fn mean_w(&self, now: SimTime) -> f64 {
-        self.power.average(now)
     }
 }
 
@@ -86,18 +72,6 @@ impl PueAccountant {
         self.overhead.set_power(t, it_watts * overhead_ratio);
     }
 
-    pub fn it_kwh(&self, now: SimTime) -> f64 {
-        self.it.kwh(now)
-    }
-
-    pub fn overhead_kwh(&self, now: SimTime) -> f64 {
-        self.overhead.kwh(now)
-    }
-
-    pub fn total_kwh(&self, now: SimTime) -> f64 {
-        self.it_kwh(now) + self.overhead_kwh(now)
-    }
-
     /// Power Usage Effectiveness over the observation window.
     /// Returns 1.0 when no IT energy has been consumed yet.
     pub fn pue(&self, now: SimTime) -> f64 {
@@ -123,8 +97,7 @@ mod tests {
         let mut m = EnergyMeter::new(t(0));
         m.set_power(t(0), 500.0);
         m.set_power(t(2), 0.0);
-        assert!((m.kwh(t(3)) - 1.0).abs() < 1e-9); // 500 W × 2 h = 1 kWh
-        assert!((m.mean_w(t(4)) - 250.0).abs() < 1e-9);
+        assert!((m.joules(t(3)) - 3.6e6).abs() < 1e-3); // 500 W × 2 h = 1 kWh
     }
 
     #[test]

@@ -19,7 +19,6 @@ pub struct ServerState {
     cores: Vec<CpuCore>,
     /// GPU utilisations in `[0, 1]`.
     gpu_util: Vec<f64>,
-    powered: bool,
     pub season: SeasonMode,
 }
 
@@ -33,36 +32,7 @@ impl ServerState {
             spec,
             cores,
             gpu_util,
-            powered: true,
             season: SeasonMode::Winter,
-        }
-    }
-
-    pub fn n_cores(&self) -> usize {
-        self.cores.len()
-    }
-
-    pub fn core(&self, i: usize) -> &CpuCore {
-        &self.cores[i]
-    }
-
-    pub fn core_mut(&mut self, i: usize) -> &mut CpuCore {
-        &mut self.cores[i]
-    }
-
-    pub fn is_powered(&self) -> bool {
-        self.powered
-    }
-
-    /// Power the whole server on/off (the Qarnot hybrid design powers
-    /// boards down when no heat is requested, §III-A).
-    pub fn set_powered(&mut self, on: bool) {
-        self.powered = on;
-        for c in &mut self.cores {
-            c.set_powered(on);
-        }
-        if !on {
-            self.gpu_util.iter_mut().for_each(|u| *u = 0.0);
         }
     }
 
@@ -77,15 +47,11 @@ impl ServerState {
     /// Set GPU `i` utilisation.
     pub fn set_gpu_util(&mut self, i: usize, util: f64) {
         assert!((0.0..=1.0).contains(&util));
-        assert!(self.powered, "cannot load GPUs on a powered-off server");
         self.gpu_util[i] = util;
     }
 
     /// Electrical power drawn now, W.
     pub fn power_w(&self) -> f64 {
-        if !self.powered {
-            return 0.0;
-        }
         let cpus: f64 = self.cores.iter().map(|c| c.power_w()).sum();
         let gpus: f64 = self
             .gpu_util
@@ -93,11 +59,6 @@ impl ServerState {
             .map(|&u| self.spec.gpu_idle_w + u * (self.spec.gpu_max_w - self.spec.gpu_idle_w))
             .sum();
         self.spec.overhead_w + cpus + gpus
-    }
-
-    /// Aggregate compute throughput now, Gops/s.
-    pub fn throughput_gops(&self) -> f64 {
-        self.cores.iter().map(|c| c.throughput_gops()).sum()
     }
 
     /// Heat delivered to the *useful* sink (room or water loop), W.
@@ -149,18 +110,6 @@ mod tests {
             (0.8 * 500.0..1.2 * 500.0).contains(&p),
             "full Q.rad draws {p} W"
         );
-        assert!((s.throughput_gops() - 48.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn powered_off_server_is_completely_dark() {
-        let mut s = ServerState::new(ServerSpec::qrad());
-        s.set_all_cores(0, 1.0);
-        s.set_powered(false);
-        assert_eq!(s.power_w(), 0.0);
-        assert_eq!(s.useful_heat_w(), 0.0);
-        assert_eq!(s.waste_heat_w(), 0.0);
-        assert_eq!(s.throughput_gops(), 0.0);
     }
 
     #[test]
@@ -219,13 +168,5 @@ mod tests {
                 s.spec.class.name()
             );
         }
-    }
-
-    #[test]
-    #[should_panic]
-    fn gpu_load_on_dark_server_panics() {
-        let mut s = ServerState::new(ServerSpec::crypto_heater());
-        s.set_powered(false);
-        s.set_gpu_util(0, 1.0);
     }
 }

@@ -14,7 +14,7 @@
 //!   broadband, WiFi, Zigbee, LoRa, Sigfox, EnOcean, WAN) with
 //!   realistic rates, latencies, and payload limits.
 //! - [`lowpower`]: regulatory duty-cycle budgeting for LoRa/Sigfox
-//!   (1 % duty cycle, 140 messages/day) — the constraint that makes
+//!   (1 % duty cycle) — the constraint that makes
 //!   "ship the raw audio to the cloud" impossible and local edge
 //!   processing necessary.
 //! - [`collective`]: allreduce/BSP cost models quantifying the

@@ -111,13 +111,6 @@ impl Link {
         self
     }
 
-    /// Derate the data rate.
-    pub fn with_efficiency(mut self, eff: f64) -> Self {
-        assert!(eff > 0.0 && eff <= 1.0, "efficiency out of (0,1]: {eff}");
-        self.efficiency = eff;
-        self
-    }
-
     /// Apply a [`Degradation`]: the total fixed latency (protocol
     /// base plus extra) is multiplied by `latency_factor` — the
     /// protocol base itself is immutable, so the stretch lands on
@@ -152,20 +145,6 @@ impl Link {
         SimDuration::from_secs_f64(
             self.protocol.base_latency_s() + self.extra_latency_s + serialisation,
         )
-    }
-
-    /// Round-trip time for a request of `req_bytes` and reply of
-    /// `rep_bytes` over this link (same link both ways).
-    pub fn round_trip(&self, req_bytes: usize, rep_bytes: usize) -> SimDuration {
-        self.transfer_time(req_bytes) + self.transfer_time(rep_bytes)
-    }
-
-    /// Air time of the payload alone (used for duty-cycle accounting).
-    pub fn air_time(&self, payload_bytes: usize) -> SimDuration {
-        let frames = self.frames_for(payload_bytes);
-        let total_bytes = payload_bytes + frames * self.protocol.frame_overhead_bytes();
-        let rate = self.protocol.data_rate_bps() * self.efficiency;
-        SimDuration::from_secs_f64(total_bytes as f64 * 8.0 / rate)
     }
 }
 
@@ -221,7 +200,10 @@ mod tests {
     #[test]
     fn efficiency_derates_throughput_not_latency() {
         let fast = Link::new(Protocol::Wifi);
-        let slow = Link::new(Protocol::Wifi).with_efficiency(0.5);
+        let slow = Link {
+            efficiency: 0.5,
+            ..fast
+        };
         let big = 1_000_000;
         let t_fast = fast.transfer_time(big).as_secs_f64();
         let t_slow = slow.transfer_time(big).as_secs_f64();
@@ -235,13 +217,6 @@ mod tests {
         let far = Link::new(Protocol::WanInternet).with_extra_latency(0.080);
         let d = far.transfer_time(100) - near.transfer_time(100);
         assert!((d.as_secs_f64() - 0.080).abs() < 1e-9);
-    }
-
-    #[test]
-    fn round_trip_is_sum_of_ways() {
-        let l = Link::new(Protocol::Fiber);
-        let rtt = l.round_trip(200, 5_000);
-        assert_eq!(rtt, l.transfer_time(200) + l.transfer_time(5_000));
     }
 
     #[test]
@@ -282,8 +257,7 @@ mod tests {
     fn edge_vs_cloud_order_of_magnitude() {
         // The paper's core latency claim: a local LAN round-trip beats a
         // WAN round-trip by an order of magnitude.
-        let lan = Link::new(Protocol::EthernetLan).round_trip(1_000, 1_000);
-        let wan = Link::new(Protocol::WanInternet).round_trip(1_000, 1_000);
-        assert!(wan.as_secs_f64() > 10.0 * lan.as_secs_f64());
+        let rtt = |p| 2.0 * Link::new(p).transfer_time(1_000).as_secs_f64();
+        assert!(rtt(Protocol::WanInternet) > 10.0 * rtt(Protocol::EthernetLan));
     }
 }

@@ -86,39 +86,6 @@ impl Protocol {
             _ => 18,
         }
     }
-
-    /// Whether this is a low-power IoT technology (the class §III-B says
-    /// is "inevitable in edge computing").
-    pub fn is_low_power(&self) -> bool {
-        matches!(
-            self,
-            Protocol::Zigbee | Protocol::Lora | Protocol::Sigfox | Protocol::Enocean
-        )
-    }
-
-    /// Regulatory duty cycle limit as a fraction of air time (EU 868 MHz
-    /// band for LoRa, Sigfox), if any.
-    pub fn duty_cycle_limit(&self) -> Option<f64> {
-        match self {
-            Protocol::Lora | Protocol::Sigfox => Some(0.01),
-            _ => None,
-        }
-    }
-
-    pub fn name(&self) -> &'static str {
-        match self {
-            Protocol::Fiber => "fiber",
-            Protocol::EthernetLan => "ethernet-lan",
-            Protocol::Ethernet10G => "10gbe",
-            Protocol::HomeBroadband => "home-broadband",
-            Protocol::Wifi => "wifi",
-            Protocol::Zigbee => "zigbee",
-            Protocol::Lora => "lora",
-            Protocol::Sigfox => "sigfox",
-            Protocol::Enocean => "enocean",
-            Protocol::WanInternet => "wan",
-        }
-    }
 }
 
 #[cfg(test)]
@@ -135,34 +102,10 @@ mod tests {
     }
 
     #[test]
-    fn low_power_classification() {
-        // The four protocols §III-B names.
-        for p in [
-            Protocol::Zigbee,
-            Protocol::Lora,
-            Protocol::Sigfox,
-            Protocol::Enocean,
-        ] {
-            assert!(p.is_low_power(), "{} should be low-power", p.name());
-        }
-        for p in [Protocol::Fiber, Protocol::Wifi, Protocol::WanInternet] {
-            assert!(!p.is_low_power());
-        }
-    }
-
-    #[test]
     fn constrained_payloads() {
         assert_eq!(Protocol::Sigfox.max_payload_bytes(), Some(12));
         assert_eq!(Protocol::Lora.max_payload_bytes(), Some(222));
         assert_eq!(Protocol::Fiber.max_payload_bytes(), None);
-    }
-
-    #[test]
-    fn duty_cycle_only_on_unlicensed_wan_bands() {
-        assert_eq!(Protocol::Lora.duty_cycle_limit(), Some(0.01));
-        assert_eq!(Protocol::Sigfox.duty_cycle_limit(), Some(0.01));
-        assert_eq!(Protocol::Zigbee.duty_cycle_limit(), None);
-        assert_eq!(Protocol::Fiber.duty_cycle_limit(), None);
     }
 
     #[test]

@@ -39,12 +39,6 @@ impl HostLedger {
     pub fn host_gain_eur(&self) -> f64 {
         self.avoided_heating_cost_eur
     }
-
-    /// Operator's net position given compute revenue earned on this
-    /// host's server, €.
-    pub fn operator_net_eur(&self, compute_revenue_eur: f64) -> f64 {
-        compute_revenue_eur - self.operator_cost_eur
-    }
 }
 
 #[cfg(test)]
@@ -74,10 +68,10 @@ mod tests {
         l.record(at(10, 12), 360.0, &t, &t); // a winter month of one Q.rad
                                              // 360 kWh ≈ 720 core-hours-at-full-tilt; at 0.10 €/core-h revenue:
         let revenue = 720.0 * 0.10;
-        assert!(l.operator_net_eur(revenue) > 0.0);
+        assert!(revenue - l.operator_cost_eur > 0.0);
         // At spot-floor prices the same energy is a loss.
         let cheap_revenue = 720.0 * 0.005;
-        assert!(l.operator_net_eur(cheap_revenue) < 0.0);
+        assert!(cheap_revenue - l.operator_cost_eur < 0.0);
     }
 
     #[test]

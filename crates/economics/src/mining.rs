@@ -34,11 +34,6 @@ impl MiningRig {
             power_w: 650.0,
         }
     }
-
-    /// Mining efficiency, MH/s per W.
-    pub fn efficiency(&self) -> f64 {
-        self.hashrate_mh / self.power_w
-    }
 }
 
 /// Market conditions for the coin being mined.
@@ -54,13 +49,6 @@ impl CoinMarket {
     pub fn lean() -> Self {
         CoinMarket {
             eur_per_mh_day: 0.032,
-        }
-    }
-
-    /// A bull market where mining is profitable regardless.
-    pub fn bull() -> Self {
-        CoinMarket {
-            eur_per_mh_day: 0.10,
         }
     }
 }
@@ -125,7 +113,7 @@ mod tests {
     fn qc1_specs_match_paper() {
         let rig = MiningRig::qarnot_qc1();
         assert_eq!(rig.power_w, 650.0);
-        assert!(rig.efficiency() > 0.05);
+        assert!(rig.hashrate_mh / rig.power_w > 0.05); // MH/s per W
     }
 
     #[test]
@@ -166,7 +154,10 @@ mod tests {
     fn bull_market_profits_regardless() {
         let day = account_day(
             MiningRig::qarnot_qc1(),
-            CoinMarket::bull(),
+            // A bull market: mining pays even without the heat credit.
+            CoinMarket {
+                eur_per_mh_day: 0.10,
+            },
             &Tariff::flat(0.20),
             at_day(150),
             0.0,

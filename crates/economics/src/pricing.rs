@@ -20,12 +20,6 @@ pub struct PriceQuote {
     pub sold_core_h: f64,
 }
 
-impl PriceQuote {
-    pub fn revenue_eur(&self) -> f64 {
-        self.price_eur_core_h * self.sold_core_h
-    }
-}
-
 /// Constant-elasticity capacity pricer.
 #[derive(Debug, Clone, Copy)]
 pub struct CapacityPricer {
@@ -108,12 +102,6 @@ mod tests {
         let p = CapacityPricer::standard();
         assert_eq!(p.quote(500.0, 800.0).sold_core_h, 500.0);
         assert_eq!(p.quote(800.0, 500.0).sold_core_h, 500.0);
-    }
-
-    #[test]
-    fn revenue_is_price_times_sold() {
-        let q = CapacityPricer::standard().quote(1_000.0, 1_000.0);
-        assert!((q.revenue_eur() - 20.0).abs() < 1e-9);
     }
 
     #[test]

@@ -31,27 +31,6 @@ impl SlaTarget {
             capacity_penalty_eur_per_core_h: 0.05,
         }
     }
-
-    /// A seasonal SLA: commitments follow the heat-driven supply curve
-    /// (index 0 = January). `winter` applies Nov–Mar, `summer` applies
-    /// May–Sep, shoulder months interpolate.
-    pub fn seasonal(winter: f64, summer: f64) -> Self {
-        assert!(winter >= summer, "winter capacity should dominate");
-        let mut m = [0.0; 12];
-        for (i, slot) in m.iter_mut().enumerate() {
-            *slot = match i {
-                0 | 1 | 2 | 10 | 11 => winter, // Jan Feb Mar Nov Dec
-                4..=8 => summer,               // May..Sep
-                _ => (winter + summer) / 2.0,  // Apr, Oct
-            };
-        }
-        SlaTarget {
-            edge_deadline_attainment: 0.99,
-            monthly_capacity_core_h: m,
-            edge_penalty_eur_per_pp: 50.0,
-            capacity_penalty_eur_per_core_h: 0.05,
-        }
-    }
 }
 
 /// Measured outcomes for one month.
@@ -131,7 +110,16 @@ mod tests {
     fn seasonal_sla_avoids_summer_penalties_that_flat_incurs() {
         // A fleet delivering 10 000 core-h in winter but 3 000 in summer.
         let flat = SlaTarget::flat(8_000.0);
-        let seasonal = SlaTarget::seasonal(10_000.0, 3_000.0);
+        // Seasonal commitments follow the heat-driven supply curve:
+        // winter Nov–Mar, summer May–Sep, shoulder months in between.
+        let mut seasonal = SlaTarget::flat(0.0);
+        for (m, slot) in seasonal.monthly_capacity_core_h.iter_mut().enumerate() {
+            *slot = match m {
+                0 | 1 | 2 | 10 | 11 => 10_000.0,
+                4..=8 => 3_000.0,
+                _ => 6_500.0,
+            };
+        }
         let mut flat_r = SlaReport::new(flat);
         let mut seas_r = SlaReport::new(seasonal);
         for m in 0..12 {
@@ -167,14 +155,6 @@ mod tests {
         let r = SlaReport::new(SlaTarget::flat(0.0));
         assert_eq!(r.edge_attainment(), 1.0);
         assert_eq!(r.penalty_eur(), 0.0);
-    }
-
-    #[test]
-    fn seasonal_commitments_have_expected_shape() {
-        let t = SlaTarget::seasonal(10_000.0, 2_000.0);
-        assert_eq!(t.monthly_capacity_core_h[0], 10_000.0); // Jan
-        assert_eq!(t.monthly_capacity_core_h[6], 2_000.0); // Jul
-        assert_eq!(t.monthly_capacity_core_h[3], 6_000.0); // Apr shoulder
     }
 
     #[test]

@@ -52,19 +52,6 @@ pub enum PeakAction {
     Reject,
 }
 
-impl PeakAction {
-    /// Stable snake_case name for telemetry and run reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            PeakAction::Preempt => "preempt",
-            PeakAction::OffloadVertical => "offload_vertical",
-            PeakAction::OffloadHorizontal { .. } => "offload_horizontal",
-            PeakAction::Delay => "delay",
-            PeakAction::Reject => "reject",
-        }
-    }
-}
-
 /// A peak-management strategy.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PeakPolicy {

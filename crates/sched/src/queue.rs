@@ -50,10 +50,6 @@ impl ReadyQueue {
         }
     }
 
-    pub fn discipline(&self) -> Discipline {
-        self.discipline
-    }
-
     pub fn len(&self) -> usize {
         self.jobs.len()
     }

@@ -134,11 +134,6 @@ impl FlapTracker {
         h.push(now);
         h.len() as u32 >= policy.threshold
     }
-
-    /// Failures currently inside the window for `slot` (tests/metrics).
-    pub fn recent(&self, slot: usize) -> usize {
-        self.history[slot].len()
-    }
 }
 
 simcore::impl_snapshot!(FlapTracker { history });
@@ -202,6 +197,5 @@ mod tests {
         assert!(!f.record(1, SimTime::ZERO + SimDuration::from_secs(1_200), &q));
         // Much later, the window has slid past the old failures.
         assert!(!f.record(0, h + SimDuration::from_hours(5), &q));
-        assert_eq!(f.recent(0), 1);
     }
 }

@@ -54,29 +54,6 @@ pub fn lognormal_mean_cv<R: Rng + ?Sized>(rng: &mut R, mean: f64, cv: f64) -> f6
     lognormal(rng, mu, sigma2.sqrt())
 }
 
-/// Sample from Poisson(lambda) — Knuth's method for small lambda,
-/// normal approximation above 256 (error negligible at that size).
-pub fn poisson<R: Rng + ?Sized>(rng: &mut R, lambda: f64) -> u64 {
-    assert!(lambda >= 0.0, "poisson lambda must be non-negative");
-    if lambda == 0.0 {
-        return 0;
-    }
-    if lambda > 256.0 {
-        let x = normal(rng, lambda, lambda.sqrt());
-        return x.max(0.0).round() as u64;
-    }
-    let l = (-lambda).exp();
-    let mut k = 0u64;
-    let mut p = 1.0;
-    loop {
-        p *= rng.gen::<f64>();
-        if p <= l {
-            return k;
-        }
-        k += 1;
-    }
-}
-
 /// Sample from Pareto(scale, shape). Heavy-tailed job sizes.
 ///
 /// Mean exists only for `shape > 1` and is `scale * shape / (shape - 1)`.
@@ -92,15 +69,6 @@ pub fn weibull<R: Rng + ?Sized>(rng: &mut R, scale: f64, shape: f64) -> f64 {
     assert!(scale > 0.0 && shape > 0.0);
     let u: f64 = rng.gen::<f64>();
     scale * (-(1.0 - u).ln()).powf(1.0 / shape)
-}
-
-/// Uniform in `[lo, hi)`.
-pub fn uniform<R: Rng + ?Sized>(rng: &mut R, lo: f64, hi: f64) -> f64 {
-    assert!(lo <= hi);
-    if lo == hi {
-        return lo;
-    }
-    rng.gen_range(lo..hi)
 }
 
 /// Bernoulli trial with probability `p`.
@@ -197,28 +165,6 @@ mod tests {
         let m = mean_of(&xs);
         assert!((m - 40.0).abs() / 40.0 < 0.05, "mean {m} should be ~40");
         assert!(xs.iter().all(|&x| x > 0.0));
-    }
-
-    #[test]
-    fn poisson_small_lambda() {
-        let mut r = rng();
-        let xs: Vec<u64> = (0..50_000).map(|_| poisson(&mut r, 3.0)).collect();
-        let m = xs.iter().sum::<u64>() as f64 / xs.len() as f64;
-        assert!((m - 3.0).abs() < 0.05);
-    }
-
-    #[test]
-    fn poisson_large_lambda_uses_normal_approx() {
-        let mut r = rng();
-        let xs: Vec<u64> = (0..20_000).map(|_| poisson(&mut r, 1000.0)).collect();
-        let m = xs.iter().sum::<u64>() as f64 / xs.len() as f64;
-        assert!((m - 1000.0).abs() < 2.0);
-    }
-
-    #[test]
-    fn poisson_zero_lambda() {
-        let mut r = rng();
-        assert_eq!(poisson(&mut r, 0.0), 0);
     }
 
     #[test]

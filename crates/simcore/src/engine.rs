@@ -54,7 +54,6 @@ pub struct Scheduler<E> {
     now: SimTime,
     queue: EventQueue<E>,
     horizon: SimTime,
-    stopped: bool,
     /// Wall-clock phase profiler. Disabled (one branch per event) until
     /// a model enables it from `init`; the engine itself times the
     /// event-pop and dispatch phases, models time their own sub-phases.
@@ -67,7 +66,6 @@ impl<E> Scheduler<E> {
             now: SimTime::ZERO,
             queue: EventQueue::new(),
             horizon,
-            stopped: false,
             profiler: PhaseProfiler::disabled(),
         }
     }
@@ -107,11 +105,6 @@ impl<E> Scheduler<E> {
     /// Cancel a scheduled event. Returns whether it was still pending.
     pub fn cancel(&mut self, id: EventId) -> bool {
         self.queue.cancel(id)
-    }
-
-    /// Request the engine to stop after the current event completes.
-    pub fn stop(&mut self) {
-        self.stopped = true;
     }
 
     /// Number of events pending in the queue. Inputs the model still
@@ -178,7 +171,6 @@ impl<E: Snapshot> Scheduler<E> {
         Ok(Scheduler {
             now,
             horizon,
-            stopped: false,
             queue,
             profiler: PhaseProfiler::disabled(),
         })
@@ -212,14 +204,12 @@ pub enum StopReason {
     QueueEmpty,
     /// The next event lay at or beyond the horizon.
     HorizonReached,
-    /// The model called [`Scheduler::stop`].
-    Stopped,
     /// The event budget was exhausted (runaway guard).
     EventBudget,
 }
 
 /// Result of [`Engine::run_until`]: either the run completed (drained,
-/// hit the horizon, stopped, or exhausted its budget) or it paused at
+/// hit the horizon, or exhausted its budget) or it paused at
 /// the requested instant with all state intact for checkpointing.
 pub enum EngineRun<M: Model> {
     /// The run reached `pause_at` and stopped *before* dispatching any
@@ -324,9 +314,6 @@ impl<M: Model> Engine<M> {
             self.initialised = true;
         }
         let reason = loop {
-            if self.sched.stopped {
-                break StopReason::Stopped;
-            }
             if self.events >= self.event_budget {
                 break StopReason::EventBudget;
             }
@@ -445,29 +432,6 @@ mod tests {
         assert_eq!(s.end_time, SimTime::from_secs(3));
     }
 
-    struct Stopper;
-    impl Model for Stopper {
-        type Event = u32;
-        fn init(&mut self, sched: &mut Scheduler<u32>) {
-            for i in 0..10 {
-                sched.after(SimDuration::from_secs(i as i64 + 1), i);
-            }
-        }
-        fn handle(&mut self, _t: SimTime, ev: u32, sched: &mut Scheduler<u32>) {
-            if ev == 2 {
-                sched.stop();
-            }
-        }
-    }
-
-    #[test]
-    fn model_can_stop_engine() {
-        let (_, s) = Engine::new(Stopper, SimTime::from_secs(100)).run();
-        assert_eq!(s.reason, StopReason::Stopped);
-        assert_eq!(s.events, 3);
-        assert_eq!(s.end_time, SimTime::from_secs(3));
-    }
-
     struct Runaway;
     impl Model for Runaway {
         type Event = ();
@@ -574,8 +538,10 @@ mod tests {
         )
         .run();
         // No panic, no profiling: the default path records nothing.
-        let sched: Scheduler<()> = Scheduler::new(SimTime::from_secs(1));
-        assert!(!sched.profiler.is_enabled());
+        let mut sched: Scheduler<()> = Scheduler::new(SimTime::from_secs(1));
+        let phase = crate::telemetry::Phase::Dispatch;
+        sched.profiler.record_ns(phase, 1);
+        assert_eq!(sched.profiler.acc(phase).count, 0);
     }
 
     #[test]

@@ -114,10 +114,6 @@ impl MinHeap4 {
         self.v.first()
     }
 
-    fn clear(&mut self) {
-        self.v.clear();
-    }
-
     fn push(&mut self, e: HeapEntry) {
         // Hole-based sift-up: keep `e` in a register, shift losing
         // parents down, write the entry once at its final position.
@@ -205,18 +201,6 @@ impl<E> EventQueue<E> {
         EventQueue {
             heap: MinHeap4::with_capacity(0),
             slots: Vec::new(),
-            free: Vec::new(),
-            next_seq: 0,
-            live: 0,
-            peak_live: 0,
-        }
-    }
-
-    /// Pre-size for `n` concurrent events (heap and slab).
-    pub fn with_capacity(n: usize) -> Self {
-        EventQueue {
-            heap: MinHeap4::with_capacity(n),
-            slots: Vec::with_capacity(n),
             free: Vec::new(),
             next_seq: 0,
             live: 0,
@@ -333,22 +317,6 @@ impl<E> EventQueue<E> {
             }
             self.heap.pop();
         }
-    }
-
-    /// Remove all events, returning how many live ones were dropped.
-    /// Outstanding [`EventId`]s are invalidated (generations advance).
-    pub fn clear(&mut self) -> usize {
-        let n = self.live;
-        self.heap.clear();
-        self.free.clear();
-        for (i, slot) in self.slots.iter_mut().enumerate() {
-            if slot.payload.take().is_some() {
-                slot.gen = slot.gen.wrapping_add(1);
-            }
-            self.free.push(i as u32);
-        }
-        self.live = 0;
-        n
     }
 }
 
@@ -579,14 +547,6 @@ mod legacy {
                 }
             }
         }
-
-        pub fn clear(&mut self) -> usize {
-            let n = self.pending.len();
-            self.heap.clear();
-            self.cancelled.clear();
-            self.pending.clear();
-            n
-        }
     }
 }
 
@@ -658,7 +618,7 @@ mod tests {
                     assert_eq!(q.len(), 9);
                     q.pop();
                     assert_eq!(q.len(), 8);
-                    assert_eq!(q.clear(), 8);
+                    while q.pop().is_some() {}
                     assert!(q.is_empty());
                 }
 

@@ -10,9 +10,9 @@
 //! - [`engine`]: the [`Engine`] driving a user [`Model`].
 //! - [`rng`]: named, seed-derived random streams so adding a stream never
 //!   perturbs existing ones (common random numbers across experiments).
-//! - [`dist`]: distribution samplers (exponential, normal, Poisson, …)
+//! - [`dist`]: distribution samplers (exponential, normal, Pareto, …)
 //!   implemented locally so results are reproducible bit-for-bit.
-//! - [`metrics`]: counters, histograms, time-weighted gauges, percentile
+//! - [`metrics`]: counters, histograms, time integrals, percentile
 //!   estimation, Welford summaries.
 //! - [`report`]: plain-text table rendering used by the experiment harness.
 //! - [`snapshot`]: versioned, checksummed checkpoint codec — the

@@ -16,11 +16,6 @@ impl Counter {
         self.value += 1;
     }
 
-    /// Increment by `n`.
-    pub fn add(&mut self, n: u64) {
-        self.value += n;
-    }
-
     pub fn get(&self) -> u64 {
         self.value
     }
@@ -45,8 +40,8 @@ mod tests {
     fn counts() {
         let mut c = Counter::new();
         c.inc();
-        c.add(4);
-        assert_eq!(c.get(), 5);
+        c.inc();
+        assert_eq!(c.get(), 2);
     }
 
     #[test]

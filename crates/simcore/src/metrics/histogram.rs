@@ -59,18 +59,6 @@ impl Histogram {
         self.summary.max()
     }
 
-    pub fn summary(&self) -> &Summary {
-        &self.summary
-    }
-
-    /// Fraction of observations that fell outside `[lo, hi)`.
-    pub fn outlier_fraction(&self) -> f64 {
-        if self.count() == 0 {
-            return 0.0;
-        }
-        (self.underflow + self.overflow) as f64 / self.count() as f64
-    }
-
     /// Approximate quantile `q ∈ [0, 1]` with linear interpolation within
     /// the containing bin. Underflow counts as `lo`, overflow as `hi`.
     pub fn quantile(&self, q: f64) -> f64 {
@@ -100,33 +88,8 @@ impl Histogram {
     pub fn p50(&self) -> f64 {
         self.quantile(0.50)
     }
-    pub fn p95(&self) -> f64 {
-        self.quantile(0.95)
-    }
     pub fn p99(&self) -> f64 {
         self.quantile(0.99)
-    }
-
-    /// Merge another histogram with identical binning.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(self.lo, other.lo, "histogram lo mismatch");
-        assert_eq!(self.hi, other.hi, "histogram hi mismatch");
-        assert_eq!(self.bins.len(), other.bins.len(), "bin count mismatch");
-        for (a, b) in self.bins.iter_mut().zip(&other.bins) {
-            *a += b;
-        }
-        self.underflow += other.underflow;
-        self.overflow += other.overflow;
-        self.summary.merge(&other.summary);
-    }
-
-    /// Bin edges and counts, for export.
-    pub fn bins(&self) -> impl Iterator<Item = (f64, f64, u64)> + '_ {
-        let w = (self.hi - self.lo) / self.bins.len() as f64;
-        self.bins
-            .iter()
-            .enumerate()
-            .map(move |(i, &c)| (self.lo + w * i as f64, self.lo + w * (i + 1) as f64, c))
     }
 
     /// Coalesce the fine bins into at most `max_buckets` *cumulative*
@@ -196,7 +159,7 @@ mod tests {
         }
         assert_eq!(h.count(), 10_000);
         assert!((h.p50() - 50.0).abs() < 1.5, "p50={}", h.p50());
-        assert!((h.p95() - 95.0).abs() < 1.5, "p95={}", h.p95());
+        assert!((h.quantile(0.95) - 95.0).abs() < 1.5);
         assert!((h.quantile(0.0) - 0.0).abs() < 1.0);
         assert!((h.quantile(1.0) - 100.0).abs() < 1.0);
     }
@@ -218,30 +181,12 @@ mod tests {
         h.observe(-5.0);
         h.observe(15.0);
         h.observe(5.0);
-        assert!((h.outlier_fraction() - 2.0 / 3.0).abs() < 1e-12);
+        assert_eq!(h.count(), 3);
+        // Underflow counts toward every finite bucket, overflow toward none.
+        assert_eq!(h.cumulative_buckets(1), vec![(10.0, 2)]);
         // p99 of data dominated by overflow clamps to hi.
         let q = h.quantile(0.99);
         assert!((5.0..=15.0).contains(&q));
-    }
-
-    #[test]
-    fn merge_matches_combined() {
-        let mut a = Histogram::new(0.0, 100.0, 50);
-        let mut b = Histogram::new(0.0, 100.0, 50);
-        let mut whole = Histogram::new(0.0, 100.0, 50);
-        for i in 0..1000 {
-            let x = (i * 37 % 100) as f64;
-            whole.observe(x);
-            if i % 2 == 0 {
-                a.observe(x);
-            } else {
-                b.observe(x);
-            }
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.p50() - whole.p50()).abs() < 1e-9);
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
     }
 
     #[test]
@@ -267,25 +212,5 @@ mod tests {
         let h = Histogram::new(0.0, 1_000.0, 1_000);
         assert_eq!(h.count(), 0);
         assert_eq!(h.p99(), 0.0);
-        assert_eq!(h.outlier_fraction(), 0.0);
-    }
-
-    #[test]
-    fn bins_iterator_covers_range() {
-        let mut h = Histogram::new(0.0, 10.0, 5);
-        h.observe(3.0);
-        let bins: Vec<_> = h.bins().collect();
-        assert_eq!(bins.len(), 5);
-        assert_eq!(bins[0].0, 0.0);
-        assert_eq!(bins[4].1, 10.0);
-        assert_eq!(bins[1].2, 1); // 3.0 falls in [2,4)
-    }
-
-    #[test]
-    #[should_panic]
-    fn merge_rejects_mismatched_bins() {
-        let mut a = Histogram::new(0.0, 10.0, 5);
-        let b = Histogram::new(0.0, 10.0, 6);
-        a.merge(&b);
     }
 }

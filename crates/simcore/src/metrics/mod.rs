@@ -4,8 +4,8 @@
 //! - [`Summary`]: Welford mean/variance/min/max of observations.
 //! - [`Histogram`]: fixed-width binned distribution with exact
 //!   percentile interpolation for reporting latency distributions.
-//! - [`TimeWeighted`]: time-average of a piecewise-constant signal
-//!   (queue lengths, power draw, temperature).
+//! - [`TimeWeighted`]: time integral of a piecewise-constant signal
+//!   (power draw into energy).
 //! - [`TimeSeries`]: (t, v) recording with per-month aggregation —
 //!   Figure 4 of the paper is a monthly mean of a `TimeSeries`.
 

@@ -61,19 +61,6 @@ impl Summary {
         }
     }
 
-    /// Sample variance (n-1 denominator); 0 when fewer than 2 observations.
-    pub fn sample_variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    pub fn std(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     pub fn min(&self) -> f64 {
         if self.n == 0 {
             0.0
@@ -88,10 +75,6 @@ impl Summary {
         } else {
             self.max
         }
-    }
-
-    pub fn sum(&self) -> f64 {
-        self.mean() * self.n as f64
     }
 
     /// Merge another summary into this one (parallel reduction).
@@ -134,14 +117,13 @@ mod tests {
         assert!((s.variance() - 4.0).abs() < 1e-12);
         assert_eq!(s.min(), 2.0);
         assert_eq!(s.max(), 9.0);
-        assert!((s.sum() - 40.0).abs() < 1e-9);
     }
 
     #[test]
     fn empty_summary_is_zeroes() {
         let s = Summary::new();
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.std(), 0.0);
+        assert_eq!(s.variance(), 0.0);
         assert_eq!(s.min(), 0.0);
         assert_eq!(s.max(), 0.0);
     }

@@ -42,14 +42,6 @@ impl TimeSeries {
         self.values.push(v);
     }
 
-    pub fn len(&self) -> usize {
-        self.times.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.times.is_empty()
-    }
-
     /// Time of the latest sample.
     pub fn last_time(&self) -> Option<SimTime> {
         self.times.last().copied()
@@ -93,35 +85,6 @@ impl TimeSeries {
             }
         }
         out
-    }
-
-    /// Values resampled as daily means (day index, mean).
-    pub fn daily_means(&self) -> Vec<(i64, f64)> {
-        let mut out: Vec<(i64, Summary)> = Vec::new();
-        for (t, v) in self.iter() {
-            let d = t.day_index();
-            match out.last_mut() {
-                Some((day, s)) if *day == d => s.observe(v),
-                _ => {
-                    let mut s = Summary::new();
-                    s.observe(v);
-                    out.push((d, s));
-                }
-            }
-        }
-        out.into_iter().map(|(d, s)| (d, s.mean())).collect()
-    }
-
-    /// Export as CSV text (`time_s,value` rows with a header).
-    pub fn to_csv(&self, value_name: &str) -> String {
-        let mut s = String::with_capacity(self.len() * 16 + 16);
-        s.push_str("time_s,");
-        s.push_str(value_name);
-        s.push('\n');
-        for (t, v) in self.iter() {
-            s.push_str(&format!("{:.6},{:.6}\n", t.as_secs_f64(), v));
-        }
-        s
     }
 }
 
@@ -168,7 +131,7 @@ mod tests {
             let mut w = SnapshotWriter::new();
             times.encode(&mut w);
             values.encode(&mut w);
-            TimeSeries::decode(&mut SnapshotReader::new(&w.into_bytes())).map(|s| s.len())
+            TimeSeries::decode(&mut SnapshotReader::new(&w.into_bytes())).map(|s| s.iter().count())
         };
         let (t1, t2) = (SimTime::from_secs(1), SimTime::from_secs(2));
         assert_eq!(decode(vec![t1, t2], vec![1.0, 2.0]), Ok(2));
@@ -217,25 +180,6 @@ mod tests {
         assert_eq!(months.len(), 14); // 12 + Jan + Feb of year 2
         assert_eq!(months[12].month_name, "Jan");
         assert_eq!(months[12].rel_month, 12);
-    }
-
-    #[test]
-    fn daily_means() {
-        let mut ts = TimeSeries::new();
-        ts.push(SimTime::from_secs(10), 1.0);
-        ts.push(SimTime::from_secs(20), 3.0);
-        ts.push(SimTime::ZERO + SimDuration::from_days(1), 10.0);
-        let days = ts.daily_means();
-        assert_eq!(days, vec![(0, 2.0), (1, 10.0)]);
-    }
-
-    #[test]
-    fn csv_export() {
-        let mut ts = TimeSeries::new();
-        ts.push(SimTime::from_secs(1), 2.5);
-        let csv = ts.to_csv("temp_c");
-        assert!(csv.starts_with("time_s,temp_c\n"));
-        assert!(csv.contains("1.000000,2.500000"));
     }
 
     #[test]

@@ -198,14 +198,6 @@ impl SnapshotWriter {
         self.buf
     }
 
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
     }
@@ -1089,7 +1081,7 @@ mod tests {
         let width = |v: u64| {
             let mut w = SnapshotWriter::new();
             w.put_uvarint(v);
-            w.len()
+            w.into_bytes().len()
         };
         assert_eq!((width(127), width(128), width(u64::MAX)), (1, 2, 10));
         let mut w = SnapshotWriter::new();

@@ -1,7 +1,6 @@
 //! Wall-clock phase profiler for the engine's hot loop.
 //!
-//! Each [`Phase`] accumulates a count, total/min/max, and a log₂
-//! duration histogram. Timing is wall clock (`std::time::Instant`) and
+//! Each [`Phase`] accumulates a count and total/min/max duration. Timing is wall clock (`std::time::Instant`) and
 //! therefore *never* part of any simulation result: the profiler only
 //! reports where real time went. Disabled profilers reduce
 //! [`PhaseProfiler::start`] to one branch and allocate nothing.
@@ -64,13 +63,6 @@ impl Phase {
 /// (control tick, thermal, faults, offload) are timed on every call.
 pub const HOT_PHASE_STRIDE: u64 = 64;
 
-/// Number of log₂ histogram buckets: bucket `i` counts durations below
-/// `64ns << i`; the last bucket absorbs everything longer (~2.2 s).
-pub const N_DURATION_BUCKETS: usize = 25;
-
-/// Base of the log₂ bucketing, nanoseconds.
-const BUCKET_BASE_NS: u64 = 64;
-
 /// Accumulated wall-clock statistics of one phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhaseAcc {
@@ -78,8 +70,6 @@ pub struct PhaseAcc {
     pub total_ns: u64,
     pub min_ns: u64,
     pub max_ns: u64,
-    /// Log₂ duration histogram (see [`N_DURATION_BUCKETS`]).
-    pub buckets: [u64; N_DURATION_BUCKETS],
 }
 
 impl Default for PhaseAcc {
@@ -89,7 +79,6 @@ impl Default for PhaseAcc {
             total_ns: 0,
             min_ns: u64::MAX,
             max_ns: 0,
-            buckets: [0; N_DURATION_BUCKETS],
         }
     }
 }
@@ -100,10 +89,6 @@ impl PhaseAcc {
         self.total_ns += ns;
         self.min_ns = self.min_ns.min(ns);
         self.max_ns = self.max_ns.max(ns);
-        let b = (ns / BUCKET_BASE_NS + 1)
-            .next_power_of_two()
-            .trailing_zeros() as usize;
-        self.buckets[b.min(N_DURATION_BUCKETS - 1)] += 1;
     }
 
     fn merge(&mut self, other: &PhaseAcc) {
@@ -114,9 +99,6 @@ impl PhaseAcc {
         self.total_ns += other.total_ns;
         self.min_ns = self.min_ns.min(other.min_ns);
         self.max_ns = self.max_ns.max(other.max_ns);
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
     }
 
     pub fn mean_ns(&self) -> f64 {
@@ -125,11 +107,6 @@ impl PhaseAcc {
         } else {
             self.total_ns as f64 / self.count as f64
         }
-    }
-
-    /// Upper bound of bucket `i`, nanoseconds.
-    pub fn bucket_bound_ns(i: usize) -> u64 {
-        BUCKET_BASE_NS << i
     }
 }
 
@@ -164,11 +141,6 @@ impl PhaseProfiler {
             enabled: true,
             ..Self::disabled()
         }
-    }
-
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Start a timing interval, closed by [`PhaseProfiler::stop`].
@@ -257,21 +229,6 @@ mod tests {
         assert_eq!(a.count, 2);
         assert!(a.total_ns >= a.min_ns);
         assert!(a.max_ns >= a.min_ns);
-        assert_eq!(a.buckets.iter().sum::<u64>(), 2);
-    }
-
-    #[test]
-    fn bucketing_is_log2_with_saturation() {
-        let mut p = PhaseProfiler::enabled();
-        p.record_ns(Phase::EventPop, 0); // bucket 0 (< 64 ns)
-        p.record_ns(Phase::EventPop, 63);
-        p.record_ns(Phase::EventPop, 64); // bucket 1
-        p.record_ns(Phase::EventPop, u64::MAX / 2); // saturates to last
-        let a = p.acc(Phase::EventPop);
-        assert_eq!(a.buckets[0], 2);
-        assert_eq!(a.buckets[1], 1);
-        assert_eq!(a.buckets[N_DURATION_BUCKETS - 1], 1);
-        assert_eq!(PhaseAcc::bucket_bound_ns(1), 128);
     }
 
     #[test]
@@ -295,7 +252,8 @@ mod tests {
         let mut src = PhaseProfiler::enabled();
         src.record_ns(Phase::Offload, 5);
         sink.merge(&src);
-        assert!(sink.is_enabled());
         assert_eq!(sink.acc(Phase::Offload).count, 1);
+        sink.record_ns(Phase::Offload, 5);
+        assert_eq!(sink.acc(Phase::Offload).count, 2, "the sink records now");
     }
 }

@@ -122,20 +122,6 @@ impl FieldSet {
         }
     }
 
-    #[allow(clippy::len_without_is_empty)]
-    pub fn len(&self) -> usize {
-        self.len as usize
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The `i`-th key/value pair, if present.
-    pub fn get(&self, i: usize) -> Option<(TagId, Value)> {
-        (i < self.len as usize).then(|| (self.keys[i], Value::unpack(self.kinds[i], self.bits[i])))
-    }
-
     /// Key/value pairs in push order.
     pub fn iter(&self) -> impl Iterator<Item = (TagId, Value)> + '_ {
         (0..self.len as usize).map(|i| (self.keys[i], Value::unpack(self.kinds[i], self.bits[i])))
@@ -318,14 +304,6 @@ impl FlightRecorder {
     /// Count of held events with a given tag.
     pub fn count_tag(&self, tag: TagId) -> usize {
         self.iter().filter(|e| e.tag == tag).count()
-    }
-
-    /// Count of held events whose tag name starts with `prefix`
-    /// (watchdog summaries group on `"watchdog."`).
-    pub fn count_tag_prefix(&self, prefix: &str) -> usize {
-        self.iter()
-            .filter(|e| self.tag_name(e.tag).starts_with(prefix))
-            .count()
     }
 }
 
@@ -535,14 +513,8 @@ mod tests {
         let e = r.iter().next().unwrap();
         assert_eq!(e.end, Some(SimTime::from_secs(2)));
         assert_eq!(e.track, Track::new(1, 3));
-        assert_eq!(e.fields.len(), 2);
-        assert_eq!(e.fields.get(0), Some((k, Value::F64(1.5))));
-        assert_eq!(e.fields.get(1), Some((k, Value::Str(v))));
-        assert_eq!(e.fields.get(2), None);
         let round: Vec<(TagId, Value)> = e.fields.iter().collect();
         assert_eq!(round, vec![(k, Value::F64(1.5)), (k, Value::Str(v))]);
         assert_eq!(r.count_tag(tag), 1);
-        assert_eq!(r.count_tag_prefix("job."), 1);
-        assert_eq!(r.count_tag_prefix("watchdog."), 0);
     }
 }

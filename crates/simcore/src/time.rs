@@ -9,7 +9,7 @@
 //! The simulation epoch is, by convention of the experiment suite,
 //! **November 1st, 00:00** of the heating season under study — matching
 //! Figure 4 of the paper which plots November through May. Calendar
-//! helpers ([`SimTime::month_index`], [`SimTime::day_of_year`]) assume a
+//! helpers ([`Calendar::month_index`], [`SimTime::day_of_year`]) assume a
 //! 365-day non-leap year starting at that epoch; experiments that need a
 //! January epoch use [`Calendar`] with an explicit start month.
 
@@ -59,11 +59,6 @@ impl SimTime {
         self.0 as f64 / MICROS_PER_SEC as f64
     }
 
-    /// Hours since the epoch, as a float.
-    pub fn as_hours_f64(self) -> f64 {
-        self.as_secs_f64() / 3600.0
-    }
-
     /// Days since the epoch, as a float.
     pub fn as_days_f64(self) -> f64 {
         self.as_secs_f64() / 86_400.0
@@ -87,12 +82,6 @@ impl SimTime {
     /// Hour of the current day as a fraction, in `0..24`.
     pub fn hour_of_day(self) -> f64 {
         self.second_of_day() as f64 / 3600.0
-    }
-
-    /// Month index in `0..12` of a 365-day year made of the standard
-    /// month lengths, **relative to the epoch month** (see [`Calendar`]).
-    pub fn month_index(self) -> u32 {
-        Calendar::NOVEMBER_EPOCH.month_index(self).rel
     }
 
     /// Duration elapsed since `earlier`. Panics if `earlier` is later.
@@ -155,10 +144,6 @@ impl SimDuration {
 
     pub fn as_hours_f64(self) -> f64 {
         self.as_secs_f64() / 3600.0
-    }
-
-    pub fn as_days_f64(self) -> f64 {
-        self.as_secs_f64() / 86_400.0
     }
 
     pub fn as_millis_f64(self) -> f64 {
@@ -355,11 +340,6 @@ impl Calendar {
             cal = (cal + 1) % 12;
         }
         SimTime::ZERO + SimDuration::from_days(days)
-    }
-
-    /// Calendar month (0 = January) of the `rel`-th month after the epoch.
-    pub fn calendar_month(&self, rel: u32) -> u32 {
-        (self.epoch_month + rel) % 12
     }
 }
 

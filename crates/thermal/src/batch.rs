@@ -41,10 +41,6 @@ pub struct ThermalBatch {
 }
 
 impl ThermalBatch {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     pub fn with_capacity(n: usize) -> Self {
         ThermalBatch {
             temp_c: Vec::with_capacity(n),
@@ -96,24 +92,6 @@ impl ThermalBatch {
         self.temp_c[i] = c;
     }
 
-    pub fn params(&self, i: usize) -> RoomParams {
-        RoomParams {
-            resistance_k_per_w: self.resistance[i],
-            capacitance_j_per_k: self.tau_s[i] / self.resistance[i],
-            internal_gains_w: self.gains_w[i],
-        }
-    }
-
-    /// Replace a room's thermal parameters; invalidates its decay cache.
-    pub fn set_params(&mut self, i: usize, params: RoomParams) {
-        assert!(params.resistance_k_per_w > 0.0);
-        assert!(params.capacitance_j_per_k > 0.0);
-        self.resistance[i] = params.resistance_k_per_w;
-        self.gains_w[i] = params.internal_gains_w;
-        self.tau_s[i] = params.resistance_k_per_w * params.capacitance_j_per_k;
-        self.decay_dt_s[i] = f64::NAN;
-    }
-
     /// Whether `self` and `other` hold the same rooms with the same
     /// thermal parameters, bit for bit (temperatures and caches aside).
     pub fn same_rooms(&self, other: &ThermalBatch) -> bool {
@@ -123,12 +101,6 @@ impl ThermalBatch {
         same(&self.resistance, &other.resistance)
             && same(&self.gains_w, &other.gains_w)
             && same(&self.tau_s, &other.tau_s)
-    }
-
-    /// Mean temperature across the fleet.
-    pub fn mean_temperature_c(&self) -> f64 {
-        assert!(!self.is_empty(), "batch has no rooms");
-        self.temp_c.iter().sum::<f64>() / self.temp_c.len() as f64
     }
 
     /// Stage a pending step for room `i`: advance it by `dt` with
@@ -357,7 +329,7 @@ mod tests {
     #[test]
     fn batch_step_matches_room_step_bitwise() {
         let p = RoomParams::typical_apartment_room();
-        let mut batch = ThermalBatch::new();
+        let mut batch = ThermalBatch::default();
         let i = batch.push(p, 17.0);
         let mut room = Room::new(p, 17.0);
         let dt = SimDuration::from_secs(600);
@@ -376,8 +348,8 @@ mod tests {
 
     #[test]
     fn staged_sweep_matches_per_room_steps() {
-        let mut a = ThermalBatch::new();
-        let mut b = ThermalBatch::new();
+        let mut a = ThermalBatch::default();
+        let mut b = ThermalBatch::default();
         for i in 0..64 {
             let p = params(0.01 + i as f64 * 0.001, 1e6 + i as f64 * 1e4, 60.0);
             a.push(p, 14.0 + i as f64 * 0.1);
@@ -399,25 +371,8 @@ mod tests {
     }
 
     #[test]
-    fn set_params_invalidates_decay_cache() {
-        let mut batch = ThermalBatch::new();
-        let i = batch.push(RoomParams::typical_apartment_room(), 18.0);
-        let dt = SimDuration::from_secs(600);
-        batch.step_one(i, dt, 5.0, 200.0);
-        // Same Δ, new params: the cached decay must not be reused.
-        batch.set_params(i, RoomParams::leaky_room());
-        let mut room = Room::new(RoomParams::leaky_room(), batch.temperature_c(i));
-        room.step(dt, 5.0, 200.0);
-        batch.step_one(i, dt, 5.0, 200.0);
-        assert_eq!(
-            batch.temperature_c(i).to_bits(),
-            room.temperature_c().to_bits()
-        );
-    }
-
-    #[test]
     fn zero_dt_is_identity() {
-        let mut batch = ThermalBatch::new();
+        let mut batch = ThermalBatch::default();
         let i = batch.push(RoomParams::typical_apartment_room(), 17.3);
         batch.step_one(i, SimDuration::ZERO, -10.0, 1000.0);
         assert_eq!(batch.temperature_c(i), 17.3);
@@ -429,7 +384,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn negative_heater_power_panics() {
-        let mut batch = ThermalBatch::new();
+        let mut batch = ThermalBatch::default();
         let i = batch.push(RoomParams::typical_apartment_room(), 17.0);
         batch.step_one(i, SimDuration::HOUR, 5.0, -1.0);
     }
@@ -448,7 +403,7 @@ mod tests {
             dt_secs in 1.0f64..86_400.0,
         ) {
             let p = params(r, c, gains);
-            let mut batch = ThermalBatch::new();
+            let mut batch = ThermalBatch::default();
             let i = batch.push(p, start);
             let mut room = Room::new(p, start);
             let dt = SimDuration::from_secs_f64(dt_secs);
@@ -476,7 +431,7 @@ mod tests {
             flips in proptest::collection::vec(0u32..2, 2..30),
         ) {
             let p = params(r, c, 60.0);
-            let mut batch = ThermalBatch::new();
+            let mut batch = ThermalBatch::default();
             let i = batch.push(p, start);
             let mut room = Room::new(p, start);
             for (k, &flip) in flips.iter().enumerate() {
@@ -499,7 +454,7 @@ mod tests {
             outdoor in -15.0f64..30.0,
             dt_base in 60.0f64..3_600.0,
         ) {
-            let mut batch = ThermalBatch::new();
+            let mut batch = ThermalBatch::default();
             let mut rooms = Vec::new();
             for i in 0..n {
                 let p = params(0.01 + (i % 9) as f64 * 0.005, 1e6 + (i % 5) as f64 * 3e5, 60.0);

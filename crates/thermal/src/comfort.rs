@@ -2,13 +2,12 @@
 //!
 //! §III-A: "with DF servers, we can reach the same level of comfort than
 //! with other heating systems (See Figure 4 for the average temperature
-//! in room heated by Qarnot heater in winter)." Comfort here is measured
-//! as (a) the monthly mean temperature series of Figure 4 and (b) the
-//! fraction of occupied time the room stays inside a comfort band, plus
-//! the degree-hour deficit when it does not.
+//! in room heated by Qarnot heater in winter)." Comfort here is the
+//! fraction of observed time the room stays inside a comfort band, plus
+//! the degree-hour deficit when it does not; Figure 4's monthly means
+//! come from a `TimeSeries` of room temperatures.
 
-use simcore::metrics::Summary;
-use simcore::time::{SimDuration, SimTime};
+use simcore::time::SimTime;
 
 /// Streaming comfort statistics over a room-temperature signal.
 #[derive(Debug, Clone)]
@@ -21,10 +20,6 @@ pub struct ComfortStats {
     total_s: f64,
     /// Degree-hours spent below the band (severity-weighted discomfort).
     cold_degree_hours: f64,
-    /// Degree-hours spent above the band (overheating — relevant to the
-    /// §III-A waste-heat discussion).
-    hot_degree_hours: f64,
-    temps: Summary,
     last: Option<(SimTime, f64)>,
 }
 
@@ -43,8 +38,6 @@ impl ComfortStats {
             in_band_s: 0.0,
             total_s: 0.0,
             cold_degree_hours: 0.0,
-            hot_degree_hours: 0.0,
-            temps: Summary::new(),
             last: None,
         }
     }
@@ -62,11 +55,8 @@ impl ComfortStats {
                 self.in_band_s += dt_s;
             } else if v0 < self.band_lo_c {
                 self.cold_degree_hours += (self.band_lo_c - v0) * dt_h;
-            } else {
-                self.hot_degree_hours += (v0 - self.band_hi_c) * dt_h;
             }
         }
-        self.temps.observe(temp_c);
         self.last = Some((t, temp_c));
     }
 
@@ -81,25 +71,12 @@ impl ComfortStats {
     pub fn cold_degree_hours(&self) -> f64 {
         self.cold_degree_hours
     }
-
-    pub fn hot_degree_hours(&self) -> f64 {
-        self.hot_degree_hours
-    }
-
-    /// Summary of sampled temperatures (mean is the Figure 4 quantity).
-    pub fn temperatures(&self) -> &Summary {
-        &self.temps
-    }
-
-    /// Observation window covered so far.
-    pub fn window(&self) -> SimDuration {
-        SimDuration::from_secs_f64(self.total_s)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simcore::time::SimDuration;
 
     fn t(h: i64) -> SimTime {
         SimTime::ZERO + SimDuration::from_hours(h)
@@ -115,22 +92,12 @@ mod tests {
         assert!((c.in_band_fraction() - 0.5).abs() < 1e-12);
         // Cold deficit: 2 K × 2 h = 4 degree-hours.
         assert!((c.cold_degree_hours() - 4.0).abs() < 1e-12);
-        assert_eq!(c.hot_degree_hours(), 0.0);
-    }
-
-    #[test]
-    fn hot_hours_accumulate() {
-        let mut c = ComfortStats::new(18.0, 25.0);
-        c.sample(t(0), 27.0);
-        c.sample(t(2), 20.0);
-        assert!((c.hot_degree_hours() - 4.0).abs() < 1e-12);
     }
 
     #[test]
     fn empty_stats_are_zero() {
         let c = ComfortStats::standard();
         assert_eq!(c.in_band_fraction(), 0.0);
-        assert_eq!(c.window(), SimDuration::ZERO);
     }
 
     #[test]
@@ -138,16 +105,6 @@ mod tests {
         let mut c = ComfortStats::standard();
         c.sample(t(5), 20.0);
         assert_eq!(c.in_band_fraction(), 0.0);
-        assert_eq!(c.temperatures().count(), 1);
-    }
-
-    #[test]
-    fn mean_temperature_tracks_samples() {
-        let mut c = ComfortStats::standard();
-        for temp in [19.0, 20.0, 21.0] {
-            c.sample(t(0), temp);
-        }
-        assert!((c.temperatures().mean() - 20.0).abs() < 1e-12);
     }
 
     #[test]

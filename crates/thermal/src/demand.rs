@@ -105,40 +105,6 @@ pub fn generate_trace(
     out
 }
 
-/// Peak demand of a trace, W.
-pub fn peak_w(trace: &[DemandSample]) -> f64 {
-    trace.iter().map(|s| s.demand_w).fold(0.0, f64::max)
-}
-
-/// Mean demand of a trace, W.
-pub fn mean_w(trace: &[DemandSample]) -> f64 {
-    if trace.is_empty() {
-        return 0.0;
-    }
-    trace.iter().map(|s| s.demand_w).sum::<f64>() / trace.len() as f64
-}
-
-/// Check a demand sample stream for the obvious invariant violations.
-/// Used by property tests and the trace importer.
-pub fn validate(trace: &[DemandSample]) -> Result<(), String> {
-    let mut last = None;
-    for (i, s) in trace.iter().enumerate() {
-        if s.demand_w < 0.0 {
-            return Err(format!("sample {i}: negative demand {}", s.demand_w));
-        }
-        if s.demand_w.is_nan() || s.outdoor_c.is_nan() {
-            return Err(format!("sample {i}: NaN"));
-        }
-        if let Some(prev) = last {
-            if s.t < prev {
-                return Err(format!("sample {i}: time goes backwards"));
-            }
-        }
-        last = Some(s.t);
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,15 +184,10 @@ mod tests {
     #[test]
     fn trace_validates() {
         let trace = trace_for_year();
-        assert!(validate(&trace).is_ok());
-        assert!(peak_w(&trace) > mean_w(&trace));
-    }
-
-    #[test]
-    fn validate_catches_negative() {
-        let mut trace = trace_for_year();
-        trace[10].demand_w = -5.0;
-        assert!(validate(&trace).is_err());
+        assert!(trace
+            .iter()
+            .all(|s| s.demand_w >= 0.0 && !s.outdoor_c.is_nan()));
+        assert!(trace.windows(2).all(|w| w[0].t <= w[1].t));
     }
 
     #[test]

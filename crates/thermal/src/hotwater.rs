@@ -146,11 +146,6 @@ impl WaterTank {
         waste_w
     }
 
-    /// Whether the tank can still absorb heat usefully.
-    pub fn wants_heat(&self, target_c: f64) -> bool {
-        self.temp_c < target_c
-    }
-
     /// Demand signal in [0, 1]: 1 when cold, fading to 0 at the target.
     pub fn demand(&self, target_c: f64, full_gap_k: f64) -> f64 {
         assert!(full_gap_k > 0.0);
@@ -226,8 +221,6 @@ mod tests {
         assert_eq!(tank.demand(50.0, 5.0), 0.0);
         assert!((tank.demand(52.5, 5.0) - 0.5).abs() < 1e-12);
         assert_eq!(tank.demand(60.0, 5.0), 1.0);
-        assert!(tank.wants_heat(55.0));
-        assert!(!tank.wants_heat(45.0));
     }
 
     #[test]

@@ -117,20 +117,10 @@ impl ModulatingThermostat {
         }
     }
 
-    /// The standard modulating controller: saturates 1.5 K below setpoint.
-    pub fn standard() -> Self {
-        Self::new(SetpointSchedule::standard(), 1.5)
-    }
-
     /// Heat demand in `[0, 1]` given the current room temperature.
     pub fn demand(&self, t: SimTime, room_c: f64) -> f64 {
         let sp = self.schedule.setpoint_c(t);
         ((sp - room_c) / self.full_demand_gap_k).clamp(0.0, 1.0)
-    }
-
-    /// Current setpoint, for telemetry.
-    pub fn setpoint_c(&self, t: SimTime) -> f64 {
-        self.schedule.setpoint_c(t)
     }
 }
 
@@ -205,7 +195,7 @@ mod tests {
 
     #[test]
     fn night_setback_reduces_demand() {
-        let th = ModulatingThermostat::standard();
+        let th = ModulatingThermostat::new(SetpointSchedule::standard(), 1.5);
         let room = 18.0;
         let day = th.demand(at_hour(12), room);
         let night = th.demand(at_hour(23), room);

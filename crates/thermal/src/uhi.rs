@@ -95,14 +95,6 @@ impl DistrictGrid {
         }
     }
 
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    pub fn height(&self) -> usize {
-        self.height
-    }
-
     fn idx(&self, x: usize, y: usize) -> usize {
         debug_assert!(x < self.width && y < self.height);
         y * self.width + x

@@ -135,10 +135,6 @@ impl Weather {
         }
     }
 
-    pub fn config(&self) -> &WeatherConfig {
-        &self.config
-    }
-
     pub fn span(&self) -> SimDuration {
         self.span
     }
@@ -179,19 +175,6 @@ impl Weather {
         }
         sum / count as f64
     }
-
-    /// Heating degree-hours below `base_c` over `[from, to]` — the
-    /// standard proxy for heating demand.
-    pub fn degree_hours(&self, base_c: f64, from: SimTime, to: SimTime) -> f64 {
-        let mut dh = 0.0;
-        let mut t = from;
-        let step_h = self.resolution.as_hours_f64();
-        while t < to {
-            dh += (base_c - self.outdoor_c(t)).max(0.0) * step_h;
-            t += self.resolution;
-        }
-        dh
-    }
 }
 
 /// A flat tabulation of a [`Weather`] trace: the full seasonal +
@@ -211,7 +194,6 @@ pub struct WeatherTable {
     /// Total outdoor temperature at `resolution` spacing over the span.
     samples: Vec<f64>,
     resolution: SimDuration,
-    span: SimDuration,
 }
 
 impl WeatherTable {
@@ -228,16 +210,7 @@ impl WeatherTable {
         WeatherTable {
             samples,
             resolution,
-            span: weather.span(),
         }
-    }
-
-    pub fn span(&self) -> SimDuration {
-        self.span
-    }
-
-    pub fn resolution(&self) -> SimDuration {
-        self.resolution
     }
 
     /// Outdoor temperature at `t` (°C): two loads and a lerp. Queries
@@ -329,9 +302,9 @@ mod tests {
             dev.mean()
         );
         assert!(
-            (dev.std() - 2.5).abs() < 1.0,
+            (dev.variance().sqrt() - 2.5).abs() < 1.0,
             "noise std {} should be ~2.5",
-            dev.std()
+            dev.variance().sqrt()
         );
     }
 
@@ -351,20 +324,6 @@ mod tests {
         let b = Weather::generate(cfg, SimDuration::from_days(30), &RngStreams::new(6));
         let t = SimTime::ZERO + SimDuration::from_days(12);
         assert_ne!(a.outdoor_c(t), b.outdoor_c(t));
-    }
-
-    #[test]
-    fn degree_hours_winter_exceed_summer() {
-        let cfg = WeatherConfig::paris(Calendar::JANUARY_EPOCH);
-        let w = Weather::generate(cfg, SimDuration::YEAR, &streams());
-        let jan = w.degree_hours(
-            18.0,
-            SimTime::ZERO,
-            SimTime::ZERO + SimDuration::from_days(31),
-        );
-        let jul_start = SimTime::ZERO + SimDuration::from_days(181);
-        let jul = w.degree_hours(18.0, jul_start, jul_start + SimDuration::from_days(31));
-        assert!(jan > 3.0 * jul.max(1.0), "jan={jan} jul={jul}");
     }
 
     #[test]

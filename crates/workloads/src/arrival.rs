@@ -5,7 +5,7 @@
 //! seasonality clearly affects the law of heating requests while
 //! business opportunities will impact the second law." Arrivals here
 //! are Poisson processes whose rate may vary with time (simulated by
-//! thinning), with ready-made business-hours and seasonal modulators.
+//! thinning), with a ready-made business-hours modulator.
 
 use rand::Rng;
 use simcore::dist::exponential;
@@ -88,16 +88,6 @@ pub fn business_factor(t: SimTime) -> f64 {
     }
 }
 
-/// Seasonal modulation for heating-driven capacity: high in winter,
-/// low in summer (peaks at `coldest_day`, 365-day period).
-pub fn seasonal_factor(t: SimTime, coldest_day: f64, summer_floor: f64) -> f64 {
-    assert!((0.0..=1.0).contains(&summer_floor));
-    let doy = t.as_days_f64() % 365.0;
-    let c = (2.0 * std::f64::consts::PI * (doy - coldest_day) / 365.0).cos();
-    // c = 1 at the coldest day → factor 1; c = −1 mid-summer → floor.
-    summer_floor + (1.0 - summer_floor) * (c + 1.0) / 2.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,17 +153,6 @@ mod tests {
         assert_eq!(business_factor(weekday_noon), 1.0);
         assert!(business_factor(weekday_night) < 0.2);
         assert!(business_factor(weekend_noon) < 0.3);
-    }
-
-    #[test]
-    fn seasonal_factor_peaks_at_coldest_day() {
-        let coldest = 15.0;
-        let winter = SimTime::ZERO + SimDuration::from_days(15);
-        let summer = SimTime::ZERO + SimDuration::from_days(15 + 182);
-        let w = seasonal_factor(winter, coldest, 0.2);
-        let s = seasonal_factor(summer, coldest, 0.2);
-        assert!((w - 1.0).abs() < 1e-6);
-        assert!((s - 0.2).abs() < 0.01);
     }
 
     #[test]

@@ -20,7 +20,6 @@
 //! - [`alarm`]: the in-situ audio alarm-detection pipeline of Durand
 //!   et al. \[11\] (experiment E11).
 //! - [`peak`]: peak injection (§III-B's "management of requests peak").
-//! - [`traces`]: CSV export/import of job streams.
 
 pub mod alarm;
 pub mod arrival;
@@ -29,8 +28,5 @@ pub mod edge;
 pub mod job;
 pub mod peak;
 pub mod render;
-pub mod retry;
-pub mod traces;
 
 pub use job::{Flow, Job, JobId};
-pub use retry::RetryBook;

@@ -71,11 +71,6 @@ pub struct RenderYear {
 }
 
 impl RenderYear {
-    /// Generate with the standard calibration.
-    pub fn generate(streams: &RngStreams) -> Self {
-        Self::generate_with(RenderCalibration::qarnot_2016(), streams, 1.0)
-    }
-
     /// Generate a scaled year (`scale` < 1 shrinks the workload while
     /// preserving its shape — useful for fast tests).
     pub fn generate_with(cal: RenderCalibration, streams: &RngStreams, scale: f64) -> Self {
