@@ -17,6 +17,7 @@ use simcore::report::{f2, Table};
 use simcore::time::{Calendar, SimDuration, SimTime};
 use simcore::RngStreams;
 use std::sync::Arc;
+use thermal::batch::ThermalBatch;
 use thermal::comfort::ComfortStats;
 use thermal::room::{Room, RoomParams};
 use thermal::thermostat::{ModulatingThermostat, SetpointSchedule};
@@ -58,16 +59,15 @@ pub fn run(n_rooms: usize, seed: u64) -> (Figure4, Table) {
     let ladder = Arc::new(DvfsLadder::desktop_i7());
     let mut df_series = TimeSeries::new();
     let mut df_comfort = ComfortStats::standard();
-    let mut workers: Vec<(WorkerSim, Room)> = (0..n_rooms)
+    let mut rooms = ThermalBatch::with_capacity(n_rooms);
+    let mut workers: Vec<WorkerSim> = (0..n_rooms)
         .map(|i| {
-            (
-                WorkerSim::new(
-                    i,
-                    ladder.clone(),
-                    HeatRegulator::for_qrad(),
-                    ModulatingThermostat::new(schedule, gap_k),
-                ),
-                Room::new(room_params, 17.0 + (i % 5) as f64 * 0.4),
+            rooms.push(room_params, 17.0 + (i % 5) as f64 * 0.4);
+            WorkerSim::new(
+                i,
+                ladder.clone(),
+                HeatRegulator::for_qrad(),
+                ModulatingThermostat::new(schedule, gap_k),
             )
         })
         .collect();
@@ -75,9 +75,9 @@ pub fn run(n_rooms: usize, seed: u64) -> (Figure4, Table) {
     while t < SimTime::ZERO + span {
         let outdoor = weather.outdoor_c(t);
         let mut mean = 0.0;
-        for (w, room) in &mut workers {
-            w.control_tick(t, outdoor, 100, room); // the render farm keeps backlogs full
-            mean += room.temperature_c();
+        for (i, w) in workers.iter_mut().enumerate() {
+            w.control_tick(t, outdoor, 100, &mut rooms, i); // the render farm keeps backlogs full
+            mean += rooms.temperature_c(i);
         }
         mean /= workers.len() as f64;
         df_series.push(t, mean);

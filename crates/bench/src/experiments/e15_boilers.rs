@@ -16,7 +16,8 @@ use simcore::report::{f2, pct, Table};
 use simcore::time::{Calendar, SimDuration, SimTime};
 use simcore::RngStreams;
 use std::sync::Arc;
-use thermal::room::{Room, RoomParams};
+use thermal::batch::ThermalBatch;
+use thermal::room::RoomParams;
 use thermal::thermostat::{ModulatingThermostat, SetpointSchedule};
 use thermal::weather::{Weather, WeatherConfig};
 
@@ -49,7 +50,8 @@ pub fn run(seed: u64) -> (BoilerComparison, Table) {
         HeatRegulator::for_qrad(),
         ModulatingThermostat::new(SetpointSchedule::standard(), 1.0),
     );
-    let mut heater_room = Room::new(RoomParams::insulated_room(), 18.0);
+    let mut heater_rooms = ThermalBatch::default();
+    heater_rooms.push(RoomParams::insulated_room(), 18.0);
     // Boilers: Stimergy racks on 12-dwelling tanks.
     let mut on_demand = BoilerSim::stimergy(12, BoilerMode::OnDemand, &streams, 0);
     let mut always_on = BoilerSim::stimergy(12, BoilerMode::AlwaysOn, &streams, 1);
@@ -60,7 +62,7 @@ pub fn run(seed: u64) -> (BoilerComparison, Table) {
     let mut ao_monthly = vec![(0.0f64, 0usize); 12];
     let mut t = SimTime::ZERO;
     while t < SimTime::ZERO + SimDuration::YEAR {
-        heater.control_tick(t, weather.outdoor_c(t), 100, &mut heater_room);
+        heater.control_tick(t, weather.outdoor_c(t), 100, &mut heater_rooms, 0);
         on_demand.control_tick(t);
         always_on.control_tick(t);
         let m = cal.month_index(t).calendar as usize;

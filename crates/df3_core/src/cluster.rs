@@ -8,7 +8,7 @@
 
 use crate::config::ArchClass;
 use crate::regulator::HeatRegulator;
-use crate::worker::{SensorState, WorkerSim};
+use crate::worker::{RunningSlice, SensorState, WorkerSim};
 use dfhw::dvfs::DvfsLadder;
 use sched::queue::{Discipline, ReadyQueue};
 use sched::ClusterLoad;
@@ -206,24 +206,6 @@ impl ClusterSim {
         }
     }
 
-    /// Tick a single worker off-cycle (the wake path): advance its room
-    /// in the fleet batch by the elapsed interval, then complete its
-    /// control decision against `backlog` cores.
-    fn tick_worker(
-        &mut self,
-        i: usize,
-        now: SimTime,
-        outdoor_c: f64,
-        backlog: usize,
-        rooms: &mut ThermalBatch,
-    ) -> f64 {
-        let slot = self.room_base + i;
-        let w = &mut self.workers[i];
-        let dt = now.saturating_since(w.last_tick());
-        let room_c = rooms.step_one(slot, dt, outdoor_c, w.heat_w());
-        w.complete_tick(now, room_c, backlog)
-    }
-
     /// Try to start `job` now. Tries workers with free budgeted cores
     /// first (preferring ones already serving the job's flow, to avoid
     /// switch costs); failing that, wakes an eligible idle worker via
@@ -277,7 +259,8 @@ impl ClusterSim {
                 continue;
             }
             let backlog = job.cores + self.workers[i].busy_cores();
-            self.tick_worker(i, now, outdoor_c, backlog, rooms);
+            let slot = self.room_slot(i);
+            self.workers[i].control_tick(now, outdoor_c, backlog, rooms, slot);
             if let Some(width) = Self::moldable_width(&job, self.workers[i].free_cores()) {
                 let finish = self
                     .update_worker(i, |w| w.dispatch(now, job, width, cost))
@@ -362,10 +345,10 @@ impl ClusterSim {
         self.update_worker(w, |worker| worker.dispatch(now, job, job.cores, cost))
     }
 
-    /// Break worker `w` at `now`; returns its preempted jobs with their
-    /// remaining work (see [`WorkerSim::fail`]).
-    pub(crate) fn fail_worker(&mut self, w: usize, now: SimTime) -> Vec<Job> {
-        self.update_worker(w, |worker| worker.fail(now))
+    /// Crash worker `w`; returns the slices it was running (see
+    /// [`WorkerSim::fail`]).
+    pub(crate) fn fail_worker(&mut self, w: usize) -> Vec<RunningSlice> {
+        self.update_worker(w, WorkerSim::fail)
     }
 
     /// Return worker `w` to service.
@@ -770,7 +753,7 @@ mod tests {
         let (mut c, mut rooms) = cluster_a();
         assert_eq!(c.load().total_cores, 64);
         for w in 0..c.n_workers() {
-            c.fail_worker(w, SimTime::ZERO);
+            c.fail_worker(w);
         }
         assert_eq!(c.load().total_cores, 0, "a dark cluster has no capacity");
         assert_eq!(c.load().utilisation(), 1.0, "…and never looks idle");
@@ -783,7 +766,7 @@ mod tests {
     #[test]
     fn backfill_stages_boiler_heat_for_failed_rooms_only() {
         let (mut c, mut rooms) = cluster_a();
-        c.fail_worker(0, SimTime::ZERO);
+        c.fail_worker(0);
         // Cold rooms → full thermostat demand on the failed slot.
         for w in 0..c.n_workers() {
             rooms.set_temperature_c(c.room_slot(w), 10.0);
@@ -855,8 +838,11 @@ mod tests {
                         }
                     }
                     5 => {
-                        for j in c.fail_worker(w, now) {
-                            c.dcc_queue.push(j);
+                        for s in c.fail_worker(w) {
+                            c.dcc_queue.push(Job {
+                                cores: s.cores,
+                                ..s.job
+                            });
                         }
                     }
                     6 => c.repair_worker(w),

@@ -131,15 +131,27 @@ impl PlatformConfig {
         if self.n_clusters == 0 || self.workers_per_cluster == 0 {
             return Err("need at least one cluster and one worker".into());
         }
-        if let ArchClass::DedicatedEdge { edge_workers, .. } = self.arch {
-            if edge_workers >= self.workers_per_cluster {
-                return Err(format!(
-                    "edge_workers {edge_workers} must leave DCC workers in a {}-worker cluster",
-                    self.workers_per_cluster
-                ));
+        match self.arch {
+            ArchClass::SharedWorkers { switch_cost } if switch_cost.is_negative() => {
+                return Err("switch cost must not be negative".into());
             }
-            if edge_workers == 0 {
-                return Err("class B needs at least one dedicated edge worker".into());
+            ArchClass::SharedWorkers { .. } => {}
+            ArchClass::DedicatedEdge {
+                edge_workers,
+                vpn_overhead,
+            } => {
+                if edge_workers >= self.workers_per_cluster {
+                    return Err(format!(
+                        "edge_workers {edge_workers} must leave DCC workers in a {}-worker cluster",
+                        self.workers_per_cluster
+                    ));
+                }
+                if edge_workers == 0 {
+                    return Err("class B needs at least one dedicated edge worker".into());
+                }
+                if vpn_overhead.is_negative() {
+                    return Err("VPN overhead must not be negative".into());
+                }
             }
         }
         if self.control_period <= SimDuration::ZERO {
@@ -147,6 +159,15 @@ impl PlatformConfig {
         }
         if self.horizon <= SimDuration::ZERO {
             return Err("horizon must be positive".into());
+        }
+        if !self.setpoint_c.is_finite() {
+            return Err(format!("setpoint {} °C is not finite", self.setpoint_c));
+        }
+        if self.calendar.epoch_month >= 12 {
+            return Err(format!(
+                "epoch month {} is not a month (0 = January .. 11 = December)",
+                self.calendar.epoch_month
+            ));
         }
         self.faults
             .validate(self.n_clusters, self.workers_per_cluster)
@@ -188,6 +209,26 @@ mod tests {
         let mut c = PlatformConfig::small_winter();
         c.control_period = SimDuration::ZERO;
         assert!(c.validate().is_err());
+
+        // Each of these used to pass, then panic mid-run or report a
+        // negative latency.
+        let mut c = PlatformConfig::small_winter();
+        c.arch = ArchClass::SharedWorkers {
+            switch_cost: SimDuration::from_secs(-1),
+        };
+        assert!(c.validate().is_err(), "negative switch cost");
+        let mut c = PlatformConfig::small_winter();
+        c.arch = ArchClass::DedicatedEdge {
+            edge_workers: 4,
+            vpn_overhead: SimDuration::from_millis(-30_000),
+        };
+        assert!(c.validate().is_err(), "negative VPN overhead");
+        let mut c = PlatformConfig::small_winter();
+        c.setpoint_c = f64::NAN;
+        assert!(c.validate().is_err(), "NaN setpoint");
+        let mut c = PlatformConfig::small_winter();
+        c.calendar.epoch_month = 12;
+        assert!(c.validate().is_err(), "a thirteenth month");
 
         // Fault plans are validated against the fleet shape.
         let mut c = PlatformConfig::small_winter();

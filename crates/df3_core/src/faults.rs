@@ -36,10 +36,7 @@
 
 use dfnet::link::{Degradation, Link, LinkClass};
 use sched::retry::{QuarantinePolicy, RetryPolicy};
-use simcore::snapshot::{Snapshot, SnapshotError, SnapshotReader};
 use simcore::time::{SimDuration, SimTime};
-use std::collections::BTreeMap;
-use workloads::JobId;
 
 /// A half-open activity window `[start, end)`, as offsets from t = 0.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -538,76 +535,6 @@ simcore::impl_snapshot! {
 
 simcore::impl_snapshot! {
     FaultEvent { t, kind, cluster, worker }
-}
-
-/// Live per-run fault state: the books the plan's injectors and
-/// recovery fill in. Every run builds one; an empty plan leaves its
-/// books empty. The plan itself stays on the config.
-#[derive(Debug)]
-pub(crate) struct FaultRuntime {
-    /// Retry attempt counts for edge jobs in an open retry chain. The
-    /// platform adds an attempt each time it re-submits a rejected edge
-    /// request and drops the entry at any terminal outcome.
-    pub retry_book: BTreeMap<JobId, u32>,
-    /// Failure history for quarantine decisions.
-    pub flap: sched::retry::FlapTracker,
-    /// Whether each cluster is inside a power outage right now.
-    pub cluster_dark: Vec<bool>,
-    /// Whether each planned cluster outage has had its down/up
-    /// transitions scheduled yet (outages are scheduled lazily, one
-    /// control tick ahead, so a restored run can pick up outages added
-    /// by a branch plan).
-    pub outage_scheduled: Vec<bool>,
-}
-
-// The books' snapshot codec (the plan itself is config, rebuilt on
-// restore).
-simcore::impl_snapshot! {
-    FaultRuntime { retry_book, flap, cluster_dark, outage_scheduled }
-}
-
-impl FaultRuntime {
-    pub fn new(plan: &FaultPlan, n_clusters: usize, n_worker_slots: usize) -> Self {
-        FaultRuntime {
-            retry_book: BTreeMap::new(),
-            flap: sched::retry::FlapTracker::new(n_worker_slots),
-            cluster_dark: vec![false; n_clusters],
-            outage_scheduled: vec![false; plan.cluster_outages.len()],
-        }
-    }
-
-    /// Replace the books with ones checkpointed at `now` under `plan`.
-    /// A branch plan may have *more* outages than the snapshot knew
-    /// about; the scheduled-flags vector grows with `false` for the
-    /// additions.
-    pub fn restore_state(
-        &mut self,
-        r: &mut SnapshotReader<'_>,
-        now: SimTime,
-        plan: &FaultPlan,
-    ) -> Result<(), SnapshotError> {
-        let mut books = FaultRuntime::decode(r)?;
-        if !books.flap.recorded_by(now) {
-            return Err(SnapshotError::Corrupt(format!(
-                "a recorded worker failure lies outside [0, {now}]"
-            )));
-        }
-        let (n, want) = (books.cluster_dark.len(), self.cluster_dark.len());
-        if n != want {
-            return Err(SnapshotError::Corrupt(format!(
-                "snapshot tracks {n} clusters, config built {want}"
-            )));
-        }
-        let (n, want) = (books.outage_scheduled.len(), plan.cluster_outages.len());
-        if n > want {
-            return Err(SnapshotError::Corrupt(format!(
-                "snapshot tracks {n} cluster outages, plan has {want}"
-            )));
-        }
-        books.outage_scheduled.resize(want, false);
-        *self = books;
-        Ok(())
-    }
 }
 
 #[cfg(test)]

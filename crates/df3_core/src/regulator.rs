@@ -63,6 +63,16 @@ pub struct RegulatorDecision {
 }
 
 impl RegulatorDecision {
+    /// A dark board: unpowered, no cores, no heat.
+    pub const OFF: RegulatorDecision = RegulatorDecision {
+        powered: false,
+        usable_cores: 0,
+        level: 0,
+        compute_budget_w: 0.0,
+        resistive_w: 0.0,
+        heat_budget_w: 0.0,
+    };
+
     /// Total heat that will be produced if the compute side runs at its
     /// budget, W.
     pub fn total_heat_w(&self) -> f64 {
@@ -109,15 +119,7 @@ impl HeatRegulator {
             "demand out of range: {demand}"
         );
         if demand < self.power_off_threshold {
-            let off = RegulatorDecision {
-                powered: false,
-                usable_cores: 0,
-                level: 0,
-                compute_budget_w: 0.0,
-                resistive_w: 0.0,
-                heat_budget_w: 0.0,
-            };
-            return (off, 0);
+            return (RegulatorDecision::OFF, 0);
         }
         let budget_w = demand * self.max_power_w;
         // Power available to cores after board overhead.

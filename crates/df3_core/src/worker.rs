@@ -11,8 +11,8 @@
 //! period. Each step sums the running slices' power once and scans the
 //! DVFS ladder once: that one scan yields both the budget and the
 //! backlog-free potential ([`WorkerSim::potential_cores`]).
-//! [`WorkerSim::control_tick`] bundles the same sequence around
-//! a standalone scalar [`Room`] for single-worker studies and tests.
+//! [`WorkerSim::control_tick`] steps one room of a batch and completes
+//! the tick: the off-cycle wake path, single-worker studies and tests.
 //!
 //! Jobs occupy cores at the P-state in force at dispatch and keep that
 //! speed until completion (a deliberate simplification: Qarnot's
@@ -23,7 +23,7 @@ use crate::regulator::{HeatRegulator, RegulatorDecision};
 use dfhw::dvfs::DvfsLadder;
 use simcore::time::{SimDuration, SimTime};
 use std::sync::Arc;
-use thermal::room::Room;
+use thermal::batch::ThermalBatch;
 use thermal::thermostat::ModulatingThermostat;
 use workloads::{Job, JobId};
 
@@ -322,10 +322,9 @@ impl WorkerSim {
     }
 
     /// Finish the control loop at `now`, after this worker's room has
-    /// been advanced (in the fleet batch or a scalar [`Room`]) to
-    /// `room_c`: close the energy integrals over the elapsed period,
-    /// read the thermostat, and set the next period's regulator
-    /// decision. Returns the demand.
+    /// been advanced to `room_c`: close the energy integrals over the
+    /// elapsed period, read the thermostat, and set the next period's
+    /// regulator decision. Returns the demand.
     pub fn complete_tick(&mut self, now: SimTime, room_c: f64, backlog_cores: usize) -> f64 {
         let dt = now.saturating_since(self.last_tick);
         if dt > SimDuration::ZERO {
@@ -338,14 +337,7 @@ impl WorkerSim {
         if self.failed {
             // Broken hardware: dark and cold until repaired.
             self.potential_cores = 0;
-            self.decision = RegulatorDecision {
-                powered: false,
-                usable_cores: 0,
-                level: 0,
-                compute_budget_w: 0.0,
-                resistive_w: 0.0,
-                heat_budget_w: 0.0,
-            };
+            self.decision = RegulatorDecision::OFF;
             return 0.0;
         }
         let measured_c = self.sense(room_c);
@@ -367,23 +359,21 @@ impl WorkerSim {
         demand
     }
 
-    /// Run the full control loop at `now` against a standalone scalar
-    /// `room`: integrate the room with the heat produced over the
-    /// elapsed period, then [`WorkerSim::complete_tick`]. This is the
-    /// reference single-worker path (experiments, tests); the platform
-    /// batches the room step fleet-wide instead.
+    /// Run the full control loop at `now` on this worker alone: step
+    /// its room, `slot` of `rooms`, with the heat produced over the
+    /// elapsed period, then [`WorkerSim::complete_tick`]. The control
+    /// tick instead stages every room and sweeps the batch once.
     pub fn control_tick(
         &mut self,
         now: SimTime,
         outdoor_c: f64,
         backlog_cores: usize,
-        room: &mut Room,
+        rooms: &mut ThermalBatch,
+        slot: usize,
     ) -> f64 {
         let dt = now.saturating_since(self.last_tick);
-        if dt > SimDuration::ZERO {
-            room.step(dt, outdoor_c, self.heat_w());
-        }
-        self.complete_tick(now, room.temperature_c(), backlog_cores)
+        let room_c = rooms.step_one(slot, dt, outdoor_c, self.heat_w());
+        self.complete_tick(now, room_c, backlog_cores)
     }
 
     /// Heat-budgeted capacity at the last tick, cores (independent of
@@ -397,23 +387,15 @@ impl WorkerSim {
         self.failed
     }
 
-    /// Break the server at `now`: every running job is preempted (its
-    /// remaining work is returned for requeueing) and the board goes
-    /// dark until [`WorkerSim::repair`].
-    pub fn fail(&mut self, now: SimTime) -> Vec<Job> {
+    /// Crash the server: every running slice is removed and returned
+    /// (a crash keeps none of their progress), and the board goes dark
+    /// until [`WorkerSim::repair`].
+    pub fn fail(&mut self) -> Vec<RunningSlice> {
         self.failed = true;
-        let ids: Vec<workloads::JobId> = self.running.iter().map(|s| s.job.id).collect();
-        let jobs = ids.into_iter().map(|id| self.preempt(id, now)).collect();
-        self.decision = RegulatorDecision {
-            powered: false,
-            usable_cores: 0,
-            level: 0,
-            compute_budget_w: 0.0,
-            resistive_w: 0.0,
-            heat_budget_w: 0.0,
-        };
+        (self.busy, self.preemptible) = (0, 0);
+        self.decision = RegulatorDecision::OFF;
         self.potential_cores = 0;
-        jobs
+        self.running.drain(..).collect()
     }
 
     /// Return the server to service (the next control tick re-budgets it).
@@ -525,7 +507,10 @@ mod tests {
     use thermal::thermostat::SetpointSchedule;
     use workloads::{Flow, JobId};
 
-    fn worker() -> (WorkerSim, Room) {
+    /// A worker and its room, slot 0 of a one-room batch.
+    fn worker() -> (WorkerSim, ThermalBatch) {
+        let mut rooms = ThermalBatch::default();
+        rooms.push(RoomParams::typical_apartment_room(), 17.0);
         (
             WorkerSim::new(
                 0,
@@ -533,7 +518,7 @@ mod tests {
                 HeatRegulator::for_qrad(),
                 ModulatingThermostat::new(SetpointSchedule::constant(20.0), 1.5),
             ),
-            Room::new(RoomParams::typical_apartment_room(), 17.0),
+            rooms,
         )
     }
 
@@ -557,8 +542,8 @@ mod tests {
     #[test]
     fn restore_refuses_a_nan_speed_and_an_overwide_slice() {
         use simcore::snapshot::{SnapshotError, SnapshotReader, SnapshotWriter};
-        let (mut w, mut room) = worker();
-        w.control_tick(SimTime::ZERO, 5.0, 100, &mut room);
+        let (mut w, mut rooms) = worker();
+        w.control_tick(SimTime::ZERO, 5.0, 100, &mut rooms, 0);
         w.dispatch(SimTime::ZERO, job(1, 4, 480.0, false), 2, SimDuration::ZERO)
             .expect("cold room → full budget");
         let restore = |w: &WorkerSim| {
@@ -578,8 +563,8 @@ mod tests {
 
     #[test]
     fn dispatch_occupies_cores_until_finish() {
-        let (mut w, mut room) = worker();
-        w.control_tick(SimTime::ZERO, 5.0, 100, &mut room);
+        let (mut w, mut rooms) = worker();
+        w.control_tick(SimTime::ZERO, 5.0, 100, &mut rooms, 0);
         let finish = w
             .dispatch(SimTime::ZERO, job(1, 4, 480.0, false), 4, SimDuration::ZERO)
             .expect("cold room → full budget");
@@ -593,8 +578,8 @@ mod tests {
 
     #[test]
     fn dispatch_fails_when_budget_exhausted() {
-        let (mut w, mut room) = worker();
-        w.control_tick(SimTime::ZERO, 5.0, 100, &mut room);
+        let (mut w, mut rooms) = worker();
+        w.control_tick(SimTime::ZERO, 5.0, 100, &mut rooms, 0);
         assert!(w
             .dispatch(
                 SimTime::ZERO,
@@ -613,10 +598,10 @@ mod tests {
 
     #[test]
     fn warm_room_throttles_capacity() {
-        let (mut w, _) = worker();
+        let (mut w, mut rooms) = worker();
         // Make the room warm: no demand.
-        let mut room = Room::new(RoomParams::typical_apartment_room(), 24.0);
-        w.control_tick(SimTime::ZERO, 15.0, 100, &mut room);
+        rooms.set_temperature_c(0, 24.0);
+        w.control_tick(SimTime::ZERO, 15.0, 100, &mut rooms, 0);
         assert!(!w.decision().powered, "no heat demand → board off");
         assert!(w
             .dispatch(SimTime::ZERO, job(1, 1, 10.0, false), 1, SimDuration::ZERO)
@@ -625,8 +610,8 @@ mod tests {
 
     #[test]
     fn cold_room_creates_capacity_and_heat() {
-        let (mut w, mut room) = worker();
-        let demand = w.control_tick(SimTime::ZERO, 0.0, 100, &mut room);
+        let (mut w, mut rooms) = worker();
+        let demand = w.control_tick(SimTime::ZERO, 0.0, 100, &mut rooms, 0);
         assert!(demand > 0.9, "17 °C room, 20 °C target → high demand");
         assert!(w.decision().usable_cores >= 12);
         // With no running jobs the resistive element covers the demand.
@@ -635,8 +620,8 @@ mod tests {
 
     #[test]
     fn context_switch_cost_applies_on_flow_alternation() {
-        let (mut w, mut room) = worker();
-        w.control_tick(SimTime::ZERO, 0.0, 100, &mut room);
+        let (mut w, mut rooms) = worker();
+        w.control_tick(SimTime::ZERO, 0.0, 100, &mut rooms, 0);
         let cost = SimDuration::from_secs(2);
         let f1 = w
             .dispatch(SimTime::ZERO, job(1, 1, 3.0, false), 1, cost)
@@ -654,8 +639,8 @@ mod tests {
 
     #[test]
     fn preemption_returns_remaining_work() {
-        let (mut w, mut room) = worker();
-        w.control_tick(SimTime::ZERO, 0.0, 100, &mut room);
+        let (mut w, mut rooms) = worker();
+        w.control_tick(SimTime::ZERO, 0.0, 100, &mut rooms, 0);
         w.dispatch(SimTime::ZERO, job(1, 2, 600.0, false), 2, SimDuration::ZERO);
         // After 50 s at 2×3 Gops, 300 Gop done.
         let back = w.preempt(JobId(1), SimTime::from_secs(50));
@@ -669,15 +654,15 @@ mod tests {
 
     #[test]
     fn thermal_loop_warms_the_room_toward_setpoint() {
-        let (mut w, mut room) = worker();
+        let (mut w, mut rooms) = worker();
         let mut t = SimTime::ZERO;
         let dt = SimDuration::from_secs(600);
         for _ in 0..(6 * 48) {
             // Plenty of backlog: the server heats by computing.
-            w.control_tick(t, 5.0, 100, &mut room);
+            w.control_tick(t, 5.0, 100, &mut rooms, 0);
             t += dt;
         }
-        let temp = room.temperature_c();
+        let temp = rooms.temperature_c(0);
         assert!(
             (18.4..21.0).contains(&temp),
             "room should settle near 20 °C, got {temp}"
@@ -687,12 +672,12 @@ mod tests {
 
     #[test]
     fn running_jobs_keep_their_cores_across_throttling() {
-        let (mut w, mut room) = worker();
-        w.control_tick(SimTime::ZERO, 0.0, 100, &mut room);
+        let (mut w, mut rooms) = worker();
+        w.control_tick(SimTime::ZERO, 0.0, 100, &mut rooms, 0);
         w.dispatch(SimTime::ZERO, job(1, 8, 1e6, false), 8, SimDuration::ZERO);
         // Room becomes warm: demand collapses, but the slice stays.
-        room = Room::new(RoomParams::typical_apartment_room(), 25.0);
-        w.control_tick(SimTime::from_secs(600), 15.0, 100, &mut room);
+        rooms.set_temperature_c(0, 25.0);
+        w.control_tick(SimTime::from_secs(600), 15.0, 100, &mut rooms, 0);
         assert!(w.decision().powered, "powered while a job still runs");
         assert_eq!(w.busy_cores(), 8);
         assert!(w.decision().usable_cores >= 8);
@@ -730,7 +715,7 @@ mod tests {
                 }
                 let room_c = temps[step as usize % temps.len()];
                 match step % 40 {
-                    25 => drop(w.fail(now)),
+                    25 => drop(w.fail()),
                     31 => w.repair(),
                     _ => {}
                 }
@@ -774,14 +759,14 @@ mod tests {
 
     #[test]
     fn dropout_degrades_to_last_known_good_minus_bias() {
-        let (mut w, mut room) = worker();
+        let (mut w, mut rooms) = worker();
         // Healthy tick at 17 °C records last-known-good.
-        let d_healthy = w.control_tick(SimTime::ZERO, 5.0, 100, &mut room);
+        let d_healthy = w.control_tick(SimTime::ZERO, 5.0, 100, &mut rooms, 0);
         w.set_sensor(SensorState::Dropout);
         // Room secretly warms to setpoint; the dropout still reads
         // ~16.5 °C (17 − 0.5 bias) → demand no lower than before.
-        room = Room::new(RoomParams::typical_apartment_room(), 20.0);
-        let d_dropout = w.control_tick(SimTime::from_secs(600), 5.0, 100, &mut room);
+        rooms.set_temperature_c(0, 20.0);
+        let d_dropout = w.control_tick(SimTime::from_secs(600), 5.0, 100, &mut rooms, 0);
         assert!(
             d_dropout >= d_healthy,
             "conservative bias must not under-heat: {d_dropout} vs {d_healthy}"
@@ -790,9 +775,9 @@ mod tests {
 
     #[test]
     fn dropout_without_history_uses_setpoint_fallback() {
-        let (mut w, mut room) = worker();
+        let (mut w, mut rooms) = worker();
         w.set_sensor(SensorState::Dropout);
-        let d = w.control_tick(SimTime::ZERO, 5.0, 100, &mut room);
+        let d = w.control_tick(SimTime::ZERO, 5.0, 100, &mut rooms, 0);
         // Measured = 20 − 0.5 → a sliver of demand, never a panic.
         assert!((0.0..=1.0).contains(&d));
         assert!(d > 0.0);
@@ -800,23 +785,23 @@ mod tests {
 
     #[test]
     fn stuck_sensor_feeds_its_constant_through_the_clamp() {
-        let (mut w, mut room) = worker();
+        let (mut w, mut rooms) = worker();
         w.set_sensor(SensorState::StuckAt(30.0));
-        let d = w.control_tick(SimTime::ZERO, 5.0, 100, &mut room);
+        let d = w.control_tick(SimTime::ZERO, 5.0, 100, &mut rooms, 0);
         assert_eq!(d, 0.0, "a hot-stuck sensor reads no demand");
         w.set_sensor(SensorState::StuckAt(-40.0));
-        let d = w.control_tick(SimTime::from_secs(600), 5.0, 100, &mut room);
+        let d = w.control_tick(SimTime::from_secs(600), 5.0, 100, &mut rooms, 0);
         assert_eq!(d, 1.0, "a cold-stuck sensor saturates demand");
     }
 
     #[test]
     fn non_finite_stuck_value_never_panics() {
-        let (mut w, mut room) = worker();
+        let (mut w, mut rooms) = worker();
         w.set_sensor(SensorState::StuckAt(f64::NAN));
-        let d = w.control_tick(SimTime::ZERO, 5.0, 100, &mut room);
+        let d = w.control_tick(SimTime::ZERO, 5.0, 100, &mut rooms, 0);
         assert!((0.0..=1.0).contains(&d));
         w.set_sensor(SensorState::StuckAt(f64::INFINITY));
-        let d = w.control_tick(SimTime::from_secs(600), 5.0, 100, &mut room);
+        let d = w.control_tick(SimTime::from_secs(600), 5.0, 100, &mut rooms, 0);
         assert!((0.0..=1.0).contains(&d));
     }
 }

@@ -152,7 +152,7 @@ fn work_counters_are_pinned() {
 #[test]
 fn run_allocations_are_pinned() {
     assert_eq!(run_allocations(quiet()), (142, 126_336));
-    assert_eq!(run_allocations(faulted()), (402, 233_264));
+    assert_eq!(run_allocations(faulted()), (330, 221_168));
 }
 
 /// How many intervals each profiler phase recorded over a full run of

@@ -8,10 +8,18 @@ use df3::df3_core::worker::WorkerSim;
 use df3::dfhw::dvfs::DvfsLadder;
 use df3::simcore::time::{Calendar, SimDuration, SimTime};
 use df3::simcore::RngStreams;
+use df3::thermal::batch::ThermalBatch;
 use df3::thermal::room::{Room, RoomParams};
 use df3::thermal::thermostat::{ModulatingThermostat, SetpointSchedule};
 use df3::thermal::weather::{Weather, WeatherConfig};
 use std::sync::Arc;
+
+/// A one-room batch: the worker's room is slot 0.
+fn one_room(initial_c: f64) -> ThermalBatch {
+    let mut rooms = ThermalBatch::default();
+    rooms.push(RoomParams::typical_apartment_room(), initial_c);
+    rooms
+}
 
 fn winter_weather(days: i64, seed: u64) -> Weather {
     Weather::generate(
@@ -30,17 +38,17 @@ fn worker_energy_equals_integrated_power() {
         HeatRegulator::for_qrad(),
         ModulatingThermostat::new(SetpointSchedule::constant(20.0), 1.5),
     );
-    let mut room = Room::new(RoomParams::typical_apartment_room(), 17.0);
+    let mut room = one_room(17.0);
     let step = SimDuration::from_secs(600);
     let mut t = SimTime::ZERO;
     let mut manual_j = 0.0;
     while t < SimTime::ZERO + SimDuration::from_days(7) {
         // Power over [t, t+step) is what control_tick(t+step) integrates.
-        w.control_tick(t, weather.outdoor_c(t), 100, &mut room);
+        w.control_tick(t, weather.outdoor_c(t), 100, &mut room, 0);
         manual_j += w.power_w() * step.as_secs_f64();
         t += step;
     }
-    w.control_tick(t, weather.outdoor_c(t), 100, &mut room);
+    w.control_tick(t, weather.outdoor_c(t), 100, &mut room, 0);
     let meter_kwh = w.energy_kwh();
     let manual_kwh = manual_j / 3.6e6;
     assert!(
@@ -63,14 +71,14 @@ fn qrad_and_convector_reach_the_same_comfort() {
         HeatRegulator::for_qrad(),
         ModulatingThermostat::new(schedule, 1.5),
     );
-    let mut room = Room::new(RoomParams::typical_apartment_room(), 17.0);
+    let mut room = one_room(17.0);
     let step = SimDuration::from_secs(600);
     let mut t = SimTime::ZERO;
     let mut qrad_mean = 0.0;
     let mut n = 0;
     while t < SimTime::ZERO + SimDuration::from_days(14) {
-        w.control_tick(t, weather.outdoor_c(t), 100, &mut room);
-        qrad_mean += room.temperature_c();
+        w.control_tick(t, weather.outdoor_c(t), 100, &mut room, 0);
+        qrad_mean += room.temperature_c(0);
         n += 1;
         t += step;
     }
@@ -109,14 +117,14 @@ fn colder_weather_draws_more_energy() {
             HeatRegulator::for_qrad(),
             ModulatingThermostat::new(SetpointSchedule::constant(20.0), 1.5),
         );
-        let mut room = Room::new(RoomParams::typical_apartment_room(), 17.0);
+        let mut room = one_room(17.0);
         let step = SimDuration::from_secs(600);
         let mut t = SimTime::ZERO;
         while t < SimTime::ZERO + SimDuration::from_days(7) {
-            w.control_tick(t, weather.outdoor_c(t), 100, &mut room);
+            w.control_tick(t, weather.outdoor_c(t), 100, &mut room, 0);
             t += step;
         }
-        w.control_tick(t, weather.outdoor_c(t), 100, &mut room);
+        w.control_tick(t, weather.outdoor_c(t), 100, &mut room, 0);
         w.energy_kwh()
     };
     let paris_kwh = run(&paris);
