@@ -9,9 +9,8 @@
 //! Nov–May, next to a resistive-convector baseline in the same weather.
 
 use baselines::electric_heater::{simulate, ElectricHeater};
-use df3_core::regulator::HeatRegulator;
+use df3_core::regulator::RegulatorTable;
 use df3_core::worker::WorkerSim;
-use dfhw::dvfs::DvfsLadder;
 use simcore::metrics::TimeSeries;
 use simcore::report::{f2, Table};
 use simcore::time::{Calendar, SimDuration, SimTime};
@@ -56,7 +55,7 @@ pub fn run(n_rooms: usize, seed: u64) -> (Figure4, Table) {
     let gap_k = 0.75;
 
     // --- DF rooms: full worker loop with busy backlog (render farm). ---
-    let ladder = Arc::new(DvfsLadder::desktop_i7());
+    let table = Arc::new(RegulatorTable::qrad());
     let mut df_series = TimeSeries::new();
     let mut df_comfort = ComfortStats::standard();
     let mut rooms = ThermalBatch::with_capacity(n_rooms);
@@ -65,8 +64,7 @@ pub fn run(n_rooms: usize, seed: u64) -> (Figure4, Table) {
             rooms.push(room_params, 17.0 + (i % 5) as f64 * 0.4);
             WorkerSim::new(
                 i,
-                ladder.clone(),
-                HeatRegulator::for_qrad(),
+                Arc::clone(&table),
                 ModulatingThermostat::new(schedule, gap_k),
             )
         })

@@ -5,7 +5,7 @@
 //! (b) the Le Sueur & Heiser "laws of diminishing returns" — energy
 //! per operation across the P-state ladder.
 
-use df3_core::regulator::HeatRegulator;
+use df3_core::regulator::RegulatorTable;
 use dfhw::dvfs::DvfsLadder;
 use simcore::report::{f2, f3, Table};
 
@@ -22,8 +22,8 @@ pub struct RegulatorResult {
 
 /// Run E13.
 pub fn run() -> (RegulatorResult, Table) {
-    let reg = HeatRegulator::for_qrad();
-    let ladder = DvfsLadder::desktop_i7();
+    let reg = RegulatorTable::qrad();
+    let ladder = reg.ladder();
 
     let mut tracking = Vec::new();
     let mut max_err: f64 = 0.0;
@@ -32,8 +32,8 @@ pub fn run() -> (RegulatorResult, Table) {
     for pct in (5..=100).step_by(5) {
         let demand = pct as f64 / 100.0;
         let target = demand * 500.0;
-        let busy = reg.decide(&ladder, demand, 100);
-        let idle = reg.decide(&ladder, demand, 0);
+        let busy = reg.decide(demand, 100);
+        let idle = reg.decide(demand, 0);
         // With a backlog: compute side ideally runs at its budget and the
         // resistive element fills the rest; idle: resistive covers all
         // (beyond the board overhead that is counted within the budget).

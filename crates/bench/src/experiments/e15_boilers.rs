@@ -9,9 +9,8 @@
 //! capacity stability and waste.
 
 use df3_core::boiler::{BoilerMode, BoilerSim};
-use df3_core::regulator::HeatRegulator;
+use df3_core::regulator::RegulatorTable;
 use df3_core::worker::WorkerSim;
-use dfhw::dvfs::DvfsLadder;
 use simcore::report::{f2, pct, Table};
 use simcore::time::{Calendar, SimDuration, SimTime};
 use simcore::RngStreams;
@@ -46,8 +45,7 @@ pub fn run(seed: u64) -> (BoilerComparison, Table) {
     // Heater: one Q.rad room with a space-heating thermostat.
     let mut heater = WorkerSim::new(
         0,
-        Arc::new(DvfsLadder::desktop_i7()),
-        HeatRegulator::for_qrad(),
+        Arc::new(RegulatorTable::qrad()),
         ModulatingThermostat::new(SetpointSchedule::standard(), 1.0),
     );
     let mut heater_rooms = ThermalBatch::default();

@@ -16,8 +16,7 @@
 //! - **always-on**: compute at full tilt regardless; excess heat past
 //!   the tank cap is rejected — flat capacity, §III-C's waste warning.
 
-use crate::regulator::HeatRegulator;
-use dfhw::dvfs::DvfsLadder;
+use crate::regulator::{HeatRegulator, RegulatorTable};
 use dfhw::servers::ServerSpec;
 use rand_chacha::ChaCha8Rng;
 use simcore::time::{SimDuration, SimTime};
@@ -36,8 +35,8 @@ pub enum BoilerMode {
 /// One boiler site: an immersion server rack + a DHW tank + residents.
 #[derive(Debug, Clone)]
 pub struct BoilerSim {
-    regulator: HeatRegulator,
-    ladder: DvfsLadder,
+    /// The rack's regulator on its DVFS ladder.
+    table: RegulatorTable,
     pub tank: WaterTank,
     pub profile: DhwProfile,
     pub mode: BoilerMode,
@@ -80,8 +79,7 @@ impl BoilerSim {
             max_power_w: spec.nameplate_w,
         };
         BoilerSim {
-            regulator,
-            ladder: (*spec.ladder).clone(),
+            table: RegulatorTable::new(regulator, (*spec.ladder).clone()),
             tank: WaterTank::building_tank(tank_l, 50.0),
             profile: DhwProfile::residential(n_dwellings),
             mode,
@@ -96,7 +94,7 @@ impl BoilerSim {
     }
 
     pub fn n_cores(&self) -> usize {
-        self.regulator.n_cores
+        self.table.regulator().n_cores
     }
 
     pub fn potential_cores(&self) -> usize {
@@ -126,9 +124,7 @@ impl BoilerSim {
             BoilerMode::OnDemand => self.tank.demand(self.target_c, 8.0),
             BoilerMode::AlwaysOn => 1.0,
         };
-        let decision = self
-            .regulator
-            .decide(&self.ladder, demand, self.regulator.n_cores);
+        let decision = self.table.decide(demand, self.n_cores());
         self.potential_cores = decision.usable_cores;
         // Assume the fleet's DCC backlog keeps budgeted cores busy (the
         // capacity study's operating point): power = compute budget.

@@ -7,9 +7,8 @@
 //! gateways and exposes the load snapshot the peak policies consume.
 
 use crate::config::ArchClass;
-use crate::regulator::HeatRegulator;
+use crate::regulator::RegulatorTable;
 use crate::worker::{RunningSlice, SensorState, WorkerSim};
-use dfhw::dvfs::DvfsLadder;
 use sched::queue::{Discipline, ReadyQueue};
 use sched::ClusterLoad;
 use simcore::time::{SimDuration, SimTime};
@@ -77,9 +76,21 @@ impl ClusterSim {
         setpoint_c: f64,
         rooms: &mut ThermalBatch,
     ) -> Self {
+        let table = Arc::new(RegulatorTable::qrad());
+        Self::with_table(id, n_workers, arch, setpoint_c, rooms, &table)
+    }
+
+    /// [`ClusterSim::new`] on a Q.rad regulator `table` shared with the
+    /// rest of the fleet.
+    pub(crate) fn with_table(
+        id: usize,
+        n_workers: usize,
+        arch: ArchClass,
+        setpoint_c: f64,
+        rooms: &mut ThermalBatch,
+        table: &Arc<RegulatorTable>,
+    ) -> Self {
         assert!(n_workers > 0);
-        let ladder = Arc::new(DvfsLadder::desktop_i7());
-        let regulator = HeatRegulator::for_qrad();
         let room_base = rooms.len();
         let workers = (0..n_workers)
             .map(|w| {
@@ -87,8 +98,7 @@ impl ClusterSim {
                 rooms.push(RoomParams::typical_apartment_room(), initial_c);
                 let mut ws = WorkerSim::new(
                     w,
-                    ladder.clone(),
-                    regulator.clone(),
+                    Arc::clone(table),
                     ModulatingThermostat::new(
                         SetpointSchedule {
                             day_c: setpoint_c,

@@ -49,5 +49,5 @@ pub mod worker;
 pub use config::{ArchClass, PlatformConfig};
 pub use faults::{FaultPlan, RecoveryPolicy, SensorFaultKind, Window};
 pub use platform::{PausedRun, Platform, PlatformOutcome, RunTo};
-pub use regulator::{HeatRegulator, RegulatorDecision};
+pub use regulator::{HeatRegulator, RegulatorDecision, RegulatorTable};
 pub use report::{ExportOptions, RunReport};

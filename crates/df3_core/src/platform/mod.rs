@@ -31,6 +31,7 @@ use crate::cluster::{ClusterSim, Dispatch};
 use crate::config::{ArchClass, PlatformConfig};
 use crate::datacenter::{Datacenter, DatacenterConfig};
 use crate::faults::{FaultEventKind, FaultPlan, SensorFault, SensorFaultKind};
+use crate::regulator::RegulatorTable;
 use crate::stats::PlatformStats;
 use crate::worker::SensorState;
 use dfnet::link::{Link, LinkClass};
@@ -352,14 +353,17 @@ impl Platform {
         ));
         let n_worker_slots = config.n_clusters * config.workers_per_cluster;
         let mut rooms = ThermalBatch::with_capacity(n_worker_slots);
+        // One Q.rad regulator table for the whole fleet.
+        let table = Arc::new(RegulatorTable::qrad());
         let mut clusters: Vec<ClusterSim> = (0..config.n_clusters)
             .map(|i| {
-                ClusterSim::new(
+                ClusterSim::with_table(
                     i,
                     config.workers_per_cluster,
                     config.arch,
                     config.setpoint_c,
                     &mut rooms,
+                    &table,
                 )
             })
             .collect();

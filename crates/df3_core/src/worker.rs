@@ -1,16 +1,17 @@
 //! One DF worker: a server in a room, closing the heat loop.
 //!
-//! The worker owns its [`ModulatingThermostat`] and [`HeatRegulator`];
-//! its room lives as one slot of the platform's fleet-wide
+//! The worker owns its [`ModulatingThermostat`] and shares its fleet's
+//! [`RegulatorTable`] (the Q.rad regulator on its DVFS ladder); its room
+//! lives as one slot of the platform's fleet-wide
 //! [`thermal::ThermalBatch`] (the district-scale SoA fast path). Every
 //! control tick the platform stages each worker's elapsed interval and
 //! heat output into the batch, sweeps all rooms in one loop, then calls
 //! [`WorkerSim::complete_tick`] with the new room temperature: energy
 //! accounting closes, the thermostat reads the temperature, and the
 //! regulator converts the demand into a compute budget for the next
-//! period. Each step sums the running slices' power once and scans the
-//! DVFS ladder once: that one scan yields both the budget and the
-//! backlog-free potential ([`WorkerSim::potential_cores`]).
+//! period. Each step sums the running slices' power once and makes one
+//! table lookup, which yields both the budget and the backlog-free
+//! potential ([`WorkerSim::potential_cores`]).
 //! [`WorkerSim::control_tick`] steps one room of a batch and completes
 //! the tick: the off-cycle wake path, single-worker studies and tests.
 //!
@@ -19,8 +20,7 @@
 //! middleware also avoids re-speeding running containers; the regulator
 //! only steers *new* placements).
 
-use crate::regulator::{HeatRegulator, RegulatorDecision};
-use dfhw::dvfs::DvfsLadder;
+use crate::regulator::{RegulatorDecision, RegulatorTable};
 use simcore::time::{SimDuration, SimTime};
 use std::sync::Arc;
 use thermal::batch::ThermalBatch;
@@ -68,8 +68,8 @@ impl RunningSlice {
 #[derive(Debug, Clone)]
 pub struct WorkerSim {
     pub id: usize,
-    ladder: Arc<DvfsLadder>,
-    regulator: HeatRegulator,
+    /// The regulator and its DVFS ladder, shared with the fleet.
+    table: Arc<RegulatorTable>,
     pub thermostat: ModulatingThermostat,
     /// Current regulator decision (budget for this control period).
     decision: RegulatorDecision,
@@ -105,24 +105,18 @@ pub struct WorkerSim {
 }
 
 impl WorkerSim {
-    pub fn new(
-        id: usize,
-        ladder: Arc<DvfsLadder>,
-        regulator: HeatRegulator,
-        thermostat: ModulatingThermostat,
-    ) -> Self {
+    pub fn new(id: usize, table: Arc<RegulatorTable>, thermostat: ModulatingThermostat) -> Self {
         let decision = RegulatorDecision {
             powered: true,
-            usable_cores: regulator.n_cores,
-            level: ladder.n_states() - 1,
-            compute_budget_w: regulator.max_power_w,
+            usable_cores: table.regulator().n_cores,
+            level: table.ladder().n_states() - 1,
+            compute_budget_w: table.regulator().max_power_w,
             resistive_w: 0.0,
             heat_budget_w: 0.0,
         };
         WorkerSim {
             id,
-            ladder,
-            regulator,
+            table,
             thermostat,
             decision,
             running: Vec::new(),
@@ -173,7 +167,7 @@ impl WorkerSim {
     }
 
     pub fn n_cores(&self) -> usize {
-        self.regulator.n_cores
+        self.table.regulator().n_cores
     }
 
     pub fn decision(&self) -> &RegulatorDecision {
@@ -219,15 +213,15 @@ impl WorkerSim {
         let core_w: f64 = self
             .running
             .iter()
-            .map(|s| s.cores as f64 * self.ladder.power_w(s.level, 1.0))
+            .map(|s| s.cores as f64 * self.table.per_core_w(s.level))
             .sum();
-        self.regulator.overhead_w + core_w
+        self.table.regulator().overhead_w + core_w
     }
 
     /// The resistive share given the compute draw `compute_w`, so a
     /// caller that holds it needn't sum the running slices again.
     fn resistive_from(&self, compute_w: f64) -> f64 {
-        if !self.decision.powered || !self.regulator.has_resistive_backup {
+        if !self.decision.powered || !self.table.regulator().has_resistive_backup {
             return 0.0;
         }
         (self.decision.heat_budget_w - compute_w).max(0.0)
@@ -261,7 +255,7 @@ impl WorkerSim {
             return None;
         }
         let level = self.decision.level;
-        let gops = self.ladder.throughput(level);
+        let gops = self.table.ladder().throughput(level);
         let mut start = now;
         let is_edge = job.is_edge();
         if let Some(prev_edge) = self.last_flow_was_edge {
@@ -344,11 +338,9 @@ impl WorkerSim {
         let demand = self.thermostat.demand(now, measured_c);
         // Never budget below what running jobs already hold: running
         // slices finish at their dispatched speed.
-        let (decision, potential_cores) = self.regulator.decide_with_potential(
-            &self.ladder,
-            demand,
-            backlog_cores.max(self.busy_cores()),
-        );
+        let (decision, potential_cores) = self
+            .table
+            .decide_with_potential(demand, backlog_cores.max(self.busy_cores()));
         self.potential_cores = potential_cores;
         let floor = self.busy_cores();
         self.decision = RegulatorDecision {
@@ -458,10 +450,11 @@ impl WorkerSim {
         self.sensor = SensorState::decode(r)?;
         self.last_good_c = Option::decode(r)?;
         self.last_flow_was_edge = Option::decode(r)?;
-        let (levels, n_cores) = (self.ladder.n_states(), self.regulator.n_cores);
+        let ladder = self.table.ladder();
+        let (levels, n_cores) = (ladder.n_states(), self.n_cores());
         let slice_ok = |s: &RunningSlice| {
             s.level < levels
-                && s.gops_per_core.to_bits() == self.ladder.throughput(s.level).to_bits()
+                && s.gops_per_core.to_bits() == ladder.throughput(s.level).to_bits()
                 && (1..=n_cores.min(s.job.cores)).contains(&s.cores)
                 && SimTime::ZERO <= s.started
                 && s.started <= s.finish
@@ -503,6 +496,8 @@ simcore::impl_snapshot! {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::regulator::HeatRegulator;
+    use dfhw::dvfs::DvfsLadder;
     use thermal::room::RoomParams;
     use thermal::thermostat::SetpointSchedule;
     use workloads::{Flow, JobId};
@@ -514,8 +509,7 @@ mod tests {
         (
             WorkerSim::new(
                 0,
-                Arc::new(DvfsLadder::desktop_i7()),
-                HeatRegulator::for_qrad(),
+                Arc::new(RegulatorTable::qrad()),
                 ModulatingThermostat::new(SetpointSchedule::constant(20.0), 1.5),
             ),
             rooms,
@@ -695,7 +689,9 @@ mod tests {
         let temps = [17.0, 19.3, 19.6, 18.9, 21.0, 19.8, 17.5, 20.4, 19.1];
         for backup in [true, false] {
             let (mut w, _) = worker();
-            w.regulator.has_resistive_backup = backup;
+            let mut r = HeatRegulator::for_qrad();
+            r.has_resistive_backup = backup;
+            w.table = Arc::new(RegulatorTable::new(r, DvfsLadder::desktop_i7()));
             let check_split = |w: &WorkerSim| {
                 let expect = if w.decision.powered {
                     w.compute_power_w() + w.resistive_from(w.compute_power_w())

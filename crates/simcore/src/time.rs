@@ -19,6 +19,28 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// Microseconds in one second.
 const MICROS_PER_SEC: i64 = 1_000_000;
 
+/// `x.round() as i64` (half away from zero; saturating, NaN to 0)
+/// without the libm call `f64::round` compiles to on baseline x86-64:
+/// truncate with a cast and compare the exact fractional part.
+#[inline]
+fn round_i64(x: f64) -> i64 {
+    // From 2^52 up every f64 is an integer, and the cast alone maps the
+    // non-finite values as `round` then the cast do.
+    if x.is_nan() || x.abs() >= 4_503_599_627_370_496.0 {
+        return x as i64;
+    }
+    let t = x as i64;
+    // Exact: `t` is `x` truncated, so the difference is `x`'s fraction.
+    let frac = x - t as f64;
+    if frac >= 0.5 {
+        t + 1
+    } else if frac <= -0.5 {
+        t - 1
+    } else {
+        t
+    }
+}
+
 /// A point in virtual time (microseconds since the simulation epoch).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(i64);
@@ -41,7 +63,7 @@ impl SimTime {
 
     /// Construct from fractional seconds since the epoch (rounded to µs).
     pub fn from_secs_f64(secs: f64) -> Self {
-        SimTime((secs * MICROS_PER_SEC as f64).round() as i64)
+        SimTime(round_i64(secs * MICROS_PER_SEC as f64))
     }
 
     /// Construct from raw microseconds.
@@ -115,7 +137,7 @@ impl SimDuration {
     }
 
     pub fn from_secs_f64(secs: f64) -> Self {
-        SimDuration((secs * MICROS_PER_SEC as f64).round() as i64)
+        SimDuration(round_i64(secs * MICROS_PER_SEC as f64))
     }
 
     pub fn from_millis(ms: i64) -> Self {
@@ -165,7 +187,7 @@ impl SimDuration {
     /// Multiply by a float factor (rounded to µs). Panics on NaN.
     pub fn mul_f64(self, k: f64) -> Self {
         assert!(!k.is_nan(), "SimDuration::mul_f64 by NaN");
-        SimDuration((self.0 as f64 * k).round() as i64)
+        SimDuration(round_i64(self.0 as f64 * k))
     }
 }
 
@@ -448,5 +470,65 @@ mod tests {
             SimDuration::from_millis(500)
         );
         assert_eq!(SimDuration::SECOND.mul_f64(1e-7), SimDuration::ZERO);
+    }
+
+    /// `round_i64` against the libm form it replaces, bit for bit.
+    fn check_round(x: f64) -> Result<(), String> {
+        for x in [x, -x] {
+            if round_i64(x) != x.round() as i64 {
+                return Err(format!("{x:e}: {} vs {}", round_i64(x), x.round() as i64));
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn round_i64_matches_round_at_the_edges() {
+        let two52 = 4_503_599_627_370_496.0f64;
+        let two63 = 9_223_372_036_854_775_808.0f64;
+        let edges = [
+            0.0,
+            -0.0,
+            0.5,
+            0.5f64.next_down(),
+            0.5f64.next_up(),
+            1.5,
+            2.5,
+            two52 - 1.0,
+            two52 - 0.5,
+            two52,
+            two52 + 1.0,
+            two52.next_down(),
+            two63,
+            two63.next_down(),
+            two63.next_up(),
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        for x in edges {
+            check_round(x).unwrap();
+        }
+    }
+
+    proptest::proptest! {
+        /// Any bit pattern: every class of f64, most of them huge or tiny.
+        #[test]
+        fn round_i64_matches_round_on_any_bits(bits in 0u64..u64::MAX) {
+            check_round(f64::from_bits(bits))?;
+        }
+
+        /// Each half-integer, 2 ulps either side and its integer, at
+        /// magnitudes from 1 to 2^53.
+        #[test]
+        fn round_i64_matches_round_near_halves(n in 0i64..(1i64 << 53), shift in 0u32..53) {
+            let n = (n >> shift) as f64;
+            let half = n + 0.5;
+            let (below, above) = (half.next_down(), half.next_up());
+            for x in [n, below.next_down(), below, half, above, above.next_up()] {
+                check_round(x)?;
+            }
+        }
     }
 }

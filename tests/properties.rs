@@ -1,7 +1,6 @@
 //! Workspace-level property tests on cross-crate invariants.
 
-use df3::df3_core::regulator::HeatRegulator;
-use df3::dfhw::dvfs::DvfsLadder;
+use df3::df3_core::regulator::RegulatorTable;
 use df3::sched::fairness::jain_index;
 use df3::simcore::metrics::{Histogram, Summary};
 use df3::simcore::time::{SimDuration, SimTime};
@@ -16,9 +15,7 @@ proptest! {
         demand in 0.0f64..=1.0,
         backlog in 0usize..64,
     ) {
-        let reg = HeatRegulator::for_qrad();
-        let ladder = DvfsLadder::desktop_i7();
-        let d = reg.decide(&ladder, demand, backlog);
+        let d = RegulatorTable::qrad().decide(demand, backlog);
         prop_assert!(d.usable_cores <= 16);
         prop_assert!(d.total_heat_w() <= demand * 500.0 + 1e-9);
         prop_assert!(d.heat_budget_w <= 500.0 + 1e-9);

@@ -3,9 +3,8 @@
 //! a resistive heater (the paper's Figure 4 parity argument).
 
 use df3::baselines::electric_heater::{simulate, ElectricHeater};
-use df3::df3_core::regulator::HeatRegulator;
+use df3::df3_core::regulator::RegulatorTable;
 use df3::df3_core::worker::WorkerSim;
-use df3::dfhw::dvfs::DvfsLadder;
 use df3::simcore::time::{Calendar, SimDuration, SimTime};
 use df3::simcore::RngStreams;
 use df3::thermal::batch::ThermalBatch;
@@ -34,8 +33,7 @@ fn worker_energy_equals_integrated_power() {
     let weather = winter_weather(7, 21);
     let mut w = WorkerSim::new(
         0,
-        Arc::new(DvfsLadder::desktop_i7()),
-        HeatRegulator::for_qrad(),
+        Arc::new(RegulatorTable::qrad()),
         ModulatingThermostat::new(SetpointSchedule::constant(20.0), 1.5),
     );
     let mut room = one_room(17.0);
@@ -67,8 +65,7 @@ fn qrad_and_convector_reach_the_same_comfort() {
     // Q.rad loop.
     let mut w = WorkerSim::new(
         0,
-        Arc::new(DvfsLadder::desktop_i7()),
-        HeatRegulator::for_qrad(),
+        Arc::new(RegulatorTable::qrad()),
         ModulatingThermostat::new(schedule, 1.5),
     );
     let mut room = one_room(17.0);
@@ -113,8 +110,7 @@ fn colder_weather_draws_more_energy() {
     let run = |weather: &Weather| {
         let mut w = WorkerSim::new(
             0,
-            Arc::new(DvfsLadder::desktop_i7()),
-            HeatRegulator::for_qrad(),
+            Arc::new(RegulatorTable::qrad()),
             ModulatingThermostat::new(SetpointSchedule::constant(20.0), 1.5),
         );
         let mut room = one_room(17.0);
