@@ -1,7 +1,7 @@
 //! The all-cloud baseline: every request — edge requests included —
 //! travels the WAN to a remote datacenter.
 
-use df3_core::datacenter::{Datacenter, DatacenterConfig};
+use df3_core::datacenter::Datacenter;
 use dfnet::link::Link;
 use dfnet::protocol::Protocol;
 use simcore::engine::{Engine, Model, Scheduler};
@@ -37,7 +37,8 @@ impl CloudOutcome {
 
 /// The all-cloud comparator.
 pub struct CloudBaseline {
-    pub dc: DatacenterConfig,
+    /// Datacenter cores.
+    pub cores: usize,
     /// Device access link (first hop).
     pub access: Link,
     /// WAN path device↔datacenter.
@@ -48,7 +49,7 @@ impl CloudBaseline {
     /// A typical public-cloud path: WiFi access + 22 ms WAN.
     pub fn standard(cores: usize) -> Self {
         CloudBaseline {
-            dc: DatacenterConfig::standard(cores),
+            cores,
             access: Link::new(Protocol::Wifi),
             wan: Link::new(Protocol::WanInternet).with_extra_latency(0.022),
         }
@@ -109,7 +110,7 @@ impl CloudBaseline {
         }
         let model = M {
             base: self,
-            dc: Datacenter::new(self.dc),
+            dc: Datacenter::new(self.cores),
             jobs: jobs.jobs(),
             next: 0,
             out: CloudOutcome {

@@ -12,7 +12,7 @@
 //! (arrived = completed + rejected + expired + abandoned + in-flight;
 //! nothing silently dropped).
 
-use df3_core::faults::{FaultPlan, RecoveryPolicy, SensorFaultKind, Window};
+use df3_core::faults::{FaultPlan, SensorFaultKind, Window};
 use df3_core::{Platform, PlatformConfig};
 use dfnet::link::{Degradation, LinkClass};
 use simcore::report::{f2, pct, Table};
@@ -83,21 +83,20 @@ pub fn jobs_for(hours: i64, seed: u64) -> JobStream {
 
 /// The shipped fault mixes. Windows fit the minimum 6 h horizon.
 pub fn plans() -> Vec<(&'static str, f64, FaultPlan)> {
-    let rec = RecoveryPolicy::standard();
     vec![
         (
             "worker churn",
             1.0,
             FaultPlan::none()
                 .with_churn(SimDuration::from_hours(4), SimDuration::from_secs(1_800))
-                .with_recovery(rec),
+                .with_recovery(),
         ),
         (
             "building blackout",
             1.0,
             FaultPlan::none()
                 .with_cluster_outage(1, Window::from_hours(1, 3))
-                .with_recovery(rec),
+                .with_recovery(),
         ),
         (
             "master outages + ROC",
@@ -105,7 +104,7 @@ pub fn plans() -> Vec<(&'static str, f64, FaultPlan)> {
             FaultPlan::none()
                 .with_master_outage(Window::from_hours(1, 2))
                 .with_master_outage(Window::from_hours(3, 4))
-                .with_recovery(rec),
+                .with_recovery(),
         ),
         (
             "fiber cut + WAN brownout",
@@ -123,7 +122,7 @@ pub fn plans() -> Vec<(&'static str, f64, FaultPlan)> {
                     Degradation::brownout(),
                     false,
                 )
-                .with_recovery(rec),
+                .with_recovery(),
         ),
         (
             "sensor dropout + stuck-at",
@@ -136,7 +135,7 @@ pub fn plans() -> Vec<(&'static str, f64, FaultPlan)> {
                     Window::from_hours(2, 4),
                     SensorFaultKind::StuckAt(25.0),
                 )
-                .with_recovery(rec),
+                .with_recovery(),
         ),
         (
             "everything at once",
@@ -152,7 +151,7 @@ pub fn plans() -> Vec<(&'static str, f64, FaultPlan)> {
                     false,
                 )
                 .with_sensor_fault(3, None, Window::from_hours(1, 5), SensorFaultKind::Dropout)
-                .with_recovery(rec),
+                .with_recovery(),
         ),
     ]
 }

@@ -43,8 +43,11 @@ pub(crate) fn warm_config(preset: &str, hours: i64) -> Result<PlatformConfig, St
     if hours <= 0 {
         return Err("--hours must be positive".into());
     }
+    let micros = hours
+        .checked_mul(SimDuration::HOUR.as_micros())
+        .ok_or_else(|| format!("--hours {hours} is too long"))?;
     let mut cfg = preset_config(preset)?;
-    cfg.horizon = SimDuration::from_hours(hours);
+    cfg.horizon = SimDuration::from_micros(micros);
     cfg.telemetry.enabled = true;
     Ok(cfg)
 }

@@ -38,13 +38,16 @@ pub fn parse_sim_duration(s: &str) -> Result<SimDuration, String> {
     if n <= 0 {
         return Err(format!("duration must be positive: {s}"));
     }
-    match unit {
-        "s" => Ok(SimDuration::from_secs(n)),
-        "m" => Ok(SimDuration::from_secs(n * 60)),
-        "h" => Ok(SimDuration::from_hours(n)),
-        "d" => Ok(SimDuration::from_hours(n * 24)),
-        _ => Err(format!("unknown duration unit in {s} (want s, m, h, or d)")),
-    }
+    let unit = match unit {
+        "s" => SimDuration::SECOND,
+        "m" => SimDuration::MINUTE,
+        "h" => SimDuration::HOUR,
+        "d" => SimDuration::DAY,
+        _ => return Err(format!("unknown duration unit in {s} (want s, m, h, or d)")),
+    };
+    n.checked_mul(unit.as_micros())
+        .map(SimDuration::from_micros)
+        .ok_or_else(|| format!("duration too long: {s}"))
 }
 
 fn pause(cfg: PlatformConfig, jobs: &JobStream, at: SimDuration) -> Result<PausedRun, String> {
@@ -255,6 +258,9 @@ mod tests {
         for bad in ["", "h", "12", "-3h", "0h", "5w"] {
             assert!(parse_sim_duration(bad).is_err(), "{bad} should not parse");
         }
+        // Too long for i64 microseconds: an error, not an overflow.
+        assert!(parse_sim_duration("3000000000h").is_err());
+        assert!(parse_sim_duration("106751992d").is_err());
     }
 
     #[test]

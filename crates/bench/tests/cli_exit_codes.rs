@@ -24,6 +24,8 @@ fn argument_errors_exit_2() {
         &["report", "--preset", "mars_colony"],
         &["snapshot", "--hours", "3", "--at", "3h"],
         &["resume", "--hours", "0"],
+        &["resume", "--hours", "3000000000"],
+        &["snapshot", "--hours", "3", "--at", "3000000000h"],
         &["branch", "--sweep", "0"],
     ] {
         assert_eq!(exit_code(args), Some(2), "df3-experiments {args:?}");

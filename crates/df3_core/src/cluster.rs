@@ -147,13 +147,6 @@ impl ClusterSim {
         self.workers[w].set_sensor(state);
     }
 
-    /// Set every worker's degraded-sensor bias, °C.
-    pub(crate) fn set_sensor_bias(&mut self, bias_c: f64) {
-        for w in &mut self.workers {
-            w.sensor_bias_c = bias_c;
-        }
-    }
-
     /// Apply `f` to worker `w` and move the cluster's core sums by the
     /// worker's change. Every mutation that can start or remove a slice,
     /// or fail or repair a board, goes through here; debug builds check
@@ -282,8 +275,7 @@ impl ClusterSim {
     }
 
     /// Load snapshot for the peak policies, O(1): it reads the core sums
-    /// the mutators keep current and the queue lengths, and walks no
-    /// worker. Failed workers contribute no capacity: a dark building
+    /// the mutators keep current and walks no worker. Failed workers contribute no capacity: a dark building
     /// reports zero total cores, so DCC load-balancing and sibling
     /// selection route around it instead of mistaking it for an empty
     /// cluster (in fault-free runs every worker is healthy and the
@@ -294,8 +286,6 @@ impl ClusterSim {
             total_cores: self.sums.healthy,
             busy_cores: self.sums.busy,
             preemptible_cores: self.sums.preemptible,
-            queued_edge: self.edge_queue.len(),
-            queued_dcc: self.dcc_queue.len(),
         }
     }
 
@@ -556,8 +546,6 @@ impl ClusterSim {
             total_cores: sums.healthy,
             busy_cores: sums.busy,
             preemptible_cores: sums.preemptible,
-            queued_edge: self.edge_queue.iter().count(),
-            queued_dcc: self.dcc_queue.iter().count(),
         };
         let queued = self.edge_queue.iter().chain(self.dcc_queue.iter());
         (load, queued.map(|j| j.cores).sum())

@@ -4,37 +4,21 @@
 //! the hybrid infrastructure (§III-A) processes requests "in classical
 //! datacenter nodes" when no heat is wanted. The datacenter here is a
 //! fixed pool of Xeon cores behind a WAN, FIFO-scheduled, with cooling
-//! overhead charged per joule (the PUE gap of experiment E2).
+//! overhead charged per joule (the PUE gap of experiment E2). The WAN
+//! itself is the caller's: the platform's `Links::standard().wan`.
 
 use dfhw::dvfs::DvfsLadder;
-use simcore::time::{SimDuration, SimTime};
+use simcore::time::SimTime;
 use std::collections::VecDeque;
 use workloads::{Job, JobId};
 
-/// Datacenter configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct DatacenterConfig {
-    pub cores: usize,
-    /// One-way WAN latency from the clusters.
-    pub wan_latency: SimDuration,
-    /// Cooling + distribution overhead per IT joule (PUE − 1).
-    pub overhead_ratio: f64,
-}
-
-impl DatacenterConfig {
-    pub fn standard(cores: usize) -> Self {
-        DatacenterConfig {
-            cores,
-            wan_latency: SimDuration::from_millis(22),
-            overhead_ratio: 0.55,
-        }
-    }
-}
+/// Cooling + distribution overhead per IT joule (PUE − 1).
+pub const OVERHEAD_RATIO: f64 = 0.55;
 
 /// The datacenter pool.
 #[derive(Debug, Clone)]
 pub struct Datacenter {
-    pub config: DatacenterConfig,
+    cores: usize,
     gops_per_core: f64,
     watts_per_core: f64,
     busy_cores: usize,
@@ -47,11 +31,12 @@ pub struct Datacenter {
 }
 
 impl Datacenter {
-    pub fn new(config: DatacenterConfig) -> Self {
+    /// A pool of `cores` Xeon cores at their top speed grade.
+    pub fn new(cores: usize) -> Self {
         let ladder = DvfsLadder::server_xeon();
         let top = ladder.n_states() - 1;
         Datacenter {
-            config,
+            cores,
             gops_per_core: ladder.throughput(top),
             watts_per_core: ladder.power_w(top, 1.0),
             busy_cores: 0,
@@ -64,7 +49,7 @@ impl Datacenter {
     }
 
     pub fn free_cores(&self) -> usize {
-        self.config.cores - self.busy_cores
+        self.cores - self.busy_cores
     }
 
     pub fn queued(&self) -> usize {
@@ -160,7 +145,7 @@ impl Datacenter {
     /// Total facility energy so far (IT × (1 + overhead)), kWh.
     pub fn facility_kwh(&mut self, now: SimTime) -> f64 {
         self.accrue_energy(now);
-        self.it_energy_j * (1.0 + self.config.overhead_ratio) / 3.6e6
+        self.it_energy_j * (1.0 + OVERHEAD_RATIO) / 3.6e6
     }
 
     /// IT-only energy, kWh.
@@ -169,8 +154,8 @@ impl Datacenter {
         self.it_energy_j / 3.6e6
     }
 
-    /// Checkpoint the pool's dynamic state. Config and the Xeon speed
-    /// grades are rebuilt from the platform config on restore.
+    /// Checkpoint the pool's dynamic state. The core count and the Xeon
+    /// speed grades are rebuilt from the platform config on restore.
     pub fn snapshot_state(&self, w: &mut simcore::snapshot::SnapshotWriter) {
         use simcore::snapshot::Snapshot;
         w.put_usize(self.busy_cores);
@@ -203,10 +188,10 @@ impl Datacenter {
             )));
         }
         let occupied: usize = self.running.iter().map(|(_, c, _)| *c).sum();
-        if occupied != self.busy_cores || self.busy_cores > self.config.cores {
+        if occupied != self.busy_cores || self.busy_cores > self.cores {
             return Err(SnapshotError::Corrupt(format!(
                 "datacenter ledger: {} busy cores vs {} running on a {}-core pool",
-                self.busy_cores, occupied, self.config.cores
+                self.busy_cores, occupied, self.cores
             )));
         }
         Ok(())
@@ -216,6 +201,7 @@ impl Datacenter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simcore::time::SimDuration;
     use workloads::Flow;
 
     fn job(id: u64, cores: usize, work: f64) -> Job {
@@ -234,7 +220,7 @@ mod tests {
 
     #[test]
     fn immediate_start_when_free() {
-        let mut dc = Datacenter::new(DatacenterConfig::standard(8));
+        let mut dc = Datacenter::new(8);
         let f = dc.submit(SimTime::ZERO, job(1, 4, 120.0)).unwrap();
         // 120 Gop / (4 × 3 Gops) = 10 s.
         assert_eq!(f, SimTime::from_secs(10));
@@ -243,7 +229,7 @@ mod tests {
 
     #[test]
     fn queues_when_full_and_drains_fifo() {
-        let mut dc = Datacenter::new(DatacenterConfig::standard(4));
+        let mut dc = Datacenter::new(4);
         dc.submit(SimTime::ZERO, job(1, 4, 120.0)).unwrap();
         assert!(dc.submit(SimTime::ZERO, job(2, 2, 60.0)).is_none());
         assert!(dc.submit(SimTime::ZERO, job(3, 2, 60.0)).is_none());
@@ -257,7 +243,7 @@ mod tests {
 
     #[test]
     fn fifo_respects_head_blocking() {
-        let mut dc = Datacenter::new(DatacenterConfig::standard(6));
+        let mut dc = Datacenter::new(6);
         dc.submit(SimTime::ZERO, job(1, 3, 90.0)).unwrap();
         dc.submit(SimTime::ZERO, job(2, 3, 900.0)).unwrap();
         assert!(dc.submit(SimTime::ZERO, job(3, 4, 60.0)).is_none()); // head of queue
@@ -271,7 +257,7 @@ mod tests {
 
     #[test]
     fn energy_accrues_with_overhead() {
-        let mut dc = Datacenter::new(DatacenterConfig::standard(8));
+        let mut dc = Datacenter::new(8);
         dc.submit(SimTime::ZERO, job(1, 8, 8.0 * 3.0 * 3_600.0))
             .unwrap(); // 1 h on 8 cores
         let one_hour = SimTime::ZERO + SimDuration::HOUR;
@@ -286,7 +272,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn completing_unknown_job_panics() {
-        let mut dc = Datacenter::new(DatacenterConfig::standard(4));
+        let mut dc = Datacenter::new(4);
         dc.complete(SimTime::ZERO, JobId(7));
     }
 }

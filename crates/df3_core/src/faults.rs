@@ -23,10 +23,10 @@
 //!   sensors feeding the regulators; the control loop degrades to
 //!   last-known-good minus a conservative bias and never panics.
 //!
-//! plus a [`RecoveryPolicy`]: retry budgets with exponential backoff
-//! for rejected edge requests, quarantine for flapping workers, and
-//! boiler backfill that keeps rooms warm when compute capacity
-//! collapses.
+//! plus one recovery switch, [`FaultPlan::recovery`]: retries with
+//! exponential backoff for rejected edge requests, quarantine for
+//! flapping workers, and boiler backfill that keeps rooms warm when
+//! compute capacity collapses. Their settings are the constants below.
 //!
 //! Everything is deterministic: the only randomness (churn gap draws)
 //! comes from the platform's dedicated `"worker-failures"` RNG stream,
@@ -34,9 +34,40 @@
 //! draw — and an empty plan leaves the platform bit-identical to a
 //! build without the fault layer.
 
+use crate::worker::SENSOR_BIAS_C;
 use dfnet::link::{Degradation, Link, LinkClass};
-use sched::retry::{QuarantinePolicy, RetryPolicy};
+use simcore::snapshot::{Snapshot, SnapshotError, SnapshotReader, SnapshotWriter};
 use simcore::time::{SimDuration, SimTime};
+
+/// Re-submissions of one rejected edge request while recovery is on.
+pub const RETRY_ATTEMPTS: u32 = 3;
+/// Backoff before the first retry; it doubles with each attempt. Sized
+/// for sub-second edge deadlines: a retry that cannot fire before the
+/// deadline is never scheduled.
+pub const RETRY_BACKOFF_BASE: SimDuration = SimDuration::from_millis(50);
+/// Cap on the retry backoff.
+pub const RETRY_BACKOFF_MAX: SimDuration = SimDuration::from_secs(2);
+/// Failures of one worker within [`QUARANTINE_WINDOW`] that quarantine
+/// it: a flapping board is pulled for bench diagnosis rather than
+/// hot-swapped in place.
+pub const QUARANTINE_THRESHOLD: usize = 3;
+/// The sliding window over which failures count toward quarantine.
+pub const QUARANTINE_WINDOW: SimDuration = SimDuration::DAY;
+/// Added to a quarantined worker's repair time.
+pub const QUARANTINE_EXTRA_DOWNTIME: SimDuration = SimDuration::from_hours(12);
+/// Gas-boiler output per backfilled room at full thermostat demand, W
+/// (§II-B's conventional-boiler complement, staged into the rooms of
+/// failed workers so comfort holds while compute capacity is down).
+pub const BACKFILL_POWER_W: f64 = 500.0;
+
+/// Deterministic backoff before retry number `attempt` (1-based):
+/// [`RETRY_BACKOFF_BASE`] `× 2^(attempt-1)`, capped at
+/// [`RETRY_BACKOFF_MAX`].
+pub fn retry_backoff(attempt: u32) -> SimDuration {
+    assert!(attempt >= 1, "attempts are 1-based");
+    let factor = 2f64.powi((attempt - 1).min(30) as i32);
+    RETRY_BACKOFF_BASE.mul_f64(factor).min(RETRY_BACKOFF_MAX)
+}
 
 /// A half-open activity window `[start, end)`, as offsets from t = 0.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -119,70 +150,6 @@ pub struct SensorFault {
     pub kind: SensorFaultKind,
 }
 
-/// The recovery half of the plan.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RecoveryPolicy {
-    /// Retry budget for rejected edge requests.
-    pub retry: RetryPolicy,
-    /// Quarantine for flapping workers (`None` disables).
-    pub quarantine: Option<QuarantinePolicy>,
-    /// Stage gas-boiler heat into the rooms of failed workers so
-    /// comfort holds while compute capacity is down (§II-B's
-    /// conventional-boiler complement, wired into the control loop).
-    pub boiler_backfill: bool,
-    /// Boiler output per backfilled room at full thermostat demand, W.
-    pub backfill_power_w: f64,
-    /// Conservative bias subtracted from last-known-good readings when
-    /// a sensor drops out (reads the room as colder than remembered, so
-    /// the regulator errs toward heating), °C.
-    pub sensor_bias_c: f64,
-}
-
-impl RecoveryPolicy {
-    /// Retries + quarantine + boiler backfill, all on.
-    pub fn standard() -> Self {
-        RecoveryPolicy {
-            retry: RetryPolicy::standard(),
-            quarantine: Some(QuarantinePolicy::standard()),
-            boiler_backfill: true,
-            backfill_power_w: 500.0,
-            sensor_bias_c: 0.5,
-        }
-    }
-
-    /// Every recovery mechanism off — faults land unmitigated.
-    pub fn disabled() -> Self {
-        RecoveryPolicy {
-            retry: RetryPolicy::disabled(),
-            quarantine: None,
-            boiler_backfill: false,
-            backfill_power_w: 0.0,
-            sensor_bias_c: 0.5,
-        }
-    }
-
-    pub fn validate(&self) -> Result<(), String> {
-        self.retry.validate()?;
-        if let Some(q) = &self.quarantine {
-            q.validate()?;
-        }
-        let backfill_ok = self.backfill_power_w.is_finite() && self.backfill_power_w > 0.0;
-        if self.boiler_backfill && !backfill_ok {
-            return Err("boiler backfill needs positive power".into());
-        }
-        if !self.sensor_bias_c.is_finite() || self.sensor_bias_c < 0.0 {
-            return Err(format!("bad sensor bias {}", self.sensor_bias_c));
-        }
-        Ok(())
-    }
-}
-
-impl Default for RecoveryPolicy {
-    fn default() -> Self {
-        Self::standard()
-    }
-}
-
 /// A declarative, deterministic fault-injection plan.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
@@ -200,8 +167,10 @@ pub struct FaultPlan {
     pub link_faults: Vec<LinkFault>,
     /// Room-sensor faults feeding the regulators.
     pub sensor_faults: Vec<SensorFault>,
-    /// The recovery layer (only consulted while the plan is active).
-    pub recovery: RecoveryPolicy,
+    /// Whether retries, quarantine and boiler backfill are on (they act
+    /// only while the plan has an injector; see
+    /// [`FaultPlan::active_recovery`]).
+    pub recovery: bool,
 }
 
 // The plan's explicit encoding: a snapshot's `meta` section pins the
@@ -218,22 +187,72 @@ simcore::impl_snapshot! {
 simcore::impl_snapshot! {
     enum SensorFaultKind { 0 => Dropout, 1 => StuckAt(value) }
 }
-simcore::impl_snapshot! {
-    RecoveryPolicy { retry, quarantine, boiler_backfill, backfill_power_w, sensor_bias_c }
+
+/// The recovery switch in the wire layout of the settable policy it
+/// replaced, so plan fingerprints, and with them older snapshots, stay
+/// valid: the retry budget `(attempts, backoff base, backoff cap)`, the
+/// quarantine `(threshold, window, extra downtime)` if any, and
+/// `(backfill on, backfill power, sensor bias)`.
+type RecoveryWire = (
+    (u32, SimDuration, SimDuration),
+    Option<(u32, SimDuration, SimDuration)>,
+    (bool, f64, f64),
+);
+
+fn recovery_wire(recovery: bool) -> RecoveryWire {
+    if recovery {
+        (
+            (RETRY_ATTEMPTS, RETRY_BACKOFF_BASE, RETRY_BACKOFF_MAX),
+            Some((
+                QUARANTINE_THRESHOLD as u32,
+                QUARANTINE_WINDOW,
+                QUARANTINE_EXTRA_DOWNTIME,
+            )),
+            (true, BACKFILL_POWER_W, SENSOR_BIAS_C),
+        )
+    } else {
+        (
+            (0, SimDuration::ZERO, SimDuration::ZERO),
+            None,
+            (false, 0.0, SENSOR_BIAS_C),
+        )
+    }
 }
-simcore::impl_snapshot! {
-    FaultPlan {
-        worker_churn,
-        cluster_outages,
-        master_outages,
-        link_faults,
-        sensor_faults,
-        recovery,
+
+impl Snapshot for FaultPlan {
+    fn encode(&self, w: &mut SnapshotWriter) {
+        self.worker_churn.encode(w);
+        self.cluster_outages.encode(w);
+        self.master_outages.encode(w);
+        self.link_faults.encode(w);
+        self.sensor_faults.encode(w);
+        recovery_wire(self.recovery).encode(w);
+    }
+
+    /// Accepts exactly the two recovery layouts `recovery_wire`
+    /// writes.
+    fn decode(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(FaultPlan {
+            worker_churn: Snapshot::decode(r)?,
+            cluster_outages: Snapshot::decode(r)?,
+            master_outages: Snapshot::decode(r)?,
+            link_faults: Snapshot::decode(r)?,
+            sensor_faults: Snapshot::decode(r)?,
+            recovery: match RecoveryWire::decode(r)? {
+                wire if wire == recovery_wire(true) => true,
+                wire if wire == recovery_wire(false) => false,
+                _ => {
+                    return Err(SnapshotError::Corrupt(
+                        "fault plan recovery is neither on nor off".into(),
+                    ))
+                }
+            },
+        })
     }
 }
 
 impl FaultPlan {
-    /// The empty plan: no injectors, recovery moot. A platform built
+    /// The empty plan: no injectors, recovery off. A platform built
     /// with this is bit-identical to one without the fault layer.
     pub fn none() -> Self {
         FaultPlan {
@@ -242,7 +261,7 @@ impl FaultPlan {
             master_outages: Vec::new(),
             link_faults: Vec::new(),
             sensor_faults: Vec::new(),
-            recovery: RecoveryPolicy::disabled(),
+            recovery: false,
         }
     }
 
@@ -302,8 +321,9 @@ impl FaultPlan {
         self
     }
 
-    pub fn with_recovery(mut self, recovery: RecoveryPolicy) -> Self {
-        self.recovery = recovery;
+    /// Turn recovery on: retries, quarantine and boiler backfill.
+    pub fn with_recovery(mut self) -> Self {
+        self.recovery = true;
         self
     }
 
@@ -317,9 +337,9 @@ impl FaultPlan {
     /// - worker churn identical (its RNG draws start at t = 0);
     /// - recovery identical when `base` has injectors; when `base` is
     ///   empty its recovery never acted during the warm-up (see
-    ///   [`FaultPlan::active_recovery`]), so the branch recovery must
-    ///   keep retries off (a retry layer changes rejection handling
-    ///   from the first event);
+    ///   [`FaultPlan::active_recovery`]), so the branch must keep
+    ///   recovery off (its retries change rejection handling from the
+    ///   first event);
     /// - each injector list extends `base`'s as an exact prefix, and
     ///   every added window starts at or after `at` — cluster outages
     ///   need an extra `control_period` of slack because outage
@@ -334,9 +354,9 @@ impl FaultPlan {
             return Err("branch plan must keep the base worker churn".into());
         }
         if base.is_empty() {
-            if self.recovery.retry.enabled() {
+            if self.recovery {
                 return Err(
-                    "branching from a fault-free warm-up cannot enable retries (they act from t = 0)"
+                    "branching from a fault-free warm-up cannot turn recovery on (its retries act from t = 0)"
                         .into(),
                 );
             }
@@ -397,11 +417,10 @@ impl FaultPlan {
         Ok(())
     }
 
-    /// The recovery policy, while the plan has an injector to recover
-    /// from. An empty plan's recovery is moot: it neither retries nor
-    /// backfills.
-    pub fn active_recovery(&self) -> Option<RecoveryPolicy> {
-        (!self.is_empty()).then_some(self.recovery)
+    /// Whether recovery acts: it is on and the plan has an injector to
+    /// recover from. An empty plan neither retries nor backfills.
+    pub fn active_recovery(&self) -> bool {
+        self.recovery && !self.is_empty()
     }
 
     /// Whether any master-outage window covers `now`.
@@ -471,7 +490,7 @@ impl FaultPlan {
                 }
             }
         }
-        self.recovery.validate()
+        Ok(())
     }
 }
 
@@ -569,7 +588,7 @@ mod tests {
                 Window::from_hours(1, 3),
                 SensorFaultKind::StuckAt(25.0),
             )
-            .with_recovery(RecoveryPolicy::standard());
+            .with_recovery();
         assert!(!p.is_empty());
         assert!(p.validate(4, 16).is_ok());
         // Out-of-range cluster index.
@@ -589,6 +608,38 @@ mod tests {
         assert!(p.validate(4, 16).is_err());
         let p = FaultPlan::none().with_churn(SimDuration::ZERO, SimDuration::ZERO);
         assert!(p.validate(4, 16).is_err());
+    }
+
+    #[test]
+    fn backoff_doubles_and_caps() {
+        assert_eq!(retry_backoff(1), SimDuration::from_millis(50));
+        assert_eq!(retry_backoff(2), SimDuration::from_millis(100));
+        assert_eq!(retry_backoff(3), SimDuration::from_millis(200));
+        // Far past the cap: 50 ms × 2^20 ≫ 2 s.
+        assert_eq!(retry_backoff(21), SimDuration::from_secs(2));
+    }
+
+    #[test]
+    fn plan_codec_reads_back_exactly_the_two_recovery_layouts() {
+        let bytes = |p: &FaultPlan| {
+            let mut w = SnapshotWriter::new();
+            p.encode(&mut w);
+            w.into_bytes()
+        };
+        let decode = |b: &[u8]| FaultPlan::decode(&mut SnapshotReader::new(b));
+        let off = FaultPlan::none().with_master_outage(Window::from_hours(1, 2));
+        let on = off.clone().with_recovery();
+        for plan in [&off, &on] {
+            assert_eq!(decode(&bytes(plan)).unwrap(), *plan);
+        }
+        // Recovery is the tail, led by its retry attempts: one more
+        // attempt is neither layout.
+        let mut b = bytes(&on);
+        let mut w = SnapshotWriter::new();
+        recovery_wire(true).encode(&mut w);
+        let attempts = b.len() - w.into_bytes().len();
+        b[attempts] += 1;
+        assert!(decode(&b).is_err());
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub mod stats;
 pub mod worker;
 
 pub use config::{ArchClass, PlatformConfig};
-pub use faults::{FaultPlan, RecoveryPolicy, SensorFaultKind, Window};
+pub use faults::{FaultPlan, SensorFaultKind, Window};
 pub use platform::{PausedRun, Platform, PlatformOutcome, RunTo};
 pub use regulator::{HeatRegulator, RegulatorDecision, RegulatorTable};
 pub use report::{ExportOptions, RunReport};

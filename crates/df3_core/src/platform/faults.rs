@@ -12,8 +12,9 @@ pub(super) struct FaultRuntime {
     /// platform adds an attempt each time it re-submits a rejected edge
     /// request and drops the entry at any terminal outcome.
     pub retry_book: BTreeMap<JobId, u32>,
-    /// Failure history for quarantine decisions.
-    pub flap: sched::retry::FlapTracker,
+    /// Each worker slot's failure times within the last
+    /// [`QUARANTINE_WINDOW`], for quarantine decisions.
+    pub failures: Vec<Vec<SimTime>>,
     /// Whether each cluster is inside a power outage right now.
     pub cluster_dark: Vec<bool>,
     /// Whether each planned cluster outage has had its down/up
@@ -26,14 +27,14 @@ pub(super) struct FaultRuntime {
 // The books' snapshot codec (the plan itself is config, rebuilt on
 // restore).
 simcore::impl_snapshot! {
-    FaultRuntime { retry_book, flap, cluster_dark, outage_scheduled }
+    FaultRuntime { retry_book, failures, cluster_dark, outage_scheduled }
 }
 
 impl FaultRuntime {
     pub fn new(plan: &FaultPlan, n_clusters: usize, n_worker_slots: usize) -> Self {
         FaultRuntime {
             retry_book: BTreeMap::new(),
-            flap: sched::retry::FlapTracker::new(n_worker_slots),
+            failures: vec![Vec::new(); n_worker_slots],
             cluster_dark: vec![false; n_clusters],
             outage_scheduled: vec![false; plan.cluster_outages.len()],
         }
@@ -50,7 +51,8 @@ impl FaultRuntime {
         plan: &FaultPlan,
     ) -> Result<(), SnapshotError> {
         let mut books = FaultRuntime::decode(r)?;
-        if !books.flap.recorded_by(now) {
+        let recorded = |t: &SimTime| (SimTime::ZERO..=now).contains(t);
+        if !books.failures.iter().flatten().all(recorded) {
             return Err(SnapshotError::Corrupt(format!(
                 "a recorded worker failure lies outside [0, {now}]"
             )));
@@ -70,6 +72,16 @@ impl FaultRuntime {
         books.outage_scheduled.resize(want, false);
         *self = books;
         Ok(())
+    }
+
+    /// Record a failure of worker `slot` at `now`; returns `true` when
+    /// it (counted in) makes [`QUARANTINE_THRESHOLD`] failures within
+    /// [`QUARANTINE_WINDOW`].
+    pub fn record_failure(&mut self, slot: usize, now: SimTime) -> bool {
+        let h = &mut self.failures[slot];
+        h.retain(|&t| now.saturating_since(t) <= QUARANTINE_WINDOW);
+        h.push(now);
+        h.len() >= QUARANTINE_THRESHOLD
     }
 }
 

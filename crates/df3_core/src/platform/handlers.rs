@@ -72,17 +72,10 @@ impl Platform {
         let t_fault = sched.profiler.start();
         self.fail_worker(now, cluster, worker, sched);
         let mut delay = churn.repair_time;
-        let quarantine = self
-            .config
-            .faults
-            .active_recovery()
-            .and_then(|r| r.quarantine);
-        if let Some(q) = quarantine {
-            if self.faults.flap.record(slot, now, &q) {
-                self.stats.quarantines.inc();
-                self.record_fault_event(now, FaultEventKind::Quarantine, cluster, Some(worker));
-                delay += q.extra_downtime;
-            }
+        if self.config.faults.active_recovery() && self.faults.record_failure(slot, now) {
+            self.stats.quarantines.inc();
+            self.record_fault_event(now, FaultEventKind::Quarantine, cluster, Some(worker));
+            delay += QUARANTINE_EXTRA_DOWNTIME;
         }
         let ev = sched.after(delay, Ev::WorkerRepair { cluster, worker });
         self.repair_events[slot] = Some(ev);
@@ -316,23 +309,21 @@ impl Platform {
     }
 
     /// Turn away a job the platform cannot place. A DCC job is counted
-    /// rejected. An edge request is retried or given up: with an enabled
-    /// retry policy, re-submission is scheduled with exponential backoff
-    /// while the budget and the deadline both allow; the request is
+    /// rejected. An edge request is retried or given up: with recovery
+    /// active, re-submission is scheduled with exponential backoff while
+    /// [`RETRY_ATTEMPTS`] and the deadline both allow; the request is
     /// abandoned (counted, never silent) once a started chain runs dry.
-    /// Without an active retry layer (see
-    /// [`FaultPlan::active_recovery`]), or before a chain has started,
-    /// it is the plain legacy rejection.
+    /// Without active recovery (see [`FaultPlan::active_recovery`]), or
+    /// before a chain has started, it is the plain legacy rejection.
     fn reject(&mut self, now: SimTime, job: Job, sched: &mut Scheduler<Ev>) {
         if !job.is_edge() {
             self.stats.dcc_rejected.inc();
             return;
         }
-        let retry = self.config.faults.active_recovery().map(|r| r.retry);
-        if let Some(policy) = retry.filter(|p| p.enabled()) {
+        if self.config.faults.active_recovery() {
             let attempts = self.faults.retry_book.get(&job.id).copied().unwrap_or(0);
-            let due = now + policy.backoff(attempts + 1);
-            if attempts < policy.max_attempts && job.absolute_deadline().is_none_or(|d| due < d) {
+            let due = now + retry_backoff(attempts + 1);
+            if attempts < RETRY_ATTEMPTS && job.absolute_deadline().is_none_or(|d| due < d) {
                 *self.faults.retry_book.entry(job.id).or_insert(0) += 1;
                 self.stats.jobs_retried.inc();
                 self.record_job_instant(now, self.tags.job_retry, &job, Some(attempts + 1));

@@ -29,8 +29,11 @@
 use crate::arrivals;
 use crate::cluster::{ClusterSim, Dispatch};
 use crate::config::{ArchClass, PlatformConfig};
-use crate::datacenter::{Datacenter, DatacenterConfig};
-use crate::faults::{FaultEventKind, FaultPlan, SensorFault, SensorFaultKind};
+use crate::datacenter::Datacenter;
+use crate::faults::{
+    retry_backoff, FaultEventKind, FaultPlan, SensorFault, SensorFaultKind, BACKFILL_POWER_W,
+    QUARANTINE_EXTRA_DOWNTIME, QUARANTINE_THRESHOLD, QUARANTINE_WINDOW, RETRY_ATTEMPTS,
+};
 use crate::regulator::RegulatorTable;
 use crate::stats::PlatformStats;
 use crate::worker::SensorState;
@@ -355,7 +358,7 @@ impl Platform {
         let mut rooms = ThermalBatch::with_capacity(n_worker_slots);
         // One Q.rad regulator table for the whole fleet.
         let table = Arc::new(RegulatorTable::qrad());
-        let mut clusters: Vec<ClusterSim> = (0..config.n_clusters)
+        let clusters: Vec<ClusterSim> = (0..config.n_clusters)
             .map(|i| {
                 ClusterSim::with_table(
                     i,
@@ -367,14 +370,9 @@ impl Platform {
                 )
             })
             .collect();
-        let datacenter = (config.datacenter_cores > 0)
-            .then(|| Datacenter::new(DatacenterConfig::standard(config.datacenter_cores)));
+        let datacenter =
+            (config.datacenter_cores > 0).then(|| Datacenter::new(config.datacenter_cores));
         let faults = FaultRuntime::new(&config.faults, config.n_clusters, n_worker_slots);
-        if !config.faults.sensor_faults.is_empty() {
-            for c in &mut clusters {
-                c.set_sensor_bias(config.faults.recovery.sensor_bias_c);
-            }
-        }
         let mut telemetry = Telemetry::from_config(config.telemetry);
         let tags = Tags::intern(&mut telemetry.recorder);
         Platform {

@@ -64,15 +64,10 @@ impl Platform {
         // Boiler backfill (§II-B): failed workers' rooms were staged at
         // 0 W; restage them with boiler heat so the §IV comfort
         // guarantee holds while boards are dark.
-        let backfill = self
-            .config
-            .faults
-            .active_recovery()
-            .filter(|r| r.boiler_backfill);
-        if let Some(r) = backfill {
+        if self.config.faults.active_recovery() {
             let mut kwh = 0.0;
             for c in &self.clusters {
-                kwh += c.stage_backfill(now, &mut self.rooms, r.backfill_power_w);
+                kwh += c.stage_backfill(now, &mut self.rooms, BACKFILL_POWER_W);
             }
             self.stats.boiler_backfill_kwh += kwh;
         }

@@ -1,7 +1,7 @@
 //! Unit tests of the platform: runs, faults, snapshots and branches.
 
 use super::*;
-use crate::faults::{FaultPlan, RecoveryPolicy, Window};
+use crate::faults::{FaultPlan, Window};
 use workloads::edge::{location_service_jobs, LocationServiceConfig};
 
 fn tiny_config() -> PlatformConfig {
@@ -172,8 +172,7 @@ fn inert_plan_never_perturbs_the_simulation() {
             Window::from_hours(1_000, 1_001),
             dfnet::link::Degradation::brownout(),
             true,
-        )
-        .with_recovery(RecoveryPolicy::disabled());
+        );
     assert_unperturbed(tiny_config(), inert, &edge_stream(6));
     // Recovery alone, on a building too small for its edge load: it
     // rejects requests without any fault, and must not retry them.
@@ -184,7 +183,7 @@ fn inert_plan_never_perturbs_the_simulation() {
         seed: 7,
         ..PlatformConfig::small_winter()
     };
-    let recovery_only = FaultPlan::none().with_recovery(RecoveryPolicy::standard());
+    let recovery_only = FaultPlan::none().with_recovery();
     let base = assert_unperturbed(cfg, recovery_only, &edge_stream(24));
     assert!(base.stats.edge_rejected.get() > 0, "the run rejects");
 }
@@ -194,7 +193,7 @@ fn churn_with_recovery_conserves_every_job() {
     let mut cfg = tiny_config();
     cfg.faults = FaultPlan::none()
         .with_churn(SimDuration::from_hours(4), SimDuration::from_secs(1_800))
-        .with_recovery(RecoveryPolicy::standard());
+        .with_recovery();
     let jobs = edge_stream(6);
     let out = Platform::new(cfg).run(&jobs);
     let s = &out.stats;
@@ -213,7 +212,7 @@ fn cluster_outage_spills_orphans_and_backfills_heat() {
     let mut cfg = tiny_config();
     cfg.faults = FaultPlan::none()
         .with_cluster_outage(0, Window::from_hours(1, 3))
-        .with_recovery(RecoveryPolicy::standard());
+        .with_recovery();
     let jobs = edge_stream(6);
     let out = Platform::new(cfg).run(&jobs);
     let s = &out.stats;
@@ -247,7 +246,6 @@ fn boiler_backfill_covers_the_last_partial_period() {
     cfg.setpoint_c = 60.0;
     // Six hours and seven minutes: the last period is 7 min long.
     cfg.horizon = SimDuration::from_secs(6 * 3_600 + 420);
-    let recovery = RecoveryPolicy::standard();
     // Dark from 1 h 05 min to past the horizon. Backfill starts with
     // the period the outage falls in, the one opened at 1 h.
     cfg.faults = FaultPlan::none()
@@ -255,12 +253,12 @@ fn boiler_backfill_covers_the_last_partial_period() {
             0,
             Window::new(SimDuration::from_secs(3_900), SimDuration::from_hours(100)),
         )
-        .with_recovery(recovery);
+        .with_recovery();
     // No jobs: a job would wake its worker between ticks and move
     // the start of that worker's period off the tick grid.
     let out = Platform::new(cfg.clone()).run(&JobStream::new(Vec::new()));
     let dark_s = (cfg.horizon - SimDuration::from_hours(1)).as_secs_f64();
-    let want_kwh = cfg.workers_per_cluster as f64 * recovery.backfill_power_w * dark_s / 3.6e6;
+    let want_kwh = cfg.workers_per_cluster as f64 * BACKFILL_POWER_W * dark_s / 3.6e6;
     let got = out.stats.boiler_backfill_kwh;
     assert!(
         (got - want_kwh).abs() < 1e-9 * want_kwh,
@@ -302,7 +300,7 @@ fn snapshot_restore_in_a_fresh_platform_is_bit_identical() {
     cfg.faults = FaultPlan::none()
         .with_churn(SimDuration::from_hours(4), SimDuration::from_secs(1_800))
         .with_master_outage(Window::from_hours(2, 3))
-        .with_recovery(RecoveryPolicy::standard());
+        .with_recovery();
     let jobs = edge_stream(6);
     let cold = Platform::new(cfg.clone()).run(&jobs);
     let paused = pause_at(cfg.clone(), &jobs, 2);
@@ -357,7 +355,7 @@ fn branch_restore_extends_the_fault_plan_bit_identically() {
     // plan, bit for bit — the basis of branch-from-snapshot sweeps.
     let base = FaultPlan::none()
         .with_churn(SimDuration::from_hours(4), SimDuration::from_secs(1_800))
-        .with_recovery(RecoveryPolicy::standard());
+        .with_recovery();
     let mut cfg = tiny_config();
     cfg.faults = base.clone();
     let jobs = edge_stream(6);
@@ -380,7 +378,7 @@ fn branch_restore_extends_the_fault_plan_bit_identically() {
 fn branch_restore_rejects_windows_before_the_branch_point() {
     let base = FaultPlan::none()
         .with_churn(SimDuration::from_hours(4), SimDuration::from_secs(1_800))
-        .with_recovery(RecoveryPolicy::standard());
+        .with_recovery();
     let mut cfg = tiny_config();
     cfg.faults = base.clone();
     let jobs = edge_stream(6);
@@ -403,8 +401,24 @@ fn branch_restore_rejects_windows_before_the_branch_point() {
     assert!(Platform::restore_branch(&base, slack, &bytes).is_err());
     // Dropping a base injector is not an extension.
     let mut dropped = cfg;
-    dropped.faults = FaultPlan::none().with_recovery(RecoveryPolicy::standard());
+    dropped.faults = FaultPlan::none().with_recovery();
     assert!(Platform::restore_branch(&base, dropped, &bytes).is_err());
+}
+
+#[test]
+fn quarantine_fires_inside_window_only() {
+    let mut books = FaultRuntime::new(&FaultPlan::none(), 1, 2);
+    let t0 = SimTime::ZERO;
+    let t10 = t0 + SimDuration::from_secs(600);
+    assert!(!books.record_failure(0, t0));
+    assert!(!books.record_failure(0, t10));
+    // The third failure within the (closed) window quarantines.
+    assert!(books.record_failure(0, t0 + QUARANTINE_WINDOW));
+    // A different slot is independent.
+    assert!(!books.record_failure(1, t0 + QUARANTINE_WINDOW));
+    // Just past a window after the second failure, the first two have
+    // slid out.
+    assert!(!books.record_failure(0, t10 + QUARANTINE_WINDOW + SimDuration::SECOND));
 }
 
 #[test]
@@ -415,10 +429,10 @@ fn retry_layer_reclaims_master_outage_rejections() {
     let mut cfg = tiny_config();
     cfg.faults = FaultPlan::none()
         .with_master_outage(Window::from_hours(1, 2))
-        .with_recovery(RecoveryPolicy::standard());
+        .with_recovery();
     let jobs = edge_stream(6);
     let with_retry = Platform::new(cfg.clone()).run(&jobs);
-    cfg.faults = cfg.faults.with_recovery(RecoveryPolicy::disabled());
+    cfg.faults.recovery = false;
     let without = Platform::new(cfg).run(&jobs);
     assert!(with_retry.stats.jobs_retried.get() > 0);
     assert!(

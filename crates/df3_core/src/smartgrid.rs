@@ -23,9 +23,6 @@ pub struct FleetProfile {
     pub cores_per_server: usize,
     /// Wall power per server at full tilt, W.
     pub max_power_w: f64,
-    /// Fraction of a server's power that is compute-attributable when
-    /// fully loaded (rest is overhead/resistive).
-    pub compute_fraction: f64,
 }
 
 impl FleetProfile {
@@ -34,7 +31,6 @@ impl FleetProfile {
             n_servers,
             cores_per_server: 16,
             max_power_w: 500.0,
-            compute_fraction: 0.88,
         }
     }
 
@@ -54,8 +50,6 @@ impl FleetProfile {
 pub struct CapacityOffer {
     /// Calendar month (0 = January).
     pub month: usize,
-    /// Mean heat demand forecast for the month, W.
-    pub forecast_heat_w: f64,
     /// Fraction of the fleet the heat demand can keep busy, in [0, 1].
     pub duty: f64,
     /// Core-hours offered for the month.
@@ -82,7 +76,6 @@ pub fn monthly_offers(
             let hours = DAYS[m] * 24.0;
             CapacityOffer {
                 month: m,
-                forecast_heat_w: heat_w,
                 duty,
                 core_hours: duty * fleet.total_cores() as f64 * hours,
             }

@@ -27,6 +27,11 @@ use thermal::batch::ThermalBatch;
 use thermal::thermostat::ModulatingThermostat;
 use workloads::{Job, JobId};
 
+/// Conservative bias a degraded sensor reading is lowered by, °C: the
+/// room reads colder than remembered, so the regulator errs toward
+/// heating.
+pub const SENSOR_BIAS_C: f64 = 0.5;
+
 /// State of a worker's room-temperature sensor (fault injection).
 ///
 /// The regulator must keep working — and never panic — on a faulty
@@ -130,7 +135,7 @@ impl WorkerSim {
             edge_dedicated: false,
             sensor: SensorState::Healthy,
             last_good_c: None,
-            sensor_bias_c: 0.5,
+            sensor_bias_c: SENSOR_BIAS_C,
             last_flow_was_edge: None,
         }
     }

@@ -13,7 +13,7 @@
 //! architecture-B fleet. Any change to how loads are computed or how
 //! siblings are passed to the policy must leave every value unchanged.
 
-use df3_core::{FaultPlan, Platform, PlatformConfig, RecoveryPolicy, Window};
+use df3_core::{FaultPlan, Platform, PlatformConfig, Window};
 use dfnet::link::{Degradation, LinkClass};
 use sched::PeakPolicy;
 use simcore::snapshot::{fingerprint, Snapshot, SnapshotWriter};
@@ -67,7 +67,7 @@ fn placement_outcomes_are_pinned() {
                 Degradation::none(),
                 true,
             )
-            .with_recovery(RecoveryPolicy::standard()),
+            .with_recovery(),
         ..with_policy(policy)
     };
     let horizontal = PeakPolicy::HorizontalFirst {

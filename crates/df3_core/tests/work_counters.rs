@@ -16,9 +16,7 @@
 //! profiler's phases open and close: perfbench's placement decisions
 //! and control-tick counts are read from these counts.
 
-use df3_core::{
-    FaultPlan, Platform, PlatformConfig, RecoveryPolicy, RunTo, SensorFaultKind, Window,
-};
+use df3_core::{FaultPlan, Platform, PlatformConfig, RunTo, SensorFaultKind, Window};
 use simcore::telemetry::Phase;
 use simcore::time::{SimDuration, SimTime};
 use simcore::RngStreams;
@@ -150,7 +148,7 @@ fn faulted() -> PlatformConfig {
             .with_cluster_outage(1, Window::from_hours(1, 2))
             .with_master_outage(Window::from_hours(2, 4))
             .with_sensor_fault(2, None, Window::from_hours(1, 4), SensorFaultKind::Dropout)
-            .with_recovery(RecoveryPolicy::standard()),
+            .with_recovery(),
         true,
     )
 }

@@ -10,10 +10,6 @@
 /// Price quote for one accounting period.
 #[derive(Debug, Clone, Copy)]
 pub struct PriceQuote {
-    /// Offered (heat-driven) capacity, core-hours.
-    pub supply_core_h: f64,
-    /// Requested compute, core-hours.
-    pub demand_core_h: f64,
     /// Clearing price, €/core-hour.
     pub price_eur_core_h: f64,
     /// Core-hours actually sold (min of supply and demand).
@@ -57,8 +53,6 @@ impl CapacityPricer {
                 .clamp(self.floor, self.cap)
         };
         PriceQuote {
-            supply_core_h,
-            demand_core_h,
             price_eur_core_h: price,
             sold_core_h: supply_core_h.min(demand_core_h),
         }

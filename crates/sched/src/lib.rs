@@ -14,15 +14,14 @@
 //!   decision procedure.
 //! - [`fairness`]: Jain's fairness index over shared service
 //!   (ref \[16\]).
-//! - [`retry`]: per-job retry budgets with exponential backoff and
-//!   flapping-worker quarantine (the fault layer's recovery policy).
+//!
+//! Retries and quarantine, the recovery half of fault injection, live
+//! with the fault runtime in `df3_core::faults`.
 
 pub mod fairness;
 pub mod offload;
 pub mod preempt;
 pub mod queue;
-pub mod retry;
 
 pub use offload::{ClusterLoad, PeakAction, PeakPolicy};
 pub use queue::{Discipline, ReadyQueue};
-pub use retry::{FlapTracker, QuarantinePolicy, RetryPolicy};

@@ -20,8 +20,6 @@ pub struct ClusterLoad {
     pub busy_cores: usize,
     /// Cores held by preemptible (DCC) tasks.
     pub preemptible_cores: usize,
-    pub queued_edge: usize,
-    pub queued_dcc: usize,
 }
 
 impl ClusterLoad {
@@ -191,8 +189,6 @@ mod tests {
             total_cores: total,
             busy_cores: busy,
             preemptible_cores: preemptible,
-            queued_edge: 0,
-            queued_dcc: 0,
         }
     }
 

@@ -18,8 +18,6 @@ pub struct TimeSeries {
 pub struct MonthlyAggregate {
     /// Month index relative to the calendar epoch (0-based).
     pub rel_month: u32,
-    /// Calendar month number as humans write it (1 = January … 12).
-    pub month_number: u32,
     /// Abbreviated month name.
     pub month_name: &'static str,
     /// Statistics of the samples that fell in this month.
@@ -77,7 +75,6 @@ impl TimeSeries {
                     stats.observe(v);
                     out.push(MonthlyAggregate {
                         rel_month: rel,
-                        month_number: m.number(),
                         month_name: m.name(),
                         stats,
                     });

@@ -11,7 +11,8 @@
 //!
 //! where `OU` is an Ornstein–Uhlenbeck process (mean-reverting, a few
 //! days of correlation — cold snaps and mild spells). The trace is
-//! pre-generated at a fixed resolution and linearly interpolated, so a
+//! pre-generated hourly ([`Weather::RESOLUTION`]) and linearly
+//! interpolated, so a
 //! `Weather` lookup is pure and O(1), and the same seed always yields
 //! the same winter — the property the paired experiments rely on.
 
@@ -92,35 +93,25 @@ impl WeatherConfig {
 #[derive(Debug, Clone)]
 pub struct Weather {
     config: WeatherConfig,
-    /// OU noise samples at `resolution` spacing (baseline added at query).
+    /// OU noise samples at [`Weather::RESOLUTION`] spacing (baseline
+    /// added at query).
     noise: Vec<f64>,
-    resolution: SimDuration,
     span: SimDuration,
 }
 
 impl Weather {
-    /// Default sampling resolution of the noise component.
-    pub const DEFAULT_RESOLUTION: SimDuration = SimDuration::HOUR;
+    /// Sampling resolution of the noise trace.
+    pub const RESOLUTION: SimDuration = SimDuration::HOUR;
 
     /// Generate a trace covering `[0, span]`.
     pub fn generate(config: WeatherConfig, span: SimDuration, streams: &RngStreams) -> Self {
-        Self::generate_with_resolution(config, span, Self::DEFAULT_RESOLUTION, streams)
-    }
-
-    /// Generate with an explicit noise resolution.
-    pub fn generate_with_resolution(
-        config: WeatherConfig,
-        span: SimDuration,
-        resolution: SimDuration,
-        streams: &RngStreams,
-    ) -> Self {
-        assert!(span > SimDuration::ZERO && resolution > SimDuration::ZERO);
+        assert!(span > SimDuration::ZERO);
         let mut rng = streams.stream("weather");
-        let steps = (span.as_secs_f64() / resolution.as_secs_f64()).ceil() as usize + 1;
+        let dt = Self::RESOLUTION.as_secs_f64();
+        let steps = (span.as_secs_f64() / dt).ceil() as usize + 1;
         let theta = 1.0 / (config.noise_correlation_days * 86_400.0); // 1/s
                                                                       // Stationary std sigma_stat = sigma / sqrt(2 theta) → sigma:
         let sigma = config.noise_std_c * (2.0 * theta).sqrt();
-        let dt = resolution.as_secs_f64();
         let mut noise = Vec::with_capacity(steps);
         let mut x = 0.0;
         for _ in 0..steps {
@@ -130,18 +121,12 @@ impl Weather {
         Weather {
             config,
             noise,
-            resolution,
             span,
         }
     }
 
     pub fn span(&self) -> SimDuration {
         self.span
-    }
-
-    /// Sampling resolution of the noise trace.
-    pub fn resolution(&self) -> SimDuration {
-        self.resolution
     }
 
     /// Outdoor temperature at `t` (°C). The seasonal/diurnal baseline is
@@ -151,7 +136,7 @@ impl Weather {
     pub fn outdoor_c(&self, t: SimTime) -> f64 {
         assert!(t >= SimTime::ZERO, "weather queried at negative time {t}");
         let period = (self.noise.len() - 1) as f64;
-        let mut pos = t.as_secs_f64() / self.resolution.as_secs_f64();
+        let mut pos = t.as_secs_f64() / Self::RESOLUTION.as_secs_f64();
         if pos >= period {
             pos %= period;
         }
@@ -171,7 +156,7 @@ impl Weather {
         while t <= to {
             sum += self.outdoor_c(t);
             count += 1;
-            t += self.resolution;
+            t += Self::RESOLUTION;
         }
         sum / count as f64
     }
@@ -179,7 +164,8 @@ impl Weather {
 
 /// A flat tabulation of a [`Weather`] trace: the full seasonal +
 /// diurnal + noise temperature pre-evaluated at the trace's sample
-/// resolution, queried with a wrap + linear interpolation.
+/// resolution ([`Weather::RESOLUTION`]), queried with a wrap + linear
+/// interpolation.
 ///
 /// `Weather::outdoor_c` pays two `cos` calls plus the noise lerp on
 /// every query; on the platform hot path that query runs per control
@@ -191,26 +177,23 @@ impl Weather {
 /// below the weather-noise floor.
 #[derive(Debug, Clone)]
 pub struct WeatherTable {
-    /// Total outdoor temperature at `resolution` spacing over the span.
+    /// Total outdoor temperature at [`Weather::RESOLUTION`] spacing
+    /// over the span.
     samples: Vec<f64>,
-    resolution: SimDuration,
 }
 
 impl WeatherTable {
-    /// Tabulate `weather` at its own noise resolution: one sample per
+    /// Tabulate `weather` at its noise resolution: one sample per
     /// noise sample, baseline evaluated at the grid point (identical to
     /// what `Weather::outdoor_c` returns there).
     pub fn tabulate(weather: &Weather) -> Self {
-        let resolution = weather.resolution();
+        let dt = Weather::RESOLUTION.as_secs_f64();
         let mut samples = Vec::with_capacity(weather.noise.len());
         for (i, &noise) in weather.noise.iter().enumerate() {
-            let t = SimTime::ZERO + SimDuration::from_secs_f64(i as f64 * resolution.as_secs_f64());
+            let t = SimTime::ZERO + SimDuration::from_secs_f64(i as f64 * dt);
             samples.push(weather.config.baseline_at(t) + noise);
         }
-        WeatherTable {
-            samples,
-            resolution,
-        }
+        WeatherTable { samples }
     }
 
     /// Outdoor temperature at `t` (°C): two loads and a lerp. Queries
@@ -219,7 +202,7 @@ impl WeatherTable {
     pub fn outdoor_c(&self, t: SimTime) -> f64 {
         debug_assert!(t >= SimTime::ZERO, "weather queried at negative time {t}");
         let period = (self.samples.len() - 1) as f64;
-        let mut pos = t.as_secs_f64() / self.resolution.as_secs_f64();
+        let mut pos = t.as_secs_f64() / Weather::RESOLUTION.as_secs_f64();
         if pos >= period {
             pos %= period;
         }

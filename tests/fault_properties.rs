@@ -6,7 +6,7 @@
 //! an inert plan (every window beyond the horizon, recovery disabled)
 //! produces bit-identical output to no plan at all.
 
-use df3::df3_core::faults::{FaultPlan, RecoveryPolicy, SensorFaultKind, Window};
+use df3::df3_core::faults::{FaultPlan, SensorFaultKind, Window};
 use df3::df3_core::{Platform, PlatformConfig, PlatformOutcome};
 use df3::dfnet::link::{Degradation, LinkClass};
 use df3::simcore::time::SimDuration;
@@ -87,11 +87,7 @@ fn random_plan(
             },
         );
     }
-    if recovery_on {
-        plan = plan.with_recovery(RecoveryPolicy::standard());
-    } else {
-        plan = plan.with_recovery(RecoveryPolicy::disabled());
-    }
+    plan.recovery = recovery_on;
     plan
 }
 
@@ -192,8 +188,7 @@ proptest! {
                 Some(0),
                 Window::from_hours(far_h, far_h + 1),
                 SensorFaultKind::Dropout,
-            )
-            .with_recovery(RecoveryPolicy::disabled());
+            );
         let base = run_tiny(FaultPlan::none(), hours, seed, false);
         let carried = run_tiny(inert, hours, seed, false);
         prop_assert_eq!(fingerprint(&base), fingerprint(&carried));
